@@ -48,6 +48,7 @@ from .tubes import (
 )
 
 SCHEMA_VERSION = 1
+BACKEND = "numpy"  # the kernel implementation, recorded with every result
 
 
 @dataclass(frozen=True)
@@ -69,8 +70,11 @@ class ExperimentConfig:
         return self.n_values if self.n_values else (self.N,)
 
     def to_dict(self) -> dict:
+        """The fields that determine results; where they are written and the
+        size guard are left out, so they do not change a result's identity."""
         out = asdict(self)
-        out["backend"] = kernels.backend()
+        del out["leaf_budget"], out["out_dir"]
+        out["backend"] = BACKEND
         return out
 
     def config_hash(self) -> str:
@@ -183,8 +187,8 @@ def slab_sum_expectation_exact(cfg: ExperimentConfig, N: int, R: int) -> float:
     return total
 
 
-def slab_first_moment(cfg: ExperimentConfig, exhaustive: bool = False) -> dict:
-    rows = []
+def _slab_pair_sums(cfg: ExperimentConfig, exhaustive: bool):
+    """Yield (N, R, pair sums) for every swept N and slab offset."""
     for N in cfg.ns():
         for off in cfg.slab_offsets:
             R = N - off
@@ -195,51 +199,57 @@ def slab_first_moment(cfg: ExperimentConfig, exhaustive: bool = False) -> dict:
                 if exhaustive
                 else _sample_pair_sums(cfg, N, R)
             )
-            scale = N * float(cfg.M) ** (2 * R - 2 * N)
-            rows.append(
-                {
-                    "N": N,
-                    "R": R,
-                    "samples": int(sums.size),
-                    "mean_sum": float(sums.mean()),
-                    "scale": scale,
-                    "ratio": float(sums.mean() / scale),
-                    "ci99": float(2.5758 * sums.std(ddof=1) / math.sqrt(sums.size))
-                    if sums.size > 1
-                    else 0.0,
-                }
-            )
+            yield N, R, sums
+
+
+def _first_moment_row(cfg: ExperimentConfig, N: int, R: int, sums: np.ndarray) -> dict:
+    scale = N * float(cfg.M) ** (2 * R - 2 * N)
+    return {
+        "N": N,
+        "R": R,
+        "samples": int(sums.size),
+        "mean_sum": float(sums.mean()),
+        "scale": scale,
+        "ratio": float(sums.mean() / scale),
+        "ci99": float(2.5758 * sums.std(ddof=1) / math.sqrt(sums.size))
+        if sums.size > 1
+        else 0.0,
+    }
+
+
+def _second_moment_row(cfg: ExperimentConfig, N: int, R: int, sums: np.ndarray) -> dict:
+    sq = sums**2
+    scale = (N * float(cfg.M) ** (2 * R - 2 * N)) ** 2
+    return {
+        "N": N,
+        "R": R,
+        "samples": int(sums.size),
+        "mean_square": float(sq.mean()),
+        "scale": scale,
+        "ratio": float(sq.mean() / scale),
+        "ci99": float(2.5758 * sq.std(ddof=1) / math.sqrt(sq.size))
+        if sq.size > 1
+        else 0.0,
+    }
+
+
+def slab_first_moment(cfg: ExperimentConfig, exhaustive: bool = False) -> dict:
+    rows = [_first_moment_row(cfg, *item) for item in _slab_pair_sums(cfg, exhaustive)]
     return {"experiment": "slab-first-moment", "rows": rows}
 
 
 def slab_second_moment(cfg: ExperimentConfig, exhaustive: bool = False) -> dict:
-    rows = []
-    for N in cfg.ns():
-        for off in cfg.slab_offsets:
-            R = N - off
-            if R < 0:
-                continue
-            sums = (
-                _exhaustive_pair_sums(cfg, N, R)
-                if exhaustive
-                else _sample_pair_sums(cfg, N, R)
-            )
-            sq = sums**2
-            scale = (N * float(cfg.M) ** (2 * R - 2 * N)) ** 2
-            rows.append(
-                {
-                    "N": N,
-                    "R": R,
-                    "samples": int(sums.size),
-                    "mean_square": float(sq.mean()),
-                    "scale": scale,
-                    "ratio": float(sq.mean() / scale),
-                    "ci99": float(2.5758 * sq.std(ddof=1) / math.sqrt(sq.size))
-                    if sq.size > 1
-                    else 0.0,
-                }
-            )
+    rows = [_second_moment_row(cfg, *item) for item in _slab_pair_sums(cfg, exhaustive)]
     return {"experiment": "slab-second-moment", "rows": rows}
+
+
+def slab_moments(cfg: ExperimentConfig, exhaustive: bool = False) -> dict:
+    """First- and second-moment rows from one pass over the pair sums."""
+    rows, second_rows = [], []
+    for item in _slab_pair_sums(cfg, exhaustive):
+        rows.append(_first_moment_row(cfg, *item))
+        second_rows.append(_second_moment_row(cfg, *item))
+    return {"experiment": "slab-moments", "rows": rows, "second_rows": second_rows}
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +645,9 @@ def estar_diagnostic(cfg: ExperimentConfig, N: int | None = None) -> dict:
 # ---------------------------------------------------------------------------
 
 
+AUDIT_POINT_DRAWS = 1000  # far points tried before the audit gives up
+
+
 def percolation_iid_audit(
     cfg: ExperimentConfig,
     N: int | None = None,
@@ -657,7 +670,7 @@ def percolation_iid_audit(
     c0 = offset_constant(d, dirset.lip_lo)
     if point is None:
         rng = np.random.default_rng(derive_seed(cfg.seed, 30_000_001))
-        while True:
+        for _ in range(AUDIT_POINT_DRAWS):
             x = rng.uniform(
                 [float(c0)] + [-0.5] * d, [float(c0) + 1.0] + [0.5] * d
             )
@@ -665,6 +678,11 @@ def percolation_iid_audit(
             if len(poss) >= 4:
                 point = tuple(float(v) for v in x)
                 break
+        else:
+            raise ValueError(
+                f"no far point with 4 or more possible roots in {AUDIT_POINT_DRAWS} "
+                f"draws (M={cfg.M}, N={N}, d={d}); raise N or pass point="
+            )
     else:
         poss = poss_set(point, dirset, N, d)
     roots = poss.roots()
@@ -785,6 +803,6 @@ def save_result(result: dict, cfg: ExperimentConfig, out_dir: str | Path) -> Pat
                 writer.writerow({k: row.get(k) for k in sorted(rows[0])})
     meta_path = out / f"{name}.meta.json"
     meta_path.write_text(
-        json.dumps({"written_at": time.time(), "backend": kernels.backend()}) + "\n"
+        json.dumps({"written_at": time.time(), "backend": BACKEND}) + "\n"
     )
     return json_path

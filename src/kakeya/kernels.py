@@ -1,52 +1,19 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Hot numeric kernels, vectorized in numpy.
 
-Every kernel exists twice: a numba ``@njit`` loop (``_nb_*``) and a
-vectorized pure-numpy fallback (``_np_*``).  The active backend is chosen
-at import time from the environment variable ``KAKEYA_NUMBA``:
-
-    KAKEYA_NUMBA=0   force the numpy fallback
-    KAKEYA_NUMBA=1   use numba (default; falls back if numba is missing)
-
-Both variants of a kernel compute the same quantity; they may differ in
-the last couple of floating-point bits because summation orders differ.
-``kakeya.bench`` times the two paths against each other.
+Pair sums and union lengths for d = 1, exact union areas for d = 2, and
+bulk edge bits of the sticky fields.  Every kernel has an oracle test in
+``tests/test_kernels.py``; ``python3 perfbench/run.py`` times them inside
+the experiments that use them.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_ENV_FLAG = os.environ.get("KAKEYA_NUMBA", "1").strip().lower()
-_WANT_NUMBA = _ENV_FLAG not in ("0", "false", "no", "off")
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-USE_NUMBA = HAVE_NUMBA and _WANT_NUMBA
-
-# splitmix64 finalizer constants, shared with kakeya.sticky
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-
-
-def backend() -> str:
-    """Name of the active kernel backend ("numba" or "numpy")."""
-    return "numba" if USE_NUMBA else "numpy"
+# splitmix64 constants; kakeya.sticky applies the same arithmetic to python ints
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 # ---------------------------------------------------------------------------
@@ -58,33 +25,14 @@ def backend() -> str:
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _nb_node_bits(key, node_ids, out):
-    for i in range(node_ids.shape[0]):
-        z = key + node_ids[i] * _GOLDEN
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        z = z ^ (z >> np.uint64(31))
-        out[i] = np.uint8(z & np.uint64(1))
-    return out
-
-
-def _np_node_bits(key, node_ids, out):
-    z = (np.uint64(key) + node_ids * _GOLDEN).astype(np.uint64)
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    z = z ^ (z >> np.uint64(31))
-    out[:] = (z & np.uint64(1)).astype(np.uint8)
-    return out
-
-
 def node_bits(key: int, node_ids: np.ndarray) -> np.ndarray:
     """Bernoulli(1/2) bits for an array of uint64 tree-node indices."""
     ids = np.ascontiguousarray(node_ids, dtype=np.uint64)
-    out = np.empty(ids.shape[0], dtype=np.uint8)
-    if USE_NUMBA:
-        return _nb_node_bits(np.uint64(key), ids, out)
-    return _np_node_bits(np.uint64(key), ids, out)
+    z = (np.uint64(key) + ids * np.uint64(_GOLDEN)).astype(np.uint64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    z = z ^ (z >> np.uint64(31))
+    return (z & np.uint64(1)).astype(np.uint8)
 
 
 def leaf_slope_indices(key: int, base: int, depth: int) -> np.ndarray:
@@ -118,42 +66,21 @@ def leaf_slope_indices(key: int, base: int, depth: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _nb_pair_sum_1d(centers, slopes, lo, hi, width):
-    n = centers.shape[0]
-    total = 0.0
-    for i in range(n):
-        ci = centers[i]
-        vi = slopes[i]
-        for j in range(i + 1, n):
-            a = centers[j] - ci
-            b = slopes[j] - vi
-            if b == 0.0:
-                f = width - abs(a)
-                if f > 0.0:
-                    total += f * (hi - lo)
-                continue
-            u0 = a + b * lo
-            u1 = a + b * hi
-            if u0 > u1:
-                u0, u1 = u1, u0
-            c0 = max(u0, -width)
-            c1 = min(u1, width)
-            if c1 <= c0:
-                continue
-            g1 = width * c1 - 0.5 * c1 * abs(c1)
-            g0 = width * c0 - 0.5 * c0 * abs(c0)
-            total += (g1 - g0) / abs(b)
-    return 2.0 * total
-
-
-def _np_pair_sum_1d(centers, slopes, lo, hi, width, chunk=512):
-    n = centers.shape[0]
+def pair_sum_1d(
+    centers: np.ndarray, slopes: np.ndarray, lo: float, hi: float, width: float
+) -> float:
+    """Sum over ordered pairs t1 != t2 of |tube(t1) ∩ tube(t2) ∩ slab|,
+    for d = 1 tubes with cross-section width ``width`` over x1 in [lo, hi]."""
+    c = np.ascontiguousarray(centers, dtype=np.float64)
+    v = np.ascontiguousarray(slopes, dtype=np.float64)
+    lo, hi, width = float(lo), float(hi), float(width)
+    n = c.shape[0]
+    chunk = 512
     total = 0.0
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        a = centers[start:stop, None] - centers[None, :]
-        b = slopes[start:stop, None] - slopes[None, :]
+        a = c[start:stop, None] - c[None, :]
+        b = v[start:stop, None] - v[None, :]
         tri = np.tri(stop - start, n, k=start, dtype=bool)  # j <= i mask
         u0 = a + b * lo
         u1 = a + b * hi
@@ -171,19 +98,7 @@ def _np_pair_sum_1d(centers, slopes, lo, hi, width, chunk=512):
             bz & ~tri, np.maximum(width - np.abs(a), 0.0) * (hi - lo), 0.0
         )
         total += float(vals.sum() + flat.sum())
-    return 2.0 * total
-
-
-def pair_sum_1d(
-    centers: np.ndarray, slopes: np.ndarray, lo: float, hi: float, width: float
-) -> float:
-    """Sum over ordered pairs t1 != t2 of |tube(t1) ∩ tube(t2) ∩ slab|,
-    for d = 1 tubes with cross-section width ``width`` over x1 in [lo, hi]."""
-    c = np.ascontiguousarray(centers, dtype=np.float64)
-    v = np.ascontiguousarray(slopes, dtype=np.float64)
-    if USE_NUMBA:
-        return float(_nb_pair_sum_1d(c, v, float(lo), float(hi), float(width)))
-    return float(_np_pair_sum_1d(c, v, float(lo), float(hi), float(width)))
+    return float(2.0 * total)
 
 
 # ---------------------------------------------------------------------------
@@ -191,49 +106,8 @@ def pair_sum_1d(
 #
 # For each abscissa in `xs` the cross-sections are n equal-width intervals
 # centred at centers + x*slopes; the union length is width + sum of
-# min(width, gap) over consecutive sorted centres.  Consecutive abscissae
-# move the centres only slightly, so the numba path keeps the previous
-# ordering and repairs it by insertion sort (total repair work over a sweep
-# is bounded by the number of pairwise crossings).
+# min(width, gap) over consecutive sorted centres.
 # ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _nb_union_lengths_1d(centers, slopes, width, xs, out):
-    n = centers.shape[0]
-    order = np.argsort(centers + xs[0] * slopes)
-    pos = np.empty(n, dtype=np.float64)
-    for s in range(xs.shape[0]):
-        x = xs[s]
-        for i in range(n):
-            pos[i] = centers[order[i]] + x * slopes[order[i]]
-        for i in range(1, n):
-            key = pos[i]
-            ko = order[i]
-            j = i - 1
-            while j >= 0 and pos[j] > key:
-                pos[j + 1] = pos[j]
-                order[j + 1] = order[j]
-                j -= 1
-            pos[j + 1] = key
-            order[j + 1] = ko
-        total = width
-        for i in range(n - 1):
-            g = pos[i + 1] - pos[i]
-            total += g if g < width else width
-        out[s] = total
-    return out
-
-
-def _np_union_lengths_1d(centers, slopes, width, xs, out, chunk=64):
-    n = centers.shape[0]
-    for start in range(0, xs.shape[0], chunk):
-        stop = min(start + chunk, xs.shape[0])
-        pos = centers[None, :] + xs[start:stop, None] * slopes[None, :]
-        pos.sort(axis=1)
-        gaps = np.minimum(np.diff(pos, axis=1), width)
-        out[start:stop] = width + gaps.sum(axis=1)
-    return out
 
 
 def union_lengths_1d(
@@ -243,48 +117,21 @@ def union_lengths_1d(
     c = np.ascontiguousarray(centers, dtype=np.float64)
     v = np.ascontiguousarray(slopes, dtype=np.float64)
     x = np.ascontiguousarray(xs, dtype=np.float64)
+    width = float(width)
     out = np.empty(x.shape[0], dtype=np.float64)
-    if x.shape[0] == 0:
-        return out
-    if USE_NUMBA:
-        return _nb_union_lengths_1d(c, v, float(width), x, out)
-    return _np_union_lengths_1d(c, v, float(width), x, out)
+    chunk = 64
+    for start in range(0, x.shape[0], chunk):
+        stop = min(start + chunk, x.shape[0])
+        pos = c[None, :] + x[start:stop, None] * v[None, :]
+        pos.sort(axis=1)
+        gaps = np.minimum(np.diff(pos, axis=1), width)
+        out[start:stop] = width + gaps.sum(axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # cross-section union areas, d = 2 (exact sweep over equal squares)
 # ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _nb_union_area_squares(ys, zs, width):
-    n = ys.shape[0]
-    events = np.empty(2 * n, dtype=np.float64)
-    for i in range(n):
-        events[2 * i] = ys[i]
-        events[2 * i + 1] = ys[i] + width
-    events = np.sort(events)
-    area = 0.0
-    zbuf = np.empty(n, dtype=np.float64)
-    for e in range(2 * n - 1):
-        y0 = events[e]
-        y1 = events[e + 1]
-        if y1 <= y0:
-            continue
-        m = 0
-        for i in range(n):
-            if ys[i] <= y0 and y0 < ys[i] + width:
-                zbuf[m] = zs[i]
-                m += 1
-        if m == 0:
-            continue
-        act = np.sort(zbuf[:m])
-        length = width
-        for i in range(m - 1):
-            g = act[i + 1] - act[i]
-            length += g if g < width else width
-        area += length * (y1 - y0)
-    return area
 
 
 def _np_union_area_squares(ys, zs, width):
@@ -317,23 +164,5 @@ def union_areas_2d(
     for s in range(x.shape[0]):
         ys = c[:, 0] + x[s] * v[:, 0]
         zs = c[:, 1] + x[s] * v[:, 1]
-        if USE_NUMBA:
-            out[s] = _nb_union_area_squares(ys, zs, float(width))
-        else:
-            out[s] = _np_union_area_squares(ys, zs, float(width))
+        out[s] = _np_union_area_squares(ys, zs, float(width))
     return out
-
-
-def warmup() -> None:
-    """Force-compile the numba kernels (no-op on the numpy backend)."""
-    if not USE_NUMBA:
-        return
-    ids = np.arange(4, dtype=np.uint64)
-    node_bits(1, ids)
-    c = np.array([0.1, 0.2, 0.4])
-    v = np.array([0.0, 0.5, -0.5])
-    pair_sum_1d(c, v, 0.0, 1.0, 0.05)
-    union_lengths_1d(c, v, 0.05, np.array([0.0, 0.5]))
-    c2 = np.array([[0.1, 0.1], [0.3, 0.2]])
-    v2 = np.array([[0.0, 0.1], [0.2, 0.0]])
-    union_areas_2d(c2, v2, 0.05, np.array([0.5]))

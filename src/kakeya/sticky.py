@@ -21,12 +21,10 @@ import numpy as np
 
 from . import kernels
 from .cantor import CantorSpec, DirectionCurve, DirectionSet, direction_set
+from .kernels import _GOLDEN, _MIX1, _MIX2
 from .trees import Vertex, height, leaf_from_index, ray_edges, yca, yca_all
 
 MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
 
 
 def mix64(z: int) -> int:
@@ -80,11 +78,6 @@ class StickyField:
     def bits_for(self, vertices: Sequence[Vertex]) -> np.ndarray:
         ids = np.array([node_id(v, self.base) for v in vertices], dtype=np.uint64)
         return kernels.node_bits(self.key, ids)
-
-
-def tau_of(field: StickyField, t: Vertex) -> Vertex:
-    """The sticky image of t: bits along its ray, one per level."""
-    return field.ray_bits(t)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,6 @@
 import pytest
 
-from kakeya import kernels
 from kakeya.cantor import affine_curve, direction_set, middle_spec, moment_curve
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    kernels.warmup()
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,10 @@
+import gc
 import json
+import warnings
 
 import pytest
 
+from kakeya import harness
 from kakeya.cli import main
 
 
@@ -218,7 +221,39 @@ def test_config_file_roundtrip(tmp_path, capsys):
     assert payload["config"]["samples"] == 3
 
 
-def test_bench_small(capsys):
-    assert main(["bench", "--n", "64", "--repeats", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "kernel" in out
+def test_slab_moments_second_computes_each_sum_once(monkeypatch, capsys):
+    calls = []
+    pair_sum = harness.pair_sum_over_range
+    monkeypatch.setattr(
+        harness, "pair_sum_over_range", lambda *a: calls.append(a) or pair_sum(*a)
+    )
+    assert main(["slab-moments", "--N", "3", "--samples", "3", "--seed", "4", "--second"]) == 0
+    assert len(calls) == 2 * 3  # slabs N-R = 2, 3, three samples each
+    payload = json.loads(capsys.readouterr().out)
+    cfg = harness.ExperimentConfig(N=3, samples=3, seed=4)
+    assert payload["rows"] == harness.slab_first_moment(cfg)["rows"]
+    assert payload["second_rows"] == harness.slab_second_moment(cfg)["rows"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["volume", "--N", "2", "--samples-per-slab", "1"],
+        ["prob-oracle", "--N", "2", "--count", "3"],
+    ],
+)
+def test_out_file_closed(tmp_path, argv):
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv + ["--out", str(out)]) == 0
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert len(out.read_text().splitlines()) > 1
+
+
+def test_threads_flag_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--N", "2", "--samples", "2", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err

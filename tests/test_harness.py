@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -246,3 +247,20 @@ def test_config_hash_changes_with_seed():
     a = ExperimentConfig(seed=1).config_hash()
     b = ExperimentConfig(seed=2).config_hash()
     assert a != b
+
+
+def test_result_identity_ignores_out_dir_and_leaf_budget(tmp_path):
+    cfg = ExperimentConfig(seed=5)
+    moved = replace(cfg, out_dir=str(tmp_path), leaf_budget=5)
+    assert moved.config_hash() == cfg.config_hash()
+    result = {"experiment": "identity", "rows": [{"x": 1.5}]}
+    a = save_result(result, cfg, tmp_path / "a")
+    b = save_result(result, moved, tmp_path / "b")
+    assert a.name == b.name
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_iid_audit_point_search_is_bounded():
+    # N=1 has only M^d = 3 root cubes, so no point has 4 possible roots
+    with pytest.raises(ValueError, match="4 or more possible roots"):
+        percolation_iid_audit(ExperimentConfig(M=3, N=1, d=1), fields=10)

@@ -2,13 +2,9 @@ import numpy as np
 import pytest
 
 from kakeya import kernels
-from kakeya.sticky import StickyField
+from kakeya.sticky import MASK64, StickyField, mix64
 from kakeya.trees import leaf_from_index
 from kakeya.tubes import pair_measure
-
-pytestmark = pytest.mark.skipif(
-    not kernels.HAVE_NUMBA, reason="backend comparison needs numba importable"
-)
 
 
 @pytest.fixture(scope="module")
@@ -21,13 +17,6 @@ def family():
     return centers, slopes, width
 
 
-def test_pair_sum_backends_agree(family):
-    c, v, w = family
-    a = kernels._nb_pair_sum_1d(c, v, 0.1, 0.5, w)
-    b = kernels._np_pair_sum_1d(c, v, 0.1, 0.5, w)
-    assert a == pytest.approx(b, rel=1e-10)
-
-
 def test_pair_sum_matches_scalar_measure(family):
     c, v, w = family
     c, v = c[:60], v[:60]
@@ -37,14 +26,6 @@ def test_pair_sum_matches_scalar_measure(family):
             if i != j:
                 total += pair_measure([c[i]], [v[i]], [c[j]], [v[j]], 0.1, 0.5, w)
     assert kernels.pair_sum_1d(c, v, 0.1, 0.5, w) == pytest.approx(total, rel=1e-9)
-
-
-def test_union_lengths_backends_agree(family):
-    c, v, w = family
-    xs = np.linspace(0.0, 2.0, 257)
-    a = kernels._nb_union_lengths_1d(c, v, w, xs, np.empty(xs.size))
-    b = kernels._np_union_lengths_1d(c, v, w, xs, np.empty(xs.size))
-    assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
 
 
 def test_union_lengths_against_merge_oracle(family):
@@ -65,39 +46,10 @@ def test_union_lengths_against_merge_oracle(family):
         assert got[k] == pytest.approx(total, rel=1e-12)
 
 
-def test_union_areas_backends_agree():
-    rng = np.random.default_rng(7)
-    n = 50
-    corners = rng.uniform(0.0, 1.0, (n, 2))
-    slopes = rng.uniform(-1.0, 1.0, (n, 2))
-    xs = np.array([0.2, 0.9])
-    width = 0.05
-    import kakeya.kernels as K
-
-    a = np.array(
-        [
-            K._nb_union_area_squares(
-                corners[:, 0] + x * slopes[:, 0], corners[:, 1] + x * slopes[:, 1], width
-            )
-            for x in xs
-        ]
-    )
-    b = np.array(
-        [
-            K._np_union_area_squares(
-                corners[:, 0] + x * slopes[:, 0], corners[:, 1] + x * slopes[:, 1], width
-            )
-            for x in xs
-        ]
-    )
-    assert np.allclose(a, b, rtol=1e-12)
-
-
 def test_union_area_disjoint_squares_exact():
     ys = np.array([0.0, 1.0, 2.5])
     zs = np.array([0.0, 0.0, 1.0])
     assert kernels._np_union_area_squares(ys, zs, 0.5) == pytest.approx(3 * 0.25)
-    assert kernels._nb_union_area_squares(ys, zs, 0.5) == pytest.approx(3 * 0.25)
 
 
 def test_union_area_nested_overlap():
@@ -108,11 +60,13 @@ def test_union_area_nested_overlap():
     assert got == pytest.approx(2.0 - 0.9 * 0.9)
 
 
-def test_node_bits_backends_agree():
+def test_node_bits_match_python_int_mix64():
+    """uint64 arithmetic against python ints, with ids large enough that
+    key + id * GOLDEN wraps around 2^64."""
+    key = StickyField(seed=999, base=9).key
     ids = np.random.default_rng(3).integers(0, 1 << 50, 10_000).astype(np.uint64)
-    a = kernels._nb_node_bits(np.uint64(999), ids, np.empty(ids.size, np.uint8))
-    b = kernels._np_node_bits(np.uint64(999), ids, np.empty(ids.size, np.uint8))
-    assert np.array_equal(a, b)
+    expect = [mix64((key + int(i) * kernels._GOLDEN) & MASK64) & 1 for i in ids]
+    assert np.array_equal(kernels.node_bits(key, ids), np.array(expect, dtype=np.uint8))
 
 
 def test_leaf_slope_indices_match_field():
@@ -124,19 +78,3 @@ def test_leaf_slope_indices_match_field():
         bits = f.ray_bits(leaf)
         expect = (bits[0] << 2) | (bits[1] << 1) | bits[2]
         assert idx[i] == expect
-
-
-def test_backend_env_flag(monkeypatch):
-    import importlib
-    import kakeya.kernels as K
-
-    monkeypatch.setenv("KAKEYA_NUMBA", "0")
-    mod = importlib.reload(K)
-    try:
-        assert mod.backend() == "numpy"
-        c = np.array([0.1, 0.4])
-        v = np.array([0.0, -0.2])
-        assert mod.pair_sum_1d(c, v, 0.0, 1.0, 0.05) >= 0.0
-    finally:
-        monkeypatch.delenv("KAKEYA_NUMBA")
-        importlib.reload(K)

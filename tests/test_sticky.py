@@ -19,7 +19,6 @@ from kakeya.sticky import (
     make_assignment,
     node_id,
     sticky_admissible,
-    tau_of,
 )
 from kakeya.trees import height, leaf_from_index, yca
 
@@ -28,7 +27,7 @@ F = Fraction
 
 def test_tau_root_is_root():
     f = StickyField(seed=5, base=3)
-    assert tau_of(f, ()) == ()
+    assert f.ray_bits(()) == ()
 
 
 def test_tau_siblings_share_prefix():
@@ -38,7 +37,7 @@ def test_tau_siblings_share_prefix():
         prefix = tuple(rng.randrange(9) for _ in range(3))
         t1 = prefix + (rng.randrange(9),)
         t2 = prefix + (rng.randrange(9),)
-        assert tau_of(f, t1)[:3] == tau_of(f, t2)[:3]
+        assert f.ray_bits(t1)[:3] == f.ray_bits(t2)[:3]
 
 
 def test_tau_stickiness_audit_10k_pairs():
@@ -47,7 +46,7 @@ def test_tau_stickiness_audit_10k_pairs():
     for _ in range(10_000):
         t1 = tuple(rng.randrange(3) for _ in range(8))
         t2 = tuple(rng.randrange(3) for _ in range(8))
-        assert height(yca(tau_of(f, t1), tau_of(f, t2))) >= height(yca(t1, t2))
+        assert height(yca(f.ray_bits(t1), f.ray_bits(t2))) >= height(yca(t1, t2))
 
 
 def test_sigma_depth1_composition():
