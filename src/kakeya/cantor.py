@@ -257,6 +257,12 @@ class DirectionSet:
     slopes: tuple[tuple[Fraction, ...], ...]
     lip_lo: float
     lip_hi: float
+    _slope_floats: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        arr = np.array([[float(c) for c in s[1:]] for s in self.slopes])
+        arr.flags.writeable = False
+        object.__setattr__(self, "_slope_floats", arr)
 
     @property
     def d(self) -> int:
@@ -270,8 +276,8 @@ class DirectionSet:
         return np.array([float(t) for t in self.params])
 
     def slope_floats(self) -> np.ndarray:
-        """(n, d) array of the last d slope coordinates."""
-        return np.array([[float(c) for c in s[1:]] for s in self.slopes])
+        """(n, d) read-only array of the last d slope coordinates, built once."""
+        return self._slope_floats
 
 
 def direction_set(spec: CantorSpec, curve: DirectionCurve) -> DirectionSet:

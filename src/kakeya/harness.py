@@ -258,13 +258,15 @@ def slab_moments(cfg: ExperimentConfig, exhaustive: bool = False) -> dict:
 
 
 def volume_sweep(cfg: ExperimentConfig, c0: int | None = None) -> dict:
-    """Near- and far-window volumes of every sampled realization."""
+    """Near- and far-window volumes of every sampled realization.
+
+    The far window starts at ``c0``; by default the offset constant of
+    each N's own direction set."""
     rows = []
     for N in cfg.ns():
         cfg.guard(N)
         dirset = build_dirset(cfg, N)
-        if c0 is None:
-            c0 = offset_constant(cfg.d, dirset.lip_lo)
+        c0_n = offset_constant(cfg.d, dirset.lip_lo) if c0 is None else c0
         centers = leaf_centers(cfg.M, N, cfg.d)
         slope_table = dirset.slope_floats()
         near = np.empty(cfg.samples)
@@ -278,8 +280,8 @@ def volume_sweep(cfg: ExperimentConfig, c0: int | None = None) -> dict:
             far[i], _ = union_volume(
                 centers,
                 slopes,
-                float(c0),
-                float(c0) + 1.0,
+                float(c0_n),
+                float(c0_n) + 1.0,
                 cfg.M,
                 N,
                 samples=cfg.quadrature,
@@ -287,7 +289,7 @@ def volume_sweep(cfg: ExperimentConfig, c0: int | None = None) -> dict:
         rows.append(
             {
                 "N": N,
-                "c0": c0,
+                "c0": c0_n,
                 "samples": cfg.samples,
                 "near_mean": float(near.mean()),
                 "near_q25": float(np.quantile(near, 0.25)),

@@ -247,25 +247,33 @@ def pair_sum_over_range(
 ) -> float:
     """Sum over ordered pairs of pairwise intersection measures.
 
-    d = 1 goes through the kernels; higher dimensions loop over pairs with
-    the exact scalar measure (kept to small families by the callers)."""
+    d = 1 goes through the kernels.  Higher dimensions take the candidate
+    pairs of the first axis from the same enumerator, in (i < j) order, and
+    sum the exact scalar measure over those that pass the prefilter; the
+    pairs left out measure exactly 0, so the sum is the full pair loop's."""
     d = centers.shape[1]
     if d == 1:
         return kernels.pair_sum_1d(centers[:, 0], slopes[:, 0], lo, hi, side)
-    total = 0.0
-    # equal axis-aligned cubes overlap iff every centre offset is <= side,
-    # so this prefilter is exact for the measure computation
-    thresh = side
     n = centers.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not intersection_necessary(
-                centers[i], slopes[i], centers[j], slopes[j], lo, hi, thresh
-            ):
-                continue
-            total += pair_measure(
-                centers[i], slopes[i], centers[j], slopes[j], lo, hi, side
-            )
+    chunks = [
+        np.minimum(i, j) * n + np.maximum(i, j)
+        for i, j in kernels._candidate_pairs(
+            centers[:, 0], slopes[:, 0], float(lo), float(hi), float(side)
+        )
+    ]
+    keys = np.sort(np.concatenate(chunks)) if chunks else []  # i < j, row-major
+    total = 0.0
+    for key in keys:
+        i, j = divmod(int(key), n)
+        # equal axis-aligned cubes overlap iff every centre offset is <= side,
+        # so this prefilter is exact for the measure computation
+        if not intersection_necessary(
+            centers[i], slopes[i], centers[j], slopes[j], lo, hi, side
+        ):
+            continue
+        total += pair_measure(
+            centers[i], slopes[i], centers[j], slopes[j], lo, hi, side
+        )
     return 2.0 * total
 
 

@@ -26,7 +26,7 @@ from kakeya.harness import (
     resistance_growth,
     save_result,
     slab_first_moment,
-    slab_second_moment,
+    slab_moments,
     upper_bound_experiment,
     volume_sweep,
     _exhaustive_pair_sums,
@@ -267,8 +267,8 @@ def test_criterion_07_slab_moment_scaling():
     cfg7 = ExperimentConfig(
         M=3, N=7, d=1, samples=200, slab_offsets=(2, 3, 4, 5), seed=0
     )
-    first = slab_first_moment(cfg7)["rows"]
-    second = slab_second_moment(cfg7)["rows"]
+    moments = slab_moments(cfg7)
+    first, second = moments["rows"], moments["second_rows"]
     r1 = [r["ratio"] for r in first]
     r2 = [r["ratio"] for r in second]
     s1, s2 = max(r1) / min(r1), max(r2) / min(r2)

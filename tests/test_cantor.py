@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from kakeya.cantor import (
@@ -120,6 +121,17 @@ def test_direction_set_moment_n2():
         (F(1), F(2, 3), F(4, 9)),
         (F(1), F(8, 9), F(64, 81)),
     )
+
+
+def test_slope_floats_built_once_and_read_only():
+    ds = direction_set(middle_spec(3, 3), moment_curve(2))
+    arr = ds.slope_floats()
+    expect = np.array([[float(c) for c in s[1:]] for s in ds.slopes])
+    assert arr.shape == (8, 2) and np.array_equal(arr, expect)
+    assert ds.slope_floats() is arr
+    with pytest.raises(ValueError):
+        arr[0, 0] = 0.5
+    assert np.array_equal(ds.slope_floats(), expect)
 
 
 def test_affine_isometry_distances():

@@ -111,6 +111,24 @@ def test_volume_sweep_and_bounds():
     assert upper["rows"][0]["n_times_mean"] == pytest.approx(4 * row["far_mean"])
 
 
+def test_volume_sweep_offset_constant_per_n(monkeypatch):
+    """With a lower Lipschitz constant that depends on N, each row's far
+    window starts at that N's own offset constant."""
+    from dataclasses import replace
+
+    from kakeya import harness
+    from kakeya.tubes import offset_constant
+
+    real = harness.build_dirset
+    monkeypatch.setattr(
+        harness, "build_dirset", lambda cfg, N: replace(real(cfg, N), lip_lo=1.0 / N)
+    )
+    cfg = ExperimentConfig(M=3, d=1, n_values=(2, 3, 4), samples=2, quadrature=1)
+    rows = volume_sweep(cfg)["rows"]
+    assert [r["c0"] for r in rows] == [offset_constant(1, 1.0 / N) for N in (2, 3, 4)]
+    assert [r["c0"] for r in rows] == [4, 6, 8]
+
+
 def test_pointwise_bound_dominates_mean_far_volume():
     cfg = ExperimentConfig(M=3, N=5, d=1, samples=60, quadrature=2, seed=5)
     sweep = volume_sweep(cfg)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from kakeya import kernels
 from kakeya.cantor import affine_curve, direction_set, middle_spec
 from kakeya.sticky import SlopeAssignment, StickyField, assignment_from_dirset
 from kakeya.trees import height, leaf_from_index, yca
@@ -167,6 +168,34 @@ def test_pair_sum_matches_pairwise_loop_d2():
                 )
     got = pair_sum_over_range(centers, slopes, 0.0, 1.0, side)
     assert got == pytest.approx(total, rel=1e-9)
+
+
+def test_pair_sum_d2_equals_pair_loop_exactly():
+    """The candidate enumeration prunes pairs but adds the survivors in the
+    order of the full i < j loop, so the sum is bit-identical."""
+    rng = np.random.default_rng(17)
+    n = 120
+    centers = rng.uniform(0.0, 1.0, (n, 2))
+    slopes = rng.uniform(-1.0, 1.0, (n, 2))
+    side, lo, hi = 0.06, 0.1, 0.3
+    total = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if intersection_necessary(
+                centers[i], slopes[i], centers[j], slopes[j], lo, hi, side
+            ):
+                total += pair_measure(
+                    centers[i], slopes[i], centers[j], slopes[j], lo, hi, side
+                )
+    candidates = sum(
+        len(i)
+        for i, _ in kernels._candidate_pairs(
+            centers[:, 0], slopes[:, 0], lo, hi, side
+        )
+    )
+    assert total > 0.0
+    assert candidates < n * (n - 1) // 4  # most pairs are pruned
+    assert pair_sum_over_range(centers, slopes, lo, hi, side) == 2.0 * total
 
 
 # ---------------------------------------------------------------------------
