@@ -272,9 +272,6 @@ class DirectionSet:
     def n(self) -> int:
         return len(self.params)
 
-    def param_floats(self) -> np.ndarray:
-        return np.array([float(t) for t in self.params])
-
     def slope_floats(self) -> np.ndarray:
         """(n, d) read-only array of the last d slope coordinates, built once."""
         return self._slope_floats

@@ -13,11 +13,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import itertools
 import json
 import random
 import sys
 from dataclasses import fields as dc_fields
+from dataclasses import replace
 from pathlib import Path
 
 from .cantor import (
@@ -38,6 +40,7 @@ from .harness import (
     percolation_iid_audit,
     pointwise_percolation_bound,
     resistance_growth,
+    sample_assignment,
     save_result,
     slab_first_moment,
     slab_moments,
@@ -50,47 +53,47 @@ from .percolation import (
     survival_exact,
     survival_mc,
 )
-from .sticky import assignment_from_dirset, derive_seed
+from .sticky import assignment_from_dirset
 from .trees import FiniteTree, leaf_from_index
 from .tubes import (
     assignment_arrays,
     kakeya_measures,
     offset_constant,
     poss_set,
+    slab_indices,
     union_volume,
 )
 from .verification import run_checks
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_common(p: argparse.ArgumentParser, sweep: bool = False, samples: bool = False):
+    """Config flags; ``sweep`` adds --N-range and --out-dir, ``samples``
+    adds --samples, for the subcommands that read them."""
     p.add_argument("--config", type=Path, help="JSON experiment config file")
     p.add_argument("--seed", type=int)
     p.add_argument("--M", type=int)
     p.add_argument("--N", type=int)
-    p.add_argument("--N-range", dest="n_range", help="sweep as lo:hi inclusive")
     p.add_argument("--d", type=int)
     p.add_argument("--curve", choices=["affine", "moment"])
-    p.add_argument("--samples", type=int)
-    p.add_argument("--out-dir", type=Path)
+    if sweep:
+        p.add_argument("--N-range", dest="n_range", help="sweep as lo:hi inclusive")
+        p.add_argument("--out-dir", type=Path)
+    if samples:
+        p.add_argument("--samples", type=int)
 
 
 def _config_from_args(args) -> ExperimentConfig:
     base = {}
     if getattr(args, "config", None):
         base = json.loads(Path(args.config).read_text())
-    allowed = {f.name for f in dc_fields(ExperimentConfig)}
-    base = {k: v for k, v in base.items() if k in allowed}
+        base.pop("backend", None)  # saved records carry it; it is a constant
+        unknown = sorted(set(base) - {f.name for f in dc_fields(ExperimentConfig)})
+        if unknown:
+            raise SystemExit(f"{args.config}: unknown config keys: {', '.join(unknown)}")
     cfg = ExperimentConfig(**base)
     updates = {}
-    for flag, field in [
-        ("seed", "seed"),
-        ("M", "M"),
-        ("N", "N"),
-        ("d", "d"),
-        ("curve", "curve"),
-        ("samples", "samples"),
-    ]:
-        v = getattr(args, flag, None)
+    for field in ("seed", "M", "N", "d", "curve", "samples"):
+        v = getattr(args, field, None)
         if v is not None:
             updates[field] = v
     if getattr(args, "n_range", None):
@@ -99,18 +102,27 @@ def _config_from_args(args) -> ExperimentConfig:
     if getattr(args, "out_dir", None):
         updates["out_dir"] = str(args.out_dir)
     if updates:
-        from dataclasses import replace
-
         cfg = replace(cfg, **updates)
     return cfg
 
 
-def _emit(result: dict, cfg: ExperimentConfig, args):
+def _emit(result: dict, cfg: ExperimentConfig):
     if cfg.out_dir:
         path = save_result(result, cfg, cfg.out_dir)
         print(f"wrote {path}")
     else:
         print(canonical_json({"config": cfg.to_dict(), **result}))
+
+
+def _write_json(path, payload) -> None:
+    """Write payload as indented JSON to ``path``, or to stdout when no path
+    is given."""
+    text = json.dumps(payload, indent=2)
+    if path:
+        Path(path).write_text(text + "\n")
+        print(f"wrote {path}")
+    else:
+        print(text)
 
 
 def _write_csv(path, fieldnames, rows) -> None:
@@ -165,12 +177,7 @@ def cmd_cantor(args) -> int:
         ],
         "bilipschitz": {"lower": ds.lip_lo, "upper": ds.lip_hi},
     }
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-        print(f"wrote {args.out}")
-    else:
-        print(text)
+    _write_json(args.out, payload)
     return 0
 
 
@@ -191,13 +198,7 @@ def cmd_slopes(args) -> int:
                 "sigma_float": [float(c) for c in assignment.sigma(leaf)],
             }
         )
-    payload = {"config": cfg.to_dict(), "rows": rows}
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-        print(f"wrote {args.out}")
-    else:
-        print(text)
+    _write_json(args.out, {"config": cfg.to_dict(), "rows": rows})
     return 0
 
 
@@ -210,9 +211,8 @@ def cmd_volume(args) -> int:
     lo, hi = (0.0, 1.0) if args.range == "near" else (float(c0), float(c0) + 1.0)
     width = float(cfg.M) ** (-cfg.N)
     rows = []
-    k0, k1 = int(lo / width), int(hi / width)
     total = 0.0
-    for k in range(k0, k1):
+    for k in slab_indices(cfg.M, cfg.N, lo, hi):
         v, _ = union_volume(
             centers,
             slopes,
@@ -234,25 +234,23 @@ def cmd_simulate(args) -> int:
     rows = []
     for N in cfg.ns():
         cfg.guard(N)
-        dirset = build_dirset(cfg, N)
         for i in range(cfg.samples):
-            assignment = assignment_from_dirset(dirset, cfg.d, derive_seed(cfg.seed, i))
-            m = kakeya_measures(assignment, samples=cfg.quadrature)
+            m = kakeya_measures(sample_assignment(cfg, N, i), samples=cfg.quadrature)
             rows.append({"N": N, "sample": i, **m})
-    _emit({"experiment": "simulate", "rows": rows}, cfg, args)
+    _emit({"experiment": "simulate", "rows": rows}, cfg)
     return 0
 
 
 def cmd_slab_moments(args) -> int:
     cfg = _config_from_args(args)
     moments = slab_moments if args.second else slab_first_moment
-    _emit(moments(cfg, exhaustive=args.exhaustive), cfg, args)
+    _emit(moments(cfg, exhaustive=args.exhaustive), cfg)
     return 0
 
 
 def cmd_lower_bound(args) -> int:
     cfg = _config_from_args(args)
-    _emit(lower_bound_experiment(cfg), cfg, args)
+    _emit(lower_bound_experiment(cfg), cfg)
     return 0
 
 
@@ -263,7 +261,7 @@ def cmd_upper_bound(args) -> int:
         result["pointwise"] = [
             pointwise_percolation_bound(cfg, N, grid=args.grid) for N in cfg.ns()
         ]
-    _emit(result, cfg, args)
+    _emit(result, cfg)
     return 0
 
 
@@ -366,13 +364,13 @@ def cmd_verify(args) -> int:
 def cmd_iid_audit(args) -> int:
     cfg = _config_from_args(args)
     result = percolation_iid_audit(cfg, fields=args.fields)
-    _emit({"experiment": "iid-audit", "rows": [result]}, cfg, args)
+    _emit({"experiment": "iid-audit", "rows": [result]}, cfg)
     return 0 if result["pass"] else 1
 
 
 def cmd_resistance_growth(args) -> int:
     cfg = _config_from_args(args)
-    _emit(resistance_growth(cfg, points=args.points), cfg, args)
+    _emit(resistance_growth(cfg, points=args.points), cfg)
     return 0
 
 
@@ -382,7 +380,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Randomized tube families over Cantor direction sets: "
         "construction, probability oracles, and measure experiments.",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
+    # no abbreviated flags: --samples must not stand for --samples-per-slab
+    sub = ap.add_subparsers(
+        dest="command",
+        required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False),
+    )
 
     p = sub.add_parser("cantor", help="dump intervals, representatives, directions")
     p.add_argument("--M", type=int, default=3)
@@ -408,21 +411,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_volume)
 
     p = sub.add_parser("simulate", help="near/far measure sweep over realizations")
-    _add_common(p)
+    _add_common(p, sweep=True, samples=True)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("slab-moments", help="pairwise slab intersection moments")
-    _add_common(p)
+    _add_common(p, sweep=True, samples=True)
     p.add_argument("--second", action="store_true", help="also the second moment")
     p.add_argument("--exhaustive", action="store_true", help="enumerate all fields")
     p.set_defaults(fn=cmd_slab_moments)
 
     p = sub.add_parser("lower-bound", help="near-volume lower-quantile experiment")
-    _add_common(p)
+    _add_common(p, sweep=True, samples=True)
     p.set_defaults(fn=cmd_lower_bound)
 
     p = sub.add_parser("upper-bound", help="far-volume decay experiment")
-    _add_common(p)
+    _add_common(p, sweep=True, samples=True)
     p.add_argument("--pointwise", action="store_true", help="percolation bound integral")
     p.add_argument("--grid", type=int, default=200)
     p.set_defaults(fn=cmd_upper_bound)
@@ -455,12 +458,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("iid-audit", help="edge-bit consistency and uniformity tests")
-    _add_common(p)
+    _add_common(p, sweep=True)
     p.add_argument("--fields", type=int, default=10_000)
     p.set_defaults(fn=cmd_iid_audit)
 
     p = sub.add_parser("resistance-growth", help="R(Poss(x)) versus N")
-    _add_common(p)
+    _add_common(p, sweep=True)
     p.add_argument("--points", type=int, default=100)
     p.set_defaults(fn=cmd_resistance_growth)
 

@@ -8,8 +8,9 @@ by exhaustive enumeration over all edge fields, which pins the Monte Carlo
 statistics to exact values.
 
 Result files are canonical JSON keyed by (config, seed); rerunning a
-config reproduces them byte for byte.  Wall-clock timings go to a sidecar
-file so the records stay deterministic.
+config reproduces them byte for byte.  The write time goes to a
+``.meta.json`` sidecar, with the kernel backend, so the records stay
+deterministic.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .cantor import CantorSpec, builtin_curve, direction_set, middle_spec
+from .cantor import builtin_curve, direction_set, middle_spec
 from .configs import cond_prob_pair
 from .percolation import lyons_bounds, resistance
 from .sticky import (
@@ -35,16 +36,28 @@ from .sticky import (
     all_fields_exhaustive,
     assignment_from_dirset,
     derive_seed,
+    node_id,
+    sticky_admissible,
 )
-from .trees import FiniteTree, Vertex, decode_cube, height, leaf_from_index, yca
+from .trees import (
+    FiniteTree,
+    Vertex,
+    address_bits,
+    decode_cube,
+    height,
+    index_from_leaf,
+    leaf_from_index,
+    yca,
+)
 from .tubes import (
-    kappa,
+    cross_section_side,
+    kakeya_measures,
     leaf_centers,
     offset_constant,
     pair_measure,
     pair_sum_over_range,
     poss_set,
-    union_volume,
+    unique_far_slope,
 )
 
 SCHEMA_VERSION = 1
@@ -57,7 +70,6 @@ class ExperimentConfig:
     N: int = 6
     d: int = 1
     curve: str = "affine"
-    selector: str = "middle"
     samples: int = 200
     slab_offsets: tuple[int, ...] = (2, 3, 4, 5)  # values of N - R to sweep
     quadrature: int = 4  # midpoint samples per M^-N slab
@@ -89,19 +101,14 @@ class ExperimentConfig:
             )
 
 
-def build_spec(cfg: ExperimentConfig, N: int) -> CantorSpec:
-    if cfg.selector != "middle":
-        raise ValueError(f"unknown selector {cfg.selector!r}")
-    return middle_spec(cfg.M, N)
-
-
 _DIRSET_CACHE: dict = {}
 
 
 def build_dirset(cfg: ExperimentConfig, N: int):
-    key = (cfg.M, N, cfg.d, cfg.curve, cfg.selector)
+    """The middle-digit Cantor direction set of depth N on the config's curve."""
+    key = (cfg.M, N, cfg.d, cfg.curve)
     if key not in _DIRSET_CACHE:
-        spec = build_spec(cfg, N)
+        spec = middle_spec(cfg.M, N)
         _DIRSET_CACHE[key] = direction_set(spec, builtin_curve(cfg.curve, cfg.d))
     return _DIRSET_CACHE[key]
 
@@ -109,6 +116,14 @@ def build_dirset(cfg: ExperimentConfig, N: int):
 def sample_assignment(cfg: ExperimentConfig, N: int, index: int) -> SlopeAssignment:
     dirset = build_dirset(cfg, N)
     return assignment_from_dirset(dirset, cfg.d, derive_seed(cfg.seed, index))
+
+
+def ci99(values: np.ndarray) -> float:
+    """Normal 99% half-width of the mean of ``values``; 0.0 for fewer than
+    two values, whose spread is unknown."""
+    if values.size < 2:
+        return 0.0
+    return float(2.5758 * values.std(ddof=1) / math.sqrt(values.size))
 
 
 # ---------------------------------------------------------------------------
@@ -120,32 +135,33 @@ def _slab_range(M: int, N: int, R: int) -> tuple[float, float]:
     return float(M) ** (R - N), float(M) ** (R + 1 - N)
 
 
+def _pair_sums(cfg: ExperimentConfig, N: int, R: int, slope_indices) -> np.ndarray:
+    """Slab pair sum of the family each leaf slope-index array realizes."""
+    centers = leaf_centers(cfg.M, N, cfg.d)
+    slope_table = build_dirset(cfg, N).slope_floats()
+    side = cross_section_side(cfg.M, N, cfg.d)
+    lo, hi = _slab_range(cfg.M, N, R)
+    return np.asarray(
+        [
+            pair_sum_over_range(centers, slope_table[idx], lo, hi, side)
+            for idx in slope_indices
+        ],
+        dtype=np.float64,
+    )
+
+
 def _sample_pair_sums(cfg: ExperimentConfig, N: int, R: int) -> np.ndarray:
     cfg.guard(N)
-    dirset = build_dirset(cfg, N)
-    centers = leaf_centers(cfg.M, N, cfg.d)
-    slope_table = dirset.slope_floats()
-    side = float(kappa(cfg.d)) * float(cfg.M) ** (-N)
-    lo, hi = _slab_range(cfg.M, N, R)
-    sums = np.empty(cfg.samples)
-    for i in range(cfg.samples):
-        assignment = sample_assignment(cfg, N, i)
-        slopes = slope_table[assignment.all_slope_indices()]
-        sums[i] = pair_sum_over_range(centers, slopes, lo, hi, side)
-    return sums
+    return _pair_sums(
+        cfg,
+        N,
+        R,
+        (sample_assignment(cfg, N, i).all_slope_indices() for i in range(cfg.samples)),
+    )
 
 
 def _exhaustive_pair_sums(cfg: ExperimentConfig, N: int, R: int) -> np.ndarray:
-    dirset = build_dirset(cfg, N)
-    centers = leaf_centers(cfg.M, N, cfg.d)
-    slope_table = dirset.slope_floats()
-    side = float(kappa(cfg.d)) * float(cfg.M) ** (-N)
-    lo, hi = _slab_range(cfg.M, N, R)
-    out = []
-    for idx in all_fields_exhaustive(cfg.M**cfg.d, N):
-        slopes = slope_table[idx]
-        out.append(pair_sum_over_range(centers, slopes, lo, hi, side))
-    return np.asarray(out)
+    return _pair_sums(cfg, N, R, all_fields_exhaustive(cfg.M**cfg.d, N))
 
 
 def slab_sum_expectation_exact(cfg: ExperimentConfig, N: int, R: int) -> float:
@@ -153,15 +169,13 @@ def slab_sum_expectation_exact(cfg: ExperimentConfig, N: int, R: int) -> float:
     closed-form pair probabilities (independent of any sampling)."""
     dirset = build_dirset(cfg, N)
     n_slopes = dirset.n
-    side = float(kappa(cfg.d)) * float(cfg.M) ** (-N)
+    side = cross_section_side(cfg.M, N, cfg.d)
     lo, hi = _slab_range(cfg.M, N, R)
     B = cfg.M**cfg.d
     leaves = [leaf_from_index(i, B, N) for i in range(B**N)]
     centers = leaf_centers(cfg.M, N, cfg.d)
     slope_table = dirset.slope_floats()
-    addr = [
-        tuple((k >> (N - 1 - j)) & 1 for j in range(N)) for k in range(n_slopes)
-    ]
+    addr = [address_bits(k, N) for k in range(n_slopes)]
     total = 0.0
     for i1, t1 in enumerate(leaves):
         for i2, t2 in enumerate(leaves):
@@ -187,69 +201,51 @@ def slab_sum_expectation_exact(cfg: ExperimentConfig, N: int, R: int) -> float:
     return total
 
 
-def _slab_pair_sums(cfg: ExperimentConfig, exhaustive: bool):
-    """Yield (N, R, pair sums) for every swept N and slab offset."""
+def _moment_rows(M: int, N: int, R: int, sums: np.ndarray) -> list[dict]:
+    """First- and second-moment rows of the pair sums, against the
+    predicted scale N*M^(2R-2N) and its square."""
+    scale = N * float(M) ** (2 * R - 2 * N)
+    return [
+        {
+            "N": N,
+            "R": R,
+            "samples": int(sums.size),
+            key: float(values.mean()),
+            "scale": s,
+            "ratio": float(values.mean() / s),
+            "ci99": ci99(values),
+        }
+        for key, values, s in (
+            ("mean_sum", sums, scale),
+            ("mean_square", sums**2, scale**2),
+        )
+    ]
+
+
+def slab_moments(cfg: ExperimentConfig, exhaustive: bool = False) -> dict:
+    """First- and second-moment rows from one pass over the pair sums of
+    every swept N and slab offset."""
+    pair_sums = _exhaustive_pair_sums if exhaustive else _sample_pair_sums
+    rows, second_rows = [], []
     for N in cfg.ns():
         for off in cfg.slab_offsets:
             R = N - off
             if R < 0:
                 continue
-            sums = (
-                _exhaustive_pair_sums(cfg, N, R)
-                if exhaustive
-                else _sample_pair_sums(cfg, N, R)
-            )
-            yield N, R, sums
-
-
-def _first_moment_row(cfg: ExperimentConfig, N: int, R: int, sums: np.ndarray) -> dict:
-    scale = N * float(cfg.M) ** (2 * R - 2 * N)
-    return {
-        "N": N,
-        "R": R,
-        "samples": int(sums.size),
-        "mean_sum": float(sums.mean()),
-        "scale": scale,
-        "ratio": float(sums.mean() / scale),
-        "ci99": float(2.5758 * sums.std(ddof=1) / math.sqrt(sums.size))
-        if sums.size > 1
-        else 0.0,
-    }
-
-
-def _second_moment_row(cfg: ExperimentConfig, N: int, R: int, sums: np.ndarray) -> dict:
-    sq = sums**2
-    scale = (N * float(cfg.M) ** (2 * R - 2 * N)) ** 2
-    return {
-        "N": N,
-        "R": R,
-        "samples": int(sums.size),
-        "mean_square": float(sq.mean()),
-        "scale": scale,
-        "ratio": float(sq.mean() / scale),
-        "ci99": float(2.5758 * sq.std(ddof=1) / math.sqrt(sq.size))
-        if sq.size > 1
-        else 0.0,
-    }
+            first, second = _moment_rows(cfg.M, N, R, pair_sums(cfg, N, R))
+            rows.append(first)
+            second_rows.append(second)
+    return {"experiment": "slab-moments", "rows": rows, "second_rows": second_rows}
 
 
 def slab_first_moment(cfg: ExperimentConfig, exhaustive: bool = False) -> dict:
-    rows = [_first_moment_row(cfg, *item) for item in _slab_pair_sums(cfg, exhaustive)]
+    rows = slab_moments(cfg, exhaustive)["rows"]
     return {"experiment": "slab-first-moment", "rows": rows}
 
 
 def slab_second_moment(cfg: ExperimentConfig, exhaustive: bool = False) -> dict:
-    rows = [_second_moment_row(cfg, *item) for item in _slab_pair_sums(cfg, exhaustive)]
+    rows = slab_moments(cfg, exhaustive)["second_rows"]
     return {"experiment": "slab-second-moment", "rows": rows}
-
-
-def slab_moments(cfg: ExperimentConfig, exhaustive: bool = False) -> dict:
-    """First- and second-moment rows from one pass over the pair sums."""
-    rows, second_rows = [], []
-    for item in _slab_pair_sums(cfg, exhaustive):
-        rows.append(_first_moment_row(cfg, *item))
-        second_rows.append(_second_moment_row(cfg, *item))
-    return {"experiment": "slab-moments", "rows": rows, "second_rows": second_rows}
 
 
 # ---------------------------------------------------------------------------
@@ -267,25 +263,13 @@ def volume_sweep(cfg: ExperimentConfig, c0: int | None = None) -> dict:
         cfg.guard(N)
         dirset = build_dirset(cfg, N)
         c0_n = offset_constant(cfg.d, dirset.lip_lo) if c0 is None else c0
-        centers = leaf_centers(cfg.M, N, cfg.d)
-        slope_table = dirset.slope_floats()
         near = np.empty(cfg.samples)
         far = np.empty(cfg.samples)
         for i in range(cfg.samples):
-            assignment = sample_assignment(cfg, N, i)
-            slopes = slope_table[assignment.all_slope_indices()]
-            near[i], _ = union_volume(
-                centers, slopes, 0.0, 1.0, cfg.M, N, samples=cfg.quadrature
+            m = kakeya_measures(
+                sample_assignment(cfg, N, i), samples=cfg.quadrature, c0=c0_n
             )
-            far[i], _ = union_volume(
-                centers,
-                slopes,
-                float(c0_n),
-                float(c0_n) + 1.0,
-                cfg.M,
-                N,
-                samples=cfg.quadrature,
-            )
+            near[i], far[i] = m["near"], m["far"]
         rows.append(
             {
                 "N": N,
@@ -295,7 +279,7 @@ def volume_sweep(cfg: ExperimentConfig, c0: int | None = None) -> dict:
                 "near_q25": float(np.quantile(near, 0.25)),
                 "far_mean": float(far.mean()),
                 "far_mean_times_n": float(N * far.mean()),
-                "far_ci99": float(2.5758 * far.std(ddof=1) / math.sqrt(cfg.samples)),
+                "far_ci99": ci99(far),
                 "ratio_mean": float((near / far).mean()),
             }
         )
@@ -330,8 +314,8 @@ def lower_bound_experiment(cfg: ExperimentConfig, sweep: dict | None = None) -> 
 
 
 def upper_bound_experiment(cfg: ExperimentConfig, sweep: dict | None = None) -> dict:
-    """Mean far-window volume against the 1/N law, plus the independent
-    pointwise bound integral min(1, 2/(1+R(Poss(x)))) over the far box."""
+    """Mean far-window volume against the 1/N law.  The independent
+    pointwise bound is ``pointwise_percolation_bound``."""
     sweep = sweep or volume_sweep(cfg)
     rows = []
     for r in sweep["rows"]:
@@ -355,7 +339,8 @@ def pointwise_percolation_bound(
     cfg: ExperimentConfig, N: int, grid: int = 200, c0: int | None = None
 ) -> dict:
     """Monte Carlo integral over the far box of min(1, 2/(1+R(Poss(x)))),
-    an upper bound for the expected far-window volume."""
+    an upper bound for the expected far-window volume.  The resistance
+    statistics cover the points some tube reaches; None if none does."""
     dirset = build_dirset(cfg, N)
     if c0 is None:
         c0 = offset_constant(cfg.d, dirset.lip_lo)
@@ -377,15 +362,15 @@ def pointwise_percolation_bound(
         resistances[i] = float(r)
         vals[i] = min(1.0, float(lyons_bounds(r)[1]))
     est = box_vol * float(vals.mean())
-    ci = box_vol * 2.5758 * float(vals.std(ddof=1)) / math.sqrt(grid)
+    ci = box_vol * ci99(vals)
     finite = resistances[np.isfinite(resistances)]
     return {
         "N": N,
         "bound_integral": est,
         "ci99": ci,
         "grid": grid,
-        "min_resistance": float(finite.min()) if finite.size else math.inf,
-        "mean_resistance": float(finite.mean()) if finite.size else math.inf,
+        "min_resistance": float(finite.min()) if finite.size else None,
+        "mean_resistance": float(finite.mean()) if finite.size else None,
     }
 
 
@@ -481,7 +466,7 @@ def counting_diagnostics(
     if k is None:
         k = M ** (N - 1)  # slab at x1 ~ 1/M
     lo_x, hi_x = k * float(M) ** (-N), (k + 1) * float(M) ** (-N)
-    side = float(kappa(d)) * float(M) ** (-N)
+    side = cross_section_side(M, N, d)
     lip = dirset.lip_hi
     B = M**d
     leaves = [leaf_from_index(i, B, N) for i in range(B**N)]
@@ -567,13 +552,10 @@ def estar_diagnostic(cfg: ExperimentConfig, N: int | None = None) -> dict:
     centers = leaf_centers(M, N, 1)
     slope_table = dirset.slope_floats()
     n_slopes = dirset.n
-    side = float(kappa(1)) * float(M) ** (-N)
+    side = cross_section_side(M, N, 1)
     # slab at x1 ~ 1: far enough that candidates on the left can drift in
     k = M**N
     lo_x, hi_x = k * float(M) ** (-N), (k + 1) * float(M) ** (-N)
-
-    def addr(v: int) -> Vertex:
-        return tuple((v >> (N - 1 - j)) & 1 for j in range(N))
 
     rows = []
     for hu in range(0, N - 1):
@@ -584,11 +566,11 @@ def estar_diagnostic(cfg: ExperimentConfig, N: int | None = None) -> dict:
         t2 = prefix + (0,)
         t2p = prefix + (M - 1,)
         v2, v2p = 0, 1  # addresses sharing N-1 levels, matching h(D(t2, t2'))
-        fixed = [(t2, addr(v2)), (t2p, addr(v2p))]
+        fixed = [(t2, address_bits(v2, N)), (t2p, address_bits(v2p, N))]
 
         def reach(t_fix, v_fix):
             out = []
-            i_fix = index_of(t_fix)
+            i_fix = index_from_leaf(t_fix, M)
             for i, t1 in enumerate(leaves):
                 if height(yca(t1, t_fix)) != hu:
                     continue
@@ -608,22 +590,14 @@ def estar_diagnostic(cfg: ExperimentConfig, N: int | None = None) -> dict:
                         out.append((t1, k1))
             return out
 
-        def index_of(t):
-            v = 0
-            for dig in t:
-                v = v * M + dig
-            return v
-
         e1 = reach(t2, v2)
         e2 = reach(t2p, v2p)
         by_height: dict[int, int] = {}
-        from .sticky import sticky_admissible
-
         for t1, k1 in e1:
             for t1p, k1p in e2:
                 if t1 == t1p:
                     continue  # four distinct roots required
-                pairs = fixed + [(t1, addr(k1)), (t1p, addr(k1p))]
+                pairs = fixed + [(t1, address_bits(k1, N)), (t1p, address_bits(k1p, N))]
                 if not sticky_admissible(pairs):
                     continue
                 h_u1 = height(yca(t1, t1p))
@@ -676,8 +650,7 @@ def percolation_iid_audit(
             x = rng.uniform(
                 [float(c0)] + [-0.5] * d, [float(c0) + 1.0] + [0.5] * d
             )
-            poss = poss_set(x, dirset, N, d)
-            if len(poss) >= 4:
+            if len(poss_set(x, dirset, N, d)) >= 4:
                 point = tuple(float(v) for v in x)
                 break
         else:
@@ -685,21 +658,13 @@ def percolation_iid_audit(
                 f"no far point with 4 or more possible roots in {AUDIT_POINT_DRAWS} "
                 f"draws (M={cfg.M}, N={N}, d={d}); raise N or pass point="
             )
-    else:
-        poss = poss_set(point, dirset, N, d)
-    roots = poss.roots()
-    beta = {}
-    for t in roots:
-        wit = poss.witnesses[t]
-        if len(wit) != 1:
-            raise RuntimeError("audit point lacks unique witnesses")
-        idx = wit[0]
-        beta[t] = tuple((idx >> (N - 1 - j)) & 1 for j in range(N))
+    witnesses = unique_far_slope(point, dirset, N, d, c0)
+    roots = sorted(witnesses)
+    beta = {t: bits for t, (_, bits) in witnesses.items()}
     tree = FiniteTree.from_leaves(roots)
     edges = tree.edges()
     edge_index = {e: i for i, e in enumerate(edges)}
     base = cfg.M**d
-    from .sticky import node_id
 
     # (leaf, level) incidence lists: route r computes Y at edge edge_of[r]
     leaf_node_ids = []
@@ -782,8 +747,9 @@ def canonical_json(obj) -> str:
 
 
 def save_result(result: dict, cfg: ExperimentConfig, out_dir: str | Path) -> Path:
-    """Persist one experiment result: deterministic JSON records plus a
-    CSV summary table and a non-deterministic timing sidecar."""
+    """Persist one experiment result: deterministic JSON records, a CSV
+    summary table, and a ``.meta.json`` sidecar with the write time and
+    the kernel backend."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     name = f"{result['experiment']}-{cfg.config_hash()}"

@@ -126,9 +126,7 @@ class SlopeAssignment:
 def make_assignment(
     spec: CantorSpec, curve: DirectionCurve, d: int, seed: int
 ) -> SlopeAssignment:
-    dirset = direction_set(spec, curve)
-    field = StickyField(seed=seed, base=spec.M**d)
-    return SlopeAssignment(field=field, dirset=dirset, d=d)
+    return assignment_from_dirset(direction_set(spec, curve), d, seed)
 
 
 def assignment_from_dirset(dirset: DirectionSet, d: int, seed: int) -> SlopeAssignment:

@@ -139,6 +139,11 @@ def index_from_leaf(v: Vertex, base: int) -> int:
     return out
 
 
+def address_bits(index: int, N: int) -> Vertex:
+    """Binary address of direction ``index`` of 2^N, first bit most significant."""
+    return leaf_from_index(index, 2, N)
+
+
 def count_level_vertices(points: Iterable[Sequence], k: int, M: int, d: int) -> int:
     """Number of level-k M-adic cubes of [0,1)^d meeting the point set."""
     seen = set()

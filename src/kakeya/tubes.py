@@ -10,6 +10,7 @@ and exactly integrable.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,15 +24,13 @@ from .cantor import DirectionSet
 from .sticky import SlopeAssignment
 from .trees import (
     Vertex,
+    address_bits,
     cube_center,
     cube_from_axis_indices,
     encode_cube,
     height,
-    leaf_from_index,
     yca,
 )
-
-LENGTH_FACTOR = 10  # tube length in units of C0
 
 
 def kappa(d: int) -> Fraction:
@@ -42,6 +41,11 @@ def kappa(d: int) -> Fraction:
     every separation inequality valid while the arithmetic stays exact.
     """
     return min(Fraction(1, d**d), Fraction(1, math.ceil(2 + 4 * math.sqrt(d))))
+
+
+def cross_section_side(M: int, N: int, d: int) -> float:
+    """Float side kappa * M^-N of every tube cross-section at depth N."""
+    return float(kappa(d)) * float(M) ** (-N)
 
 
 def offset_constant(d: int, lip_lo: float) -> int:
@@ -65,10 +69,6 @@ class TubeGeometry:
     def side(self) -> Fraction:
         """Cross-section side length kappa * M^-N."""
         return self.kappa * Fraction(1, self.M**self.N)
-
-    @property
-    def n_tubes(self) -> int:
-        return self.M ** (self.N * self.d)
 
     def root_center(self, t: Vertex) -> tuple[Fraction, ...]:
         if height(t) != self.N:
@@ -282,14 +282,19 @@ def pair_sum_over_range(
 # ---------------------------------------------------------------------------
 
 
+def slab_indices(M: int, N: int, lo: float, hi: float) -> range:
+    """Indices k of the M^-N slabs [k*M^-N, (k+1)*M^-N] that overlap [lo, hi];
+    an endpoint within 1e-12 of a slab boundary counts as on it."""
+    width = float(M) ** (-N)
+    return range(math.floor(lo / width + 1e-12), math.ceil(hi / width - 1e-12))
+
+
 def _slab_sample_points(M: int, N: int, lo: float, hi: float, samples: int):
     """Midpoint quadrature nodes per M^-N slab of [lo, hi]: (xs, weight)."""
     width = float(M) ** (-N)
-    k0 = math.floor(lo / width + 1e-12)
-    k1 = math.ceil(hi / width - 1e-12)
     xs = []
     weights = []
-    for k in range(k0, k1):
+    for k in slab_indices(M, N, lo, hi):
         s0 = max(lo, k * width)
         s1 = min(hi, (k + 1) * width)
         if s1 <= s0:
@@ -322,7 +327,7 @@ def union_volume(
     if samples < 1:
         raise ValueError("need at least one quadrature sample per slab")
     d = centers.shape[1]
-    side = float(kappa(d)) * float(M) ** (-N)
+    side = cross_section_side(M, N, d)
     xs, weights = _slab_sample_points(M, N, lo, hi, samples)
     if xs.size == 0:
         return 0.0, 0.0
@@ -381,8 +386,7 @@ def poss_set(
     if len(pbar) != d:
         raise ValueError("point dimension mismatch")
     M = dirset.spec.M
-    side = float(kappa(d)) * float(M) ** (-N)
-    half = side / 2.0
+    half = cross_section_side(M, N, d) / 2.0
     slopes = dirset.slope_floats()
     witnesses: dict[Vertex, list[int]] = {}
     for k in range(slopes.shape[0]):
@@ -406,8 +410,7 @@ def poss_set_affine(
     pbar = np.asarray(p[1:], dtype=np.float64)
     M = dirset.spec.M
     scale = float(M) ** (-N)
-    side = float(kappa(d)) * scale
-    half = side / 2.0
+    half = cross_section_side(M, N, d) / 2.0
     slopes = dirset.slope_floats()
     copy_pts = pbar[None, :] - p1 * slopes  # the affine image of the directions
     witnesses: dict[Vertex, list[int]] = {}
@@ -418,22 +421,13 @@ def poss_set_affine(
     if np.any(lo_idx > hi_idx):
         return PossSet(point=tuple(float(x) for x in p), witnesses={})
     ranges = [range(lo_idx[a], hi_idx[a] + 1) for a in range(d)]
-    for axis_indices in _product_ranges(ranges):
+    for axis_indices in itertools.product(*ranges):
         center = (np.asarray(axis_indices) + 0.5) * scale
         inside = np.all(np.abs(copy_pts - center[None, :]) <= half, axis=1)
         if np.any(inside):
             t = cube_from_axis_indices(axis_indices, N, M, d)
             witnesses[t] = [int(k) for k in np.nonzero(inside)[0]]
     return PossSet(point=tuple(float(x) for x in p), witnesses=witnesses)
-
-
-def _product_ranges(ranges):
-    if not ranges:
-        yield ()
-        return
-    for head in ranges[0]:
-        for rest in _product_ranges(ranges[1:]):
-            yield (head,) + rest
 
 
 class WitnessError(RuntimeError):
@@ -458,9 +452,7 @@ def unique_far_slope(
                 f"root {t} has {len(wit)} witness directions; "
                 "offset constant too small for uniqueness"
             )
-        idx = wit[0]
-        beta = tuple((idx >> (N - 1 - j)) & 1 for j in range(N))
-        out[t] = (idx, beta)
+        out[t] = (wit[0], address_bits(wit[0], N))
     return out
 
 
@@ -482,10 +474,8 @@ def sticky_beta_audit(addresses: dict[Vertex, tuple[int, Vertex]]) -> bool:
 
 def assignment_arrays(assignment: SlopeAssignment) -> tuple[np.ndarray, np.ndarray]:
     """(centers, slopes) float arrays of the realized family, leaf order."""
-    geom = TubeGeometry(M=assignment.M, N=assignment.N, d=assignment.d)
-    centers = leaf_centers(geom.M, geom.N, geom.d)
-    idx = assignment.all_slope_indices()
-    slopes = assignment.dirset.slope_floats()[idx]
+    centers = leaf_centers(assignment.M, assignment.N, assignment.d)
+    slopes = assignment.dirset.slope_floats()[assignment.all_slope_indices()]
     return centers, slopes
 
 
@@ -517,24 +507,3 @@ def kakeya_measures(
         "c0": c0,
     }
 
-
-def tube_family(
-    dirset: DirectionSet, assignment: SlopeAssignment, c0: int | None = None
-) -> list[Tube]:
-    """Explicit Tube objects of one realization (small families only)."""
-    geom = TubeGeometry(M=assignment.M, N=assignment.N, d=assignment.d)
-    if c0 is None:
-        c0 = offset_constant(assignment.d, dirset.lip_lo)
-    length = Fraction(LENGTH_FACTOR * c0)
-    out = []
-    for i in range(geom.n_tubes):
-        leaf = leaf_from_index(i, geom.M**geom.d, geom.N)
-        out.append(
-            Tube(
-                root=leaf,
-                slope=assignment.sigma(leaf),
-                geom=geom,
-                length=length,
-            )
-        )
-    return out

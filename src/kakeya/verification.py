@@ -27,6 +27,7 @@ from .percolation import (
 from .sticky import StickyField, enumerate_joint_addresses, make_assignment
 from .trees import (
     FiniteTree,
+    address_bits,
     build_psi,
     count_level_vertices,
     encode_cube,
@@ -36,7 +37,7 @@ from .trees import (
     phi_map,
     yca,
 )
-from .tubes import kappa, pair_measure, poss_set, poss_set_affine
+from .tubes import cross_section_side, pair_measure, poss_set, poss_set_affine
 
 Check = tuple[str, bool, str]
 
@@ -150,7 +151,7 @@ def check_geometry_invariants(seed: int = 0) -> list[Check]:
     out = []
     rng = random.Random(seed)
     M, N, d = 3, 4, 1
-    side = float(kappa(d)) * float(M) ** (-N)
+    side = cross_section_side(M, N, d)
     ok = True
     sym_ok = True
     for _ in range(300):
@@ -228,9 +229,7 @@ def check_config_invariants(seed: int = 0) -> list[Check]:
     for b1 in range(4):
         tot = Fraction(0)
         for b2 in range(4):
-            a1 = tuple((b1 >> (1 - j)) & 1 for j in range(2))
-            a2 = tuple((b2 >> (1 - j)) & 1 for j in range(2))
-            tot += cond_prob_pair(t1, t2, a1, a2)
+            tot += cond_prob_pair(t1, t2, address_bits(b1, N2), address_bits(b2, N2))
         ok &= tot == 1
     out.append(("config.normalization", ok, "conditional law sums to 1"))
     return out

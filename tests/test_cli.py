@@ -1,3 +1,4 @@
+import csv
 import gc
 import json
 import warnings
@@ -6,6 +7,8 @@ import pytest
 
 from kakeya import harness
 from kakeya.cli import main
+from kakeya.sticky import assignment_from_dirset
+from kakeya.tubes import kakeya_measures
 
 
 def test_cantor_dump(tmp_path, capsys):
@@ -76,6 +79,21 @@ def test_volume_csv(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "k,x_lo,volume"
     assert len(lines) == 10  # 9 slabs + header
+
+
+@pytest.mark.parametrize("window, k0", [("near", 0), ("far", 2 * 3**5)])  # c0 = 2
+def test_volume_csv_n5_slabs(tmp_path, window, k0):
+    """At N=5 the float 1.0 / 3.0**-5 is just below 243; still every slab of
+    the window is written, and the slabs add up to the window's volume."""
+    out = tmp_path / "vol.csv"
+    argv = ["volume", "--seed", "7", "--N", "5", "--range", window, "--out", str(out)]
+    assert main(argv) == 0
+    with out.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["k"]) for r in rows] == list(range(k0, k0 + 3**5))
+    dirset = harness.build_dirset(harness.ExperimentConfig(N=5), 5)
+    expected = kakeya_measures(assignment_from_dirset(dirset, 1, 7))[window]
+    assert sum(float(r["volume"]) for r in rows) == pytest.approx(expected, rel=0, abs=1e-12)
 
 
 def test_simulate_outdir(tmp_path):
@@ -221,6 +239,41 @@ def test_config_file_roundtrip(tmp_path, capsys):
     assert payload["config"]["samples"] == 3
 
 
+@pytest.mark.parametrize("extra", [{"sample": 3}, {"selector": "middle"}])
+def test_config_file_rejects_unknown_keys(tmp_path, extra):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"M": 3, "N": 2, "samples": 3, **extra}))
+    with pytest.raises(SystemExit, match=f"unknown config keys: {next(iter(extra))}$"):
+        main(["simulate", "--config", str(cfg_file)])
+
+
+def test_config_file_accepts_saved_config(tmp_path):
+    """The config block of a saved record, backend included, replays it."""
+    assert main(["simulate", "--N", "2", "--samples", "2", "--out-dir", str(tmp_path / "a")]) == 0
+    (first,) = [f for f in (tmp_path / "a").glob("*.json") if not f.name.endswith(".meta.json")]
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(json.loads(first.read_text())["config"]))
+    assert main(["simulate", "--config", str(cfg_file), "--out-dir", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "b" / first.name).read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["upper-bound", "--N", "3", "--samples", "1"],
+        ["upper-bound", "--N", "3", "--samples", "2", "--pointwise", "--grid", "1"],
+    ],
+)
+def test_ci99_of_one_value_is_zero(capsys, argv):
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    if "--pointwise" in argv:  # the one far point reaches no tube at N=3
+        assert payload["pointwise"][0]["ci99"] == 0.0
+        assert payload["pointwise"][0]["min_resistance"] is None
+    else:
+        assert payload["rows"][0]["far_ci99"] == 0.0
+
+
 def test_slab_moments_second_computes_each_sum_once(monkeypatch, capsys):
     calls = []
     pair_sum = harness.pair_sum_over_range
@@ -257,3 +310,26 @@ def test_threads_flag_rejected(capsys):
         main(["simulate", "--N", "2", "--samples", "2", "--threads", "2"])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["volume", "--N", "2", "--samples", "7", "--N-range", "2:4", "--out-dir", "od"], "--samples"),
+        (["volume", "--N", "2", "--N-range", "2:4"], "--N-range"),
+        (["volume", "--N", "2", "--out-dir", "od"], "--out-dir"),
+        (["slopes", "--N", "2", "--samples", "7"], "--samples"),
+        (["prob-oracle", "--N", "2", "--count", "1", "--N-range", "2:3"], "--N-range"),
+        (["percolate", "--height", "1", "--mc-samples", "10", "--out-dir", "od"], "--out-dir"),
+        (["resist", "--height", "1", "--samples", "7"], "--samples"),
+        (["iid-audit", "--N", "4", "--fields", "2", "--samples", "7"], "--samples"),
+        (["resistance-growth", "--N", "4", "--points", "1", "--samples", "7"], "--samples"),
+    ],
+)
+def test_ignored_flag_rejected(tmp_path, monkeypatch, capsys, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "od").exists()
