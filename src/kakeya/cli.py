@@ -2,10 +2,12 @@
 
 Subcommands mirror the library surface: construction dumps (``cantor``,
 ``slopes``), geometry measures (``volume``, ``simulate``), the experiment
-sweeps (``slab-moments``, ``lower-bound``, ``upper-bound``), probability
-oracles (``prob-oracle``), percolation evaluators (``percolate``,
-``resist``) and the invariant suite (``verify``).  ``--config FILE`` loads
-a JSON experiment config; explicit flags override its fields.
+sweeps (``slab-moments``, ``lower-bound``, ``upper-bound``,
+``iid-audit``, ``resistance-growth``), probability oracles
+(``prob-oracle``), percolation evaluators (``percolate``, ``resist``) and
+the invariant suite (``verify``).  ``--config FILE`` loads a JSON
+experiment config; explicit flags override its fields.  Modes follow
+from the inputs given, and a flag the run would not read is an error.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import json
 import random
 import sys
 from dataclasses import fields as dc_fields
-from dataclasses import replace
 from pathlib import Path
 
 from .cantor import (
@@ -66,44 +67,60 @@ from .tubes import (
 from .verification import run_checks
 
 
-def _add_common(p: argparse.ArgumentParser, sweep: bool = False, samples: bool = False):
-    """Config flags; ``sweep`` adds --N-range and --out-dir, ``samples``
-    adds --samples, for the subcommands that read them."""
+def _positive_int(text: str) -> int:
+    """argparse type of every count."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
+def _n_range(text: str) -> tuple[int, ...]:
+    """argparse type of --N-range: lo:hi inclusive, not empty."""
+    lo, hi = map(int, text.split(":"))
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"{text!r} is an empty range")
+    return tuple(range(lo, hi + 1))
+
+
+_GEOMETRY = ("M", "N", "d", "curve")
+_FLAG_TYPES = {"curve": {"choices": ["affine", "moment"]}, "samples": {"type": _positive_int}}
+_CONFIG_FIELDS = {f.name for f in dc_fields(ExperimentConfig)}
+
+
+def _add_config(p: argparse.ArgumentParser, *names: str, sweep: bool = False) -> None:
+    """--config and a flag for each named config field, whose dest is the
+    field; ``sweep`` adds --N-range (instead of --N) and --out-dir."""
     p.add_argument("--config", type=Path, help="JSON experiment config file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--M", type=int)
-    p.add_argument("--N", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--curve", choices=["affine", "moment"])
+    n_or_range = p.add_mutually_exclusive_group()
+    for name in names:
+        kind = _FLAG_TYPES.get(name, {"type": int})
+        (n_or_range if name == "N" else p).add_argument(f"--{name}", **kind)
     if sweep:
-        p.add_argument("--N-range", dest="n_range", help="sweep as lo:hi inclusive")
-        p.add_argument("--out-dir", type=Path)
-    if samples:
-        p.add_argument("--samples", type=int)
+        n_or_range.add_argument("--N-range", dest="n_values", type=_n_range, metavar="LO:HI")
+        p.add_argument("--out-dir", dest="out_dir")
 
 
 def _config_from_args(args) -> ExperimentConfig:
+    """The config file's fields, overridden by the flags named by dest."""
     base = {}
-    if getattr(args, "config", None):
+    if args.config:
         base = json.loads(Path(args.config).read_text())
         base.pop("backend", None)  # saved records carry it; it is a constant
-        unknown = sorted(set(base) - {f.name for f in dc_fields(ExperimentConfig)})
+        unknown = sorted(set(base) - _CONFIG_FIELDS)
         if unknown:
             raise SystemExit(f"{args.config}: unknown config keys: {', '.join(unknown)}")
-    cfg = ExperimentConfig(**base)
-    updates = {}
-    for field in ("seed", "M", "N", "d", "curve", "samples"):
-        v = getattr(args, field, None)
-        if v is not None:
-            updates[field] = v
-    if getattr(args, "n_range", None):
-        lo, hi = args.n_range.split(":")
-        updates["n_values"] = tuple(range(int(lo), int(hi) + 1))
-    if getattr(args, "out_dir", None):
-        updates["out_dir"] = str(args.out_dir)
-    if updates:
-        cfg = replace(cfg, **updates)
-    return cfg
+    flags = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS and v is not None}
+    try:
+        return ExperimentConfig(**{**base, **flags})
+    except ValueError as err:  # flags are checked by argparse, so the file is at fault
+        raise SystemExit(f"{args.config}: {err}") from None
+
+
+def _refuse(args, reason: str, *dests: str) -> None:
+    """Usage error if a flag --<dest> was given that the run would not read."""
+    for dest in dests:
+        if getattr(args, dest) is not None:
+            args.error(f"argument --{dest}: {reason}")
 
 
 def _emit(result: dict, cfg: ExperimentConfig):
@@ -134,29 +151,27 @@ def _write_csv(path, fieldnames, rows) -> None:
 
 
 def _build_spec(args) -> CantorSpec:
-    M, N = args.M or 3, args.N or 2
-    if args.selector == "middle":
-        return middle_spec(M, N)
+    if args.selector_file is None:
+        return middle_spec(args.M, args.N)
     table = json.loads(Path(args.selector_file).read_text())
-    prefix_table = {
-        tuple(int(x) for x in key.split(",") if x != ""): tuple(val)
+    prefixes = {
+        tuple(int(x) for x in key.split(",") if x): val
         for key, val in table.get("prefixes", {}).items()
     }
-    default = tuple(table.get("default", (0, M - 1)))
-    sel = make_table_selector(M, prefix_table, default)
-    return CantorSpec(M=M, N=N, selector=sel, name="custom")
+    sel = make_table_selector(args.M, prefixes, table.get("default"))
+    return CantorSpec(M=args.M, N=args.N, selector=sel, name="custom")
 
 
-def _build_curve(args, d: int):
-    if args.curve in ("affine", "moment"):
-        return builtin_curve(args.curve, d)
-    rows = json.loads(Path(args.curve_file).read_text())
-    return curve_from_rows(rows)
+def _build_curve(args):
+    if args.curve_file is None:
+        return builtin_curve(args.curve or "affine", args.d or 1)
+    _refuse(args, "the rows of --curve-file fix d", "d")
+    return curve_from_rows(json.loads(Path(args.curve_file).read_text()))
 
 
 def cmd_cantor(args) -> int:
     spec = _build_spec(args)
-    curve = _build_curve(args, args.d or 1)
+    curve = _build_curve(args)
     ds = direction_set(spec, curve)
     payload = {
         "M": spec.M,
@@ -183,6 +198,7 @@ def cmd_cantor(args) -> int:
 
 def cmd_slopes(args) -> int:
     cfg = _config_from_args(args)
+    cfg.guard(cfg.N)
     dirset = build_dirset(cfg, cfg.N)
     assignment = assignment_from_dirset(dirset, cfg.d, cfg.seed)
     B = cfg.M**cfg.d
@@ -204,6 +220,7 @@ def cmd_slopes(args) -> int:
 
 def cmd_volume(args) -> int:
     cfg = _config_from_args(args)
+    cfg.guard(cfg.N)
     dirset = build_dirset(cfg, cfg.N)
     assignment = assignment_from_dirset(dirset, cfg.d, cfg.seed)
     centers, slopes = assignment_arrays(assignment)
@@ -220,7 +237,7 @@ def cmd_volume(args) -> int:
             (k + 1) * width,
             cfg.M,
             cfg.N,
-            samples=args.samples_per_slab,
+            samples=cfg.quadrature,
         )
         rows.append({"k": k, "x_lo": k * width, "volume": v})
         total += v
@@ -242,6 +259,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_slab_moments(args) -> int:
+    if args.exhaustive:
+        _refuse(args, "is not read with --exhaustive", "samples", "seed")
     cfg = _config_from_args(args)
     moments = slab_moments if args.second else slab_first_moment
     _emit(moments(cfg, exhaustive=args.exhaustive), cfg)
@@ -259,7 +278,7 @@ def cmd_upper_bound(args) -> int:
     result = upper_bound_experiment(cfg)
     if args.pointwise:
         result["pointwise"] = [
-            pointwise_percolation_bound(cfg, N, grid=args.grid) for N in cfg.ns()
+            pointwise_percolation_bound(cfg, N, grid=args.pointwise) for N in cfg.ns()
         ]
     _emit(result, cfg)
     return 0
@@ -270,15 +289,14 @@ def cmd_prob_oracle(args) -> int:
     N = cfg.N
     B = cfg.M**cfg.d
     leaves = [leaf_from_index(i, B, N) for i in range(B**N)]
-    rng = random.Random(cfg.seed)
     if args.tuples == "exhaustive":
+        _refuse(args, "is not read with --tuples exhaustive", "seed")
         combos = itertools.permutations(range(len(leaves)), 4)
     else:
-        combos = (
-            tuple(rng.sample(range(len(leaves)), 4)) for _ in range(args.count)
-        )
+        rng = random.Random(cfg.seed)
+        combos = (tuple(rng.sample(range(len(leaves)), 4)) for _ in range(args.count))
     rows = []
-    for combo in combos:
+    for combo in itertools.islice(combos, args.count):
         t = [leaves[i] for i in combo]
         cc = classify4(*t)
         # exercise the closed form on a sticky-consistent address choice
@@ -293,8 +311,6 @@ def cmd_prob_oracle(args) -> int:
                 "match": closed == enumerated,
             }
         )
-        if len(rows) >= args.count:
-            break
     _write_csv(args.out, ["tuple", "class", "closed_form", "enumerated", "match"], rows)
     bad = sum(1 for r in rows if not r["match"])
     print(f"# {len(rows)} tuples, {bad} mismatches", file=sys.stderr)
@@ -302,8 +318,10 @@ def cmd_prob_oracle(args) -> int:
 
 
 def _tree_from_args(args, cfg: ExperimentConfig) -> FiniteTree:
-    if args.tree == "full-binary":
-        return FiniteTree.full(2, args.height)
+    """The Poss tree of --point, or else the full binary tree of --height."""
+    if args.point is None:
+        _refuse(args, "is read only with --point", *_GEOMETRY)
+        return FiniteTree.full(2, args.height or 4)
     dirset = build_dirset(cfg, cfg.N)
     point = tuple(float(x) for x in args.point.split(","))
     poss = poss_set(point, dirset, cfg.N, cfg.d)
@@ -336,6 +354,8 @@ def cmd_percolate(args) -> int:
 
 
 def cmd_resist(args) -> int:
+    if args.point is None:  # resist reads no seed, so the config is geometry only
+        _refuse(args, "is read only with --point", "config")
     cfg = _config_from_args(args)
     tree = _tree_from_args(args, cfg)
     r = resistance(tree)
@@ -363,9 +383,9 @@ def cmd_verify(args) -> int:
 
 def cmd_iid_audit(args) -> int:
     cfg = _config_from_args(args)
-    result = percolation_iid_audit(cfg, fields=args.fields)
-    _emit({"experiment": "iid-audit", "rows": [result]}, cfg)
-    return 0 if result["pass"] else 1
+    rows = [percolation_iid_audit(cfg, N, fields=args.fields) for N in cfg.ns()]
+    _emit({"experiment": "iid-audit", "rows": rows}, cfg)
+    return 0 if all(row["pass"] for row in rows) else 1
 
 
 def cmd_resistance_growth(args) -> int:
@@ -390,66 +410,68 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cantor", help="dump intervals, representatives, directions")
     p.add_argument("--M", type=int, default=3)
     p.add_argument("--N", type=int, default=2)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--selector", choices=["middle", "custom-file"], default="middle")
-    p.add_argument("--selector-file", type=Path)
-    p.add_argument("--curve", default="affine")
-    p.add_argument("--curve-file", type=Path)
+    p.add_argument("--d", type=int, help="default 1")
+    p.add_argument("--selector-file", type=Path, help="default: the middle digits")
+    curve = p.add_mutually_exclusive_group()
+    curve.add_argument("--curve", choices=["affine", "moment"], help="default affine")
+    curve.add_argument("--curve-file", type=Path)
     p.add_argument("--out", type=Path)
     p.set_defaults(fn=cmd_cantor)
 
     p = sub.add_parser("slopes", help="dump (t, tau(t), sigma(t)) for one field")
-    _add_common(p)
+    _add_config(p, "seed", *_GEOMETRY)
     p.add_argument("--out", type=Path)
     p.set_defaults(fn=cmd_slopes)
 
     p = sub.add_parser("volume", help="per-slab volumes of one realization")
-    _add_common(p)
-    p.add_argument("--samples-per-slab", type=int, default=4)
+    _add_config(p, "seed", *_GEOMETRY)
+    p.add_argument("--samples-per-slab", dest="quadrature", type=_positive_int)
     p.add_argument("--range", choices=["near", "far"], default="near")
     p.add_argument("--out", type=Path)
     p.set_defaults(fn=cmd_volume)
 
     p = sub.add_parser("simulate", help="near/far measure sweep over realizations")
-    _add_common(p, sweep=True, samples=True)
+    _add_config(p, "seed", *_GEOMETRY, "samples", sweep=True)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("slab-moments", help="pairwise slab intersection moments")
-    _add_common(p, sweep=True, samples=True)
+    _add_config(p, "seed", *_GEOMETRY, "samples", sweep=True)
     p.add_argument("--second", action="store_true", help="also the second moment")
     p.add_argument("--exhaustive", action="store_true", help="enumerate all fields")
     p.set_defaults(fn=cmd_slab_moments)
 
     p = sub.add_parser("lower-bound", help="near-volume lower-quantile experiment")
-    _add_common(p, sweep=True, samples=True)
+    _add_config(p, "seed", *_GEOMETRY, "samples", sweep=True)
     p.set_defaults(fn=cmd_lower_bound)
 
     p = sub.add_parser("upper-bound", help="far-volume decay experiment")
-    _add_common(p, sweep=True, samples=True)
-    p.add_argument("--pointwise", action="store_true", help="percolation bound integral")
-    p.add_argument("--grid", type=int, default=200)
+    _add_config(p, "seed", *_GEOMETRY, "samples", sweep=True)
+    p.add_argument(
+        "--pointwise", nargs="?", const=200, type=_positive_int, metavar="GRID",
+        help="percolation bound integral over GRID points (default 200)",
+    )
     p.set_defaults(fn=cmd_upper_bound)
 
     p = sub.add_parser("prob-oracle", help="classification vs enumeration table")
-    _add_common(p)
+    _add_config(p, "seed", "M", "N", "d")
     p.add_argument("--tuples", choices=["exhaustive", "random"], default="random")
-    p.add_argument("--count", type=int, default=50)
+    p.add_argument("--count", type=_positive_int, default=50)
     p.add_argument("--out", type=Path)
     p.set_defaults(fn=cmd_prob_oracle)
 
     p = sub.add_parser("percolate", help="survival probability of a tree")
-    _add_common(p)
-    p.add_argument("--tree", choices=["full-binary", "from-poss"], default="full-binary")
-    p.add_argument("--height", type=int, default=4)
-    p.add_argument("--point", help="comma-separated point for from-poss")
-    p.add_argument("--mc-samples", type=int, default=100_000)
+    _add_config(p, "seed", *_GEOMETRY)
+    tree = p.add_mutually_exclusive_group()
+    tree.add_argument("--point", help="comma-separated far point: its Poss tree")
+    tree.add_argument("--height", type=_positive_int, help="full binary tree (default 4)")
+    p.add_argument("--mc-samples", type=_positive_int, default=100_000)
     p.set_defaults(fn=cmd_percolate)
 
     p = sub.add_parser("resist", help="resistance of a tree network")
-    _add_common(p)
-    p.add_argument("--tree", choices=["full-binary", "from-poss"], default="full-binary")
-    p.add_argument("--height", type=int, default=4)
-    p.add_argument("--point", help="comma-separated point for from-poss")
+    _add_config(p, *_GEOMETRY)
+    tree = p.add_mutually_exclusive_group()
+    tree.add_argument("--point", help="comma-separated far point: its Poss tree")
+    tree.add_argument("--height", type=_positive_int, help="full binary tree (default 4)")
     p.set_defaults(fn=cmd_resist)
 
     p = sub.add_parser("verify", help="run the invariant suite")
@@ -458,15 +480,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("iid-audit", help="edge-bit consistency and uniformity tests")
-    _add_common(p, sweep=True)
-    p.add_argument("--fields", type=int, default=10_000)
+    _add_config(p, "seed", *_GEOMETRY, sweep=True)
+    p.add_argument("--fields", type=_positive_int, default=10_000)
     p.set_defaults(fn=cmd_iid_audit)
 
     p = sub.add_parser("resistance-growth", help="R(Poss(x)) versus N")
-    _add_common(p, sweep=True)
-    p.add_argument("--points", type=int, default=100)
+    _add_config(p, "seed", *_GEOMETRY, sweep=True)
+    p.add_argument("--points", type=_positive_int, default=100)
     p.set_defaults(fn=cmd_resistance_growth)
 
+    for p in sub.choices.values():
+        p.set_defaults(error=p.error)
     return ap
 
 

@@ -78,6 +78,11 @@ class ExperimentConfig:
     leaf_budget: int = 10**7
     out_dir: str | None = None
 
+    def __post_init__(self):
+        for name in ("samples", "quadrature"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+
     def ns(self) -> tuple[int, ...]:
         return self.n_values if self.n_values else (self.N,)
 
@@ -253,27 +258,22 @@ def slab_second_moment(cfg: ExperimentConfig, exhaustive: bool = False) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def volume_sweep(cfg: ExperimentConfig, c0: int | None = None) -> dict:
-    """Near- and far-window volumes of every sampled realization.
-
-    The far window starts at ``c0``; by default the offset constant of
-    each N's own direction set."""
+def volume_sweep(cfg: ExperimentConfig) -> dict:
+    """Near- and far-window volumes of every sampled realization; the far
+    window starts at the offset constant of each N's direction set."""
     rows = []
     for N in cfg.ns():
         cfg.guard(N)
-        dirset = build_dirset(cfg, N)
-        c0_n = offset_constant(cfg.d, dirset.lip_lo) if c0 is None else c0
-        near = np.empty(cfg.samples)
-        far = np.empty(cfg.samples)
-        for i in range(cfg.samples):
-            m = kakeya_measures(
-                sample_assignment(cfg, N, i), samples=cfg.quadrature, c0=c0_n
-            )
-            near[i], far[i] = m["near"], m["far"]
+        measures = [
+            kakeya_measures(sample_assignment(cfg, N, i), samples=cfg.quadrature)
+            for i in range(cfg.samples)
+        ]
+        near = np.array([m["near"] for m in measures])
+        far = np.array([m["far"] for m in measures])
         rows.append(
             {
                 "N": N,
-                "c0": c0_n,
+                "c0": measures[0]["c0"],
                 "samples": cfg.samples,
                 "near_mean": float(near.mean()),
                 "near_q25": float(np.quantile(near, 0.25)),
@@ -335,71 +335,62 @@ def upper_bound_experiment(cfg: ExperimentConfig, sweep: dict | None = None) -> 
     }
 
 
-def pointwise_percolation_bound(
-    cfg: ExperimentConfig, N: int, grid: int = 200, c0: int | None = None
-) -> dict:
-    """Monte Carlo integral over the far box of min(1, 2/(1+R(Poss(x)))),
-    an upper bound for the expected far-window volume.  The resistance
-    statistics cover the points some tube reaches; None if none does."""
+def _strip_resistances(cfg: ExperimentConfig, N: int, key: int):
+    """Endless far points x drawn from the reachable strip, as pairs (the
+    strip's cross-section volume at x1, R(Poss(x)) or None if no tube
+    reaches x).  x1 is uniform on [c0, c0+1], then x-bar uniform on the
+    far box [-2c0, 2c0]^d clipped to where tubes can be at x1."""
     dirset = build_dirset(cfg, N)
-    if c0 is None:
-        c0 = offset_constant(cfg.d, dirset.lip_lo)
-    rng = np.random.default_rng(derive_seed(cfg.seed, 10_000_019))
-    box_lo = np.array([float(c0)] + [-2.0 * c0] * cfg.d)
-    box_hi = np.array([float(c0) + 1.0] + [2.0 * c0] * cfg.d)
-    box_vol = float(np.prod(box_hi - box_lo))
-    vals = np.empty(grid)
-    resistances = np.empty(grid)
-    for i in range(grid):
-        x = rng.uniform(box_lo, box_hi)
-        poss = poss_set(x, dirset, N, cfg.d)
-        if len(poss) == 0:
-            vals[i] = 0.0
-            resistances[i] = math.inf
-            continue
-        tree = FiniteTree.from_leaves(poss.roots())
-        r = resistance(tree)
-        resistances[i] = float(r)
-        vals[i] = min(1.0, float(lyons_bounds(r)[1]))
-    est = box_vol * float(vals.mean())
-    ci = box_vol * ci99(vals)
-    finite = resistances[np.isfinite(resistances)]
+    c0 = offset_constant(cfg.d, dirset.lip_lo)
+    slopes = dirset.slope_floats()
+    rng = np.random.default_rng(derive_seed(cfg.seed, key))
+    while True:
+        x1 = rng.uniform(c0, c0 + 1.0)
+        lo = np.maximum(x1 * slopes.min(axis=0), -2.0 * c0)
+        hi = np.minimum(1.0 + x1 * slopes.max(axis=0), 2.0 * c0)
+        poss = poss_set((x1, *rng.uniform(lo, hi)), dirset, N, cfg.d)
+        r = resistance(FiniteTree.from_leaves(poss.roots())) if len(poss) else None
+        yield float(np.prod(hi - lo)), r
+
+
+def pointwise_percolation_bound(cfg: ExperimentConfig, N: int, grid: int = 200) -> dict:
+    """Monte Carlo integral of min(1, 2/(1+R(Poss(x)))) over the far
+    window, an upper bound for the expected far-window volume.  Points
+    come from the reachable strip, outside which the integrand is 0, each
+    weighted by the strip's cross-section volume.  The resistance
+    statistics cover the points some tube reaches; None if none does."""
+    vals = np.zeros(grid)
+    reached = []
+    for i, (section, r) in zip(range(grid), _strip_resistances(cfg, N, 10_000_019)):
+        if r is not None:
+            reached.append(float(r))
+            vals[i] = section * min(1.0, float(lyons_bounds(r)[1]))
     return {
         "N": N,
-        "bound_integral": est,
-        "ci99": ci,
+        "bound_integral": float(vals.mean()),
+        "ci99": ci99(vals),
         "grid": grid,
-        "min_resistance": float(finite.min()) if finite.size else None,
-        "mean_resistance": float(finite.mean()) if finite.size else None,
+        "min_resistance": min(reached, default=None),
+        "mean_resistance": float(np.mean(reached)) if reached else None,
     }
 
 
 def resistance_growth(cfg: ExperimentConfig, points: int = 100) -> dict:
     """Fitted beta with R(Poss(x)) >= beta*N over random far points.
 
-    Points are drawn from the reachable strip (the far box clipped to the
-    cone the tube directions can sweep); points whose possible-root set is
-    still empty sit in a gap of the direction set and are skipped.
+    Points are drawn from the reachable strip; points whose possible-root
+    set is still empty sit in a gap of the direction set and are skipped.
     """
     rows = []
     for N in cfg.ns():
-        dirset = build_dirset(cfg, N)
-        c0 = offset_constant(cfg.d, dirset.lip_lo)
-        slopes = dirset.slope_floats()
-        rng = np.random.default_rng(derive_seed(cfg.seed, 20_000_003 + N))
+        draws = _strip_resistances(cfg, N, 20_000_003 + N)
         ratios = []
         attempts = 0
         while len(ratios) < points and attempts < 20 * points:
             attempts += 1
-            x1 = rng.uniform(c0, c0 + 1.0)
-            lo = np.maximum(x1 * slopes.min(axis=0), -2.0 * c0)
-            hi = np.minimum(1.0 + x1 * slopes.max(axis=0), 2.0 * c0)
-            xbar = rng.uniform(lo, hi)
-            poss = poss_set((x1, *xbar), dirset, N, cfg.d)
-            if len(poss) == 0:
-                continue
-            tree = FiniteTree.from_leaves(poss.roots())
-            ratios.append(float(resistance(tree)) / N)
+            _, r = next(draws)
+            if r is not None:
+                ratios.append(float(r) / N)
         if not ratios:
             raise RuntimeError(f"no far point hit any tube at N={N}")
         rows.append(
@@ -444,13 +435,11 @@ def _cube_bounds(t: Vertex, M: int, d: int):
     return lo, lo + float(side)
 
 
-def counting_diagnostics(
-    cfg: ExperimentConfig, N: int | None = None, k: int | None = None
-) -> dict:
+def counting_diagnostics(cfg: ExperimentConfig, N: int) -> dict:
     """Cardinalities of the deterministic slab-counting sets against their
     predicted growth rates, with fitted constants.
 
-    For a slab index k and an ancestor cube u:
+    For the slab k = M^(N-1), at x1 ~ 1/M, and an ancestor cube u:
       near-boundary roots:   roots in u within theta of a child boundary,
                              against (k/M^N) M^(d(N-h(u)));
       close sibling pairs:   t2 with yca u and centre distance <= theta;
@@ -458,13 +447,11 @@ def counting_diagnostics(
                              tube inside the slab, with address constraint,
                              against 2^(N-h(u)).
     """
-    N = N or cfg.ns()[0]
     if cfg.M ** (N * cfg.d) > 4096:
         raise ResourceWarning("counting diagnostics are exhaustive; keep M^(N*d) small")
     dirset = build_dirset(cfg, N)
     M, d = cfg.M, cfg.d
-    if k is None:
-        k = M ** (N - 1)  # slab at x1 ~ 1/M
+    k = M ** (N - 1)
     lo_x, hi_x = k * float(M) ** (-N), (k + 1) * float(M) ** (-N)
     side = cross_section_side(M, N, d)
     lip = dirset.lip_hi
@@ -532,7 +519,7 @@ def counting_diagnostics(
     return {"experiment": "counting-diagnostics", "rows": rows}
 
 
-def estar_diagnostic(cfg: ExperimentConfig, N: int | None = None) -> dict:
+def estar_diagnostic(cfg: ExperimentConfig, N: int) -> dict:
     """Cardinality of the four-point candidate sets behind the second
     moment estimate, stratified by the cross-ancestor height.
 
@@ -541,7 +528,6 @@ def estar_diagnostic(cfg: ExperimentConfig, N: int | None = None) -> dict:
     meet the fixed ones inside a thin slab; the count at cross height
     h(u1) is checked against its predicted ceiling 2^(2N-h(u)-h(u1)).
     """
-    N = N or cfg.ns()[0]
     if cfg.d != 1:
         raise ValueError("the candidate-set diagnostic is implemented for d=1")
     if cfg.M**N > 256:
@@ -624,12 +610,7 @@ def estar_diagnostic(cfg: ExperimentConfig, N: int | None = None) -> dict:
 AUDIT_POINT_DRAWS = 1000  # far points tried before the audit gives up
 
 
-def percolation_iid_audit(
-    cfg: ExperimentConfig,
-    N: int | None = None,
-    fields: int = 10_000,
-    point: tuple | None = None,
-) -> dict:
+def percolation_iid_audit(cfg: ExperimentConfig, N: int, fields: int = 10_000) -> dict:
     """Consistency and uniformity checks for the induced edge bits.
 
     For a far-box point, every possible root carries a unique binary
@@ -640,24 +621,20 @@ def percolation_iid_audit(
     """
     from scipy.stats import chi2
 
-    N = N or cfg.ns()[0]
     dirset = build_dirset(cfg, N)
     d = cfg.d
     c0 = offset_constant(d, dirset.lip_lo)
-    if point is None:
-        rng = np.random.default_rng(derive_seed(cfg.seed, 30_000_001))
-        for _ in range(AUDIT_POINT_DRAWS):
-            x = rng.uniform(
-                [float(c0)] + [-0.5] * d, [float(c0) + 1.0] + [0.5] * d
-            )
-            if len(poss_set(x, dirset, N, d)) >= 4:
-                point = tuple(float(v) for v in x)
-                break
-        else:
-            raise ValueError(
-                f"no far point with 4 or more possible roots in {AUDIT_POINT_DRAWS} "
-                f"draws (M={cfg.M}, N={N}, d={d}); raise N or pass point="
-            )
+    rng = np.random.default_rng(derive_seed(cfg.seed, 30_000_001))
+    for _ in range(AUDIT_POINT_DRAWS):
+        x = rng.uniform([float(c0)] + [-0.5] * d, [float(c0) + 1.0] + [0.5] * d)
+        if len(poss_set(x, dirset, N, d)) >= 4:
+            point = tuple(float(v) for v in x)
+            break
+    else:
+        raise ValueError(
+            f"no far point with 4 or more possible roots in {AUDIT_POINT_DRAWS} "
+            f"draws (M={cfg.M}, N={N}, d={d}); raise N"
+        )
     witnesses = unique_far_slope(point, dirset, N, d, c0)
     roots = sorted(witnesses)
     beta = {t: bits for t, (_, bits) in witnesses.items()}
@@ -709,6 +686,7 @@ def percolation_iid_audit(
     freqs = ones / fields
     return {
         "experiment": "iid-audit",
+        "N": N,
         "point": list(point),
         "edges": E,
         "fields": fields,

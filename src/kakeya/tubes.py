@@ -479,9 +479,7 @@ def assignment_arrays(assignment: SlopeAssignment) -> tuple[np.ndarray, np.ndarr
     return centers, slopes
 
 
-def kakeya_measures(
-    assignment: SlopeAssignment, samples: int = 4, c0: int | None = None
-) -> dict:
+def kakeya_measures(assignment: SlopeAssignment, samples: int = 4) -> dict:
     """Volume of the realized union near the root hyperplane ([0,1]) and in
     the far window ([C0, C0+1]), with the implied dilate-ratio bound.
 
@@ -491,8 +489,7 @@ def kakeya_measures(
     """
     centers, slopes = assignment_arrays(assignment)
     M, N = assignment.M, assignment.N
-    if c0 is None:
-        c0 = offset_constant(assignment.d, assignment.dirset.lip_lo)
+    c0 = offset_constant(assignment.d, assignment.dirset.lip_lo)
     near, near_ci = union_volume(centers, slopes, 0.0, 1.0, M, N, samples=samples)
     far, far_ci = union_volume(
         centers, slopes, float(c0), float(c0) + 1.0, M, N, samples=samples

@@ -31,8 +31,6 @@ def test_cantor_custom_selector(tmp_path):
             "5",
             "--N",
             "2",
-            "--selector",
-            "custom-file",
             "--selector-file",
             str(sel),
             "--out",
@@ -42,6 +40,15 @@ def test_cantor_custom_selector(tmp_path):
     assert rc == 0
     payload = json.loads(out.read_text())
     assert payload["intervals"][0]["digits"] == [0, 1]
+
+
+def test_cantor_reads_curve_file(tmp_path, capsys):
+    rows = tmp_path / "curve.json"
+    rows.write_text(json.dumps([["0", "-1/2"]]))  # t -> (1, -t/2)
+    assert main(["cantor", "--curve-file", str(rows)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["representatives"][1] == "2/9"
+    assert payload["slopes"][1]["exact"] == ["1", "-1/9"]
 
 
 def test_slopes_dump(tmp_path):
@@ -128,8 +135,6 @@ def test_slab_moments_exhaustive(tmp_path, capsys):
             "3",
             "--N",
             "2",
-            "--seed",
-            "0",
             "--exhaustive",
             "--second",
         ]
@@ -140,7 +145,7 @@ def test_slab_moments_exhaustive(tmp_path, capsys):
 
 
 def test_percolate_full_binary(capsys):
-    assert main(["percolate", "--tree", "full-binary", "--height", "2", "--mc-samples", "2000"]) == 0
+    assert main(["percolate", "--height", "2", "--mc-samples", "2000"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["survival_exact"] == "39/64"
     assert payload["resistance"] == "1"
@@ -151,8 +156,6 @@ def test_percolate_from_poss(capsys):
     rc = main(
         [
             "percolate",
-            "--tree",
-            "from-poss",
             "--point",
             "2.5,0.5",
             "--M",
@@ -173,7 +176,7 @@ def test_percolate_from_poss(capsys):
 
 def test_resist_from_poss(capsys):
     rc = main(
-        ["resist", "--tree", "from-poss", "--point", "2.5,0.5", "--M", "3", "--N", "4", "--d", "1"]
+        ["resist", "--point", "2.5,0.5", "--M", "3", "--N", "4", "--d", "1"]
     )
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
@@ -261,7 +264,7 @@ def test_config_file_accepts_saved_config(tmp_path):
     "argv",
     [
         ["upper-bound", "--N", "3", "--samples", "1"],
-        ["upper-bound", "--N", "3", "--samples", "2", "--pointwise", "--grid", "1"],
+        ["upper-bound", "--N", "3", "--samples", "2", "--pointwise", "1"],
     ],
 )
 def test_ci99_of_one_value_is_zero(capsys, argv):
@@ -324,6 +327,9 @@ def test_threads_flag_rejected(capsys):
         (["resist", "--height", "1", "--samples", "7"], "--samples"),
         (["iid-audit", "--N", "4", "--fields", "2", "--samples", "7"], "--samples"),
         (["resistance-growth", "--N", "4", "--points", "1", "--samples", "7"], "--samples"),
+        (["resist", "--point", "2.5,0.5", "--N", "4", "--seed", "2"], "--seed"),
+        (["prob-oracle", "--N", "2", "--count", "1", "--curve", "moment"], "--curve"),
+        (["upper-bound", "--N", "3", "--samples", "2", "--grid", "5"], "--grid"),
     ],
 )
 def test_ignored_flag_rejected(tmp_path, monkeypatch, capsys, argv, flag):
@@ -333,3 +339,91 @@ def test_ignored_flag_rejected(tmp_path, monkeypatch, capsys, argv, flag):
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not (tmp_path / "od").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["percolate", "--height", "2", "--mc-samples", "10", "--N", "9"], "--N"),
+        (["percolate", "--mc-samples", "10", "--curve", "moment"], "--curve"),
+        (["resist", "--height", "2", "--M", "5"], "--M"),
+        (["resist", "--d", "2"], "--d"),
+        (["resist", "--config", "cfg.json"], "--config"),
+        (["resist", "--point", "2.5,0.5", "--height", "2"], "--height"),
+        (["slab-moments", "--N", "2", "--exhaustive", "--samples", "3"], "--samples"),
+        (["slab-moments", "--N", "2", "--exhaustive", "--seed", "5"], "--seed"),
+        (["prob-oracle", "--N", "2", "--count", "2", "--tuples", "exhaustive", "--seed", "1"], "--seed"),
+        (["cantor", "--curve-file", "rows.json", "--d", "2"], "--d"),
+        (["cantor", "--curve", "moment", "--curve-file", "rows.json"], "--curve-file"),
+        (["simulate", "--N", "3", "--N-range", "2:3", "--samples", "1"], "--N-range"),
+        (["simulate", "--N-range", "5:3", "--samples", "1"], "--N-range"),
+    ],
+)
+def test_unread_flag_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, flag):
+    """A flag that the mode chosen by the other inputs would not read, or
+    that another flag excludes, stops the run before any work."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text("{}")
+    (tmp_path / "rows.json").write_text(json.dumps([["0", "1"], ["0", "0", "1"]]))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
+def test_iid_audit_writes_one_row_per_n(capsys):
+    assert main(["iid-audit", "--N-range", "4:5", "--fields", "20"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [r["N"] for r in rows] == [4, 5]
+    assert rows[0]["edges"] < rows[1]["edges"]
+
+
+def test_volume_reads_config_quadrature(tmp_path, capsys):
+    """The nodes per slab come from the config's quadrature, and
+    --samples-per-slab overrides it."""
+    assignment = assignment_from_dirset(harness.build_dirset(harness.ExperimentConfig(N=3), 3), 1, 7)
+    expected = {q: kakeya_measures(assignment, samples=q)["near"] for q in (1, 4)}
+    assert expected[1] != expected[4]
+    cfg_file = tmp_path / "cfg.json"
+    for config_q, flags, q in [(1, [], 1), (4, [], 4), (4, ["--samples-per-slab", "1"], 1)]:
+        cfg_file.write_text(json.dumps({"quadrature": config_q}))
+        assert main(["volume", "--config", str(cfg_file), "--N", "3", "--seed", "7", *flags]) == 0
+        total = float(capsys.readouterr().err.split(":")[1])
+        assert total == pytest.approx(expected[q], rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["slab-moments", "--N", "2", "--samples", "0"], None, "argument --samples: '0'"),
+        (["upper-bound", "--N", "3", "--samples", "0"], None, "argument --samples: '0'"),
+        (["upper-bound", "--N", "3", "--samples", "2", "--pointwise", "0"], None, "argument --pointwise: '0'"),
+        (["simulate", "--N", "2", "--samples", "-1"], None, "argument --samples: '-1'"),
+        (["resistance-growth", "--N", "3", "--points", "0"], None, "argument --points: '0'"),
+        (["volume", "--N", "2", "--samples-per-slab", "0"], None, "argument --samples-per-slab: '0'"),
+        (["iid-audit", "--N", "4", "--fields", "0"], None, "argument --fields: '0'"),
+        (["prob-oracle", "--N", "2", "--count", "0"], None, "argument --count: '0'"),
+        (["percolate", "--height", "2", "--mc-samples", "0"], None, "argument --mc-samples: '0'"),
+        (["resist", "--height", "0"], None, "argument --height: '0'"),
+        (["simulate", "--N", "2"], {"samples": 0}, "samples must be at least 1"),
+        (["simulate", "--N", "2", "--samples", "1"], {"quadrature": 0}, "quadrature must be at least 1"),
+    ],
+)
+def test_count_below_one_rejected(tmp_path, capsys, argv, config, message):
+    if config is not None:
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg_file)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert message in f"{exc.value.code}\n{capsys.readouterr().err}"
+
+
+@pytest.mark.parametrize(
+    "argv", [["simulate", "--samples", "1"], ["volume"], ["slopes"]]
+)
+def test_leaf_budget_guards_every_experiment(tmp_path, argv):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"leaf_budget": 10}))
+    with pytest.raises(ResourceWarning, match="exceeds the leaf budget 10"):
+        main(argv + ["--config", str(cfg_file), "--N", "3"])

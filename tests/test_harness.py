@@ -267,6 +267,36 @@ def test_config_hash_changes_with_seed():
     assert a != b
 
 
+@pytest.mark.parametrize(
+    "d, curve, run",
+    [
+        (1, "affine", lambda cfg: pointwise_percolation_bound(cfg, cfg.N, grid=60)),
+        (2, "moment", lambda cfg: pointwise_percolation_bound(cfg, cfg.N, grid=30)),
+        (1, "affine", lambda cfg: resistance_growth(cfg, points=20)),
+    ],
+)
+def test_far_points_lie_in_reachable_strip(monkeypatch, d, curve, run):
+    """Every point handed to poss_set has x1 in [c0, c0+1] and, on each
+    axis, x-bar within [-2c0, 2c0] and where some tube can be at x1."""
+    from kakeya import harness
+    from kakeya.tubes import offset_constant
+
+    cfg = ExperimentConfig(M=3, N=3 if d == 1 else 2, d=d, curve=curve, seed=1)
+    points = []
+    real = harness.poss_set
+    monkeypatch.setattr(harness, "poss_set", lambda x, *a: points.append(x) or real(x, *a))
+    run(cfg)
+    dirset = harness.build_dirset(cfg, cfg.N)
+    c0 = offset_constant(d, dirset.lip_lo)
+    slopes = dirset.slope_floats()
+    assert points
+    for x1, *xbar in points:
+        assert c0 <= x1 <= c0 + 1
+        lo = np.maximum(x1 * slopes.min(axis=0), -2.0 * c0)
+        hi = np.minimum(1.0 + x1 * slopes.max(axis=0), 2.0 * c0)
+        assert np.all(lo <= xbar) and np.all(np.asarray(xbar) <= hi)
+
+
 def test_result_identity_ignores_out_dir_and_leaf_budget(tmp_path):
     cfg = ExperimentConfig(seed=5)
     moved = replace(cfg, out_dir=str(tmp_path), leaf_budget=5)
@@ -281,4 +311,4 @@ def test_result_identity_ignores_out_dir_and_leaf_budget(tmp_path):
 def test_iid_audit_point_search_is_bounded():
     # N=1 has only M^d = 3 root cubes, so no point has 4 possible roots
     with pytest.raises(ValueError, match="4 or more possible roots"):
-        percolation_iid_audit(ExperimentConfig(M=3, N=1, d=1), fields=10)
+        percolation_iid_audit(ExperimentConfig(M=3, N=1, d=1), N=1, fields=10)

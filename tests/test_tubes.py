@@ -241,6 +241,22 @@ def test_union_volume_d3_monte_carlo_single_tube():
     assert v == pytest.approx(side**3, rel=0.2)
 
 
+@pytest.mark.parametrize(
+    "offset, exact_over_cube",
+    [((0.5, 0.5, 0.0), 1.75), ((3.0, 0.0, 0.0), 2.0)],  # half-overlapping, disjoint
+)
+def test_union_volume_d3_monte_carlo_two_tubes(offset, exact_over_cube):
+    """Two parallel d=3 tubes: offset by half a side on two axes their
+    union is 7/4 side^3 per unit length (7/9 of the bounding box), apart
+    it is 2 side^3; each estimate lies within its Hoeffding half-width."""
+    side = float(kappa(3)) / 3
+    centers = np.array([[0.5, 0.5, 0.5], [0.5 + offset[0] * side, 0.5 + offset[1] * side, 0.5]])
+    slopes = np.array([[0.1, -0.1, 0.2], [0.1, -0.1, 0.2]])
+    v, ci = union_volume(centers, slopes, 0.0, 1.0, 3, 1, samples=2, mc_points=2000, seed=3)
+    assert 0 < ci < exact_over_cube * side**3
+    assert abs(v - exact_over_cube * side**3) <= ci
+
+
 def test_union_upper_bounded_by_sum():
     ds = direction_set(middle_spec(3, 4), affine_curve(1))
     assignment = assignment_from_dirset(ds, 1, seed=5)
