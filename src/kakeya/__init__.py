@@ -23,7 +23,7 @@ from .configs import ConfigClass, classify3, classify4, cond_prob_general, cond_
 from .percolation import lyons_bounds, resistance, shorted_resistance, survival_exact
 from .sticky import SlopeAssignment, StickyField, make_assignment, sticky_admissible
 from .trees import FiniteTree, Vertex, build_psi, encode_cube, phi_map, yca
-from .tubes import Tube, kakeya_measures, kappa, pair_measure, poss_set, union_volume
+from .tubes import kakeya_measures, kappa, pair_measure, poss_set, union_volume
 
 __all__ = [
     "CantorSpec",
@@ -33,7 +33,6 @@ __all__ = [
     "FiniteTree",
     "SlopeAssignment",
     "StickyField",
-    "Tube",
     "Vertex",
     "affine_curve",
     "build_level",

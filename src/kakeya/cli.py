@@ -4,10 +4,10 @@ Subcommands mirror the library surface: construction dumps (``cantor``,
 ``slopes``), geometry measures (``volume``, ``simulate``), the experiment
 sweeps (``slab-moments``, ``lower-bound``, ``upper-bound``,
 ``iid-audit``, ``resistance-growth``), probability oracles
-(``prob-oracle``), percolation evaluators (``percolate``, ``resist``) and
-the invariant suite (``verify``).  ``--config FILE`` loads a JSON
-experiment config; explicit flags override its fields.  Modes follow
-from the inputs given, and a flag the run would not read is an error.
+(``prob-oracle``) and percolation evaluators (``percolate``, ``resist``).
+``--config FILE`` loads a JSON experiment config; explicit flags override
+its fields.  Modes follow from the inputs given, and a flag the run would
+not read is an error.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .cantor import (
 )
 from .configs import classify4, oracle_check
 from .harness import (
+    ExhaustiveConfig,
     ExperimentConfig,
     build_dirset,
     canonical_json,
@@ -64,7 +65,6 @@ from .tubes import (
     slab_indices,
     union_volume,
 )
-from .verification import run_checks
 
 
 def _positive_int(text: str) -> int:
@@ -262,6 +262,8 @@ def cmd_slab_moments(args) -> int:
     if args.exhaustive:
         _refuse(args, "is not read with --exhaustive", "samples", "seed")
     cfg = _config_from_args(args)
+    if args.exhaustive:
+        cfg = ExhaustiveConfig(**vars(cfg))
     moments = slab_moments if args.second else slab_first_moment
     _emit(moments(cfg, exhaustive=args.exhaustive), cfg)
     return 0
@@ -287,6 +289,7 @@ def cmd_upper_bound(args) -> int:
 def cmd_prob_oracle(args) -> int:
     cfg = _config_from_args(args)
     N = cfg.N
+    cfg.guard(N)
     B = cfg.M**cfg.d
     leaves = [leaf_from_index(i, B, N) for i in range(B**N)]
     if args.tuples == "exhaustive":
@@ -368,17 +371,6 @@ def cmd_resist(args) -> int:
     }
     print(json.dumps(payload, indent=2))
     return 0
-
-
-def cmd_verify(args) -> int:
-    results = run_checks(args.groups or None, seed=args.seed or 0)
-    failed = 0
-    for name, ok, detail in results:
-        status = "PASS" if ok else "FAIL"
-        print(f"[{status}] {name}: {detail}")
-        failed += 0 if ok else 1
-    print(f"{len(results) - failed}/{len(results)} checks passed")
-    return 0 if failed == 0 else 1
 
 
 def cmd_iid_audit(args) -> int:
@@ -473,11 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     tree.add_argument("--point", help="comma-separated far point: its Poss tree")
     tree.add_argument("--height", type=_positive_int, help="full binary tree (default 4)")
     p.set_defaults(fn=cmd_resist)
-
-    p = sub.add_parser("verify", help="run the invariant suite")
-    p.add_argument("groups", nargs="*", help="tree cantor sticky geometry percolation config")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("iid-audit", help="edge-bit consistency and uniformity tests")
     _add_config(p, "seed", *_GEOMETRY, sweep=True)

@@ -106,6 +106,18 @@ class ExperimentConfig:
             )
 
 
+class ExhaustiveConfig(ExperimentConfig):
+    """The config of a run that enumerates every edge field.  Such a run
+    reads no seed, sample count or quadrature, and reads N only when it
+    sweeps no n_values, so those fields stay out of its identity."""
+
+    def to_dict(self) -> dict:
+        out = super().to_dict()
+        del out["seed"], out["samples"], out["quadrature"]
+        del out["N" if self.n_values else "n_values"]
+        return out
+
+
 _DIRSET_CACHE: dict = {}
 
 
@@ -635,7 +647,7 @@ def percolation_iid_audit(cfg: ExperimentConfig, N: int, fields: int = 10_000) -
             f"no far point with 4 or more possible roots in {AUDIT_POINT_DRAWS} "
             f"draws (M={cfg.M}, N={N}, d={d}); raise N"
         )
-    witnesses = unique_far_slope(point, dirset, N, d, c0)
+    witnesses = unique_far_slope(point, dirset, N, d)
     roots = sorted(witnesses)
     beta = {t: bits for t, (_, bits) in witnesses.items()}
     tree = FiniteTree.from_leaves(roots)
@@ -731,12 +743,10 @@ def save_result(result: dict, cfg: ExperimentConfig, out_dir: str | Path) -> Pat
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     name = f"{result['experiment']}-{cfg.config_hash()}"
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "config": cfg.to_dict(),
-        "seed": cfg.seed,
-        **result,
-    }
+    config = cfg.to_dict()
+    payload = {"schema_version": SCHEMA_VERSION, "config": config, **result}
+    if "seed" in config:  # an exhaustive record reads no seed
+        payload["seed"] = cfg.seed
     json_path = out / f"{name}.json"
     json_path.write_text(canonical_json(payload) + "\n")
     rows = result.get("rows", [])

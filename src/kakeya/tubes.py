@@ -53,76 +53,6 @@ def offset_constant(d: int, lip_lo: float) -> int:
     return math.ceil(max(d**d / lip_lo, 2 * math.sqrt(d) / lip_lo))
 
 
-@dataclass(frozen=True)
-class TubeGeometry:
-    """Shared geometric parameters of one tube family."""
-
-    M: int
-    N: int
-    d: int
-
-    @property
-    def kappa(self) -> Fraction:
-        return kappa(self.d)
-
-    @property
-    def side(self) -> Fraction:
-        """Cross-section side length kappa * M^-N."""
-        return self.kappa * Fraction(1, self.M**self.N)
-
-    def root_center(self, t: Vertex) -> tuple[Fraction, ...]:
-        if height(t) != self.N:
-            raise ValueError(f"root vertex must have height {self.N}")
-        return cube_center(t, self.M, self.d)
-
-
-@dataclass(frozen=True)
-class Tube:
-    """One tube: root cube leaf, direction, and family geometry."""
-
-    root: Vertex
-    slope: tuple[Fraction, ...]  # (1, vbar)
-    geom: TubeGeometry
-    length: Fraction
-
-    def center_at(self, x1: Fraction) -> tuple[Fraction, ...]:
-        c = self.geom.root_center(self.root)
-        return tuple(ci + x1 * vi for ci, vi in zip(c, self.slope[1:]))
-
-    def contains(self, p: Sequence[float]) -> bool:
-        x1 = p[0]
-        if not 0 <= x1 <= float(self.length):
-            return False
-        half = float(self.geom.side) / 2
-        c = self.center_at(Fraction(0))
-        for i in range(self.geom.d):
-            drift = float(c[i]) + x1 * float(self.slope[i + 1])
-            if abs(p[i + 1] - drift) > half:
-                return False
-        return True
-
-
-@dataclass(frozen=True)
-class Slab:
-    """Vertical slice [k*M^-N, (k+1)*M^-N] on the first axis."""
-
-    k: int
-    M: int
-    N: int
-
-    @property
-    def lo(self) -> Fraction:
-        return Fraction(self.k, self.M**self.N)
-
-    @property
-    def hi(self) -> Fraction:
-        return Fraction(self.k + 1, self.M**self.N)
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-
 def leaf_centers(M: int, N: int, d: int) -> np.ndarray:
     """(M^(N*d), d) array of root-cube centres, leaves in lexicographic order."""
     B = M**d
@@ -435,7 +365,7 @@ class WitnessError(RuntimeError):
 
 
 def unique_far_slope(
-    p: Sequence[float], dirset: DirectionSet, N: int, d: int, c0: int
+    p: Sequence[float], dirset: DirectionSet, N: int, d: int
 ) -> dict[Vertex, tuple[int, Vertex]]:
     """For a point with first coordinate in [C0, C0+1], the unique witness
     direction of every possible root, plus its binary address.

@@ -198,7 +198,7 @@ def test_criterion_04_far_slab_uniqueness(d):
     roots_seen = 0
     for _ in range(1000):
         x = rng.uniform(lo, hi)
-        out = unique_far_slope(x, ds, N, d, c0)  # raises on duplicate witnesses
+        out = unique_far_slope(x, ds, N, d)  # raises on duplicate witnesses
         assert sticky_beta_audit(out)
         if out:
             nonempty += 1
@@ -217,7 +217,7 @@ def test_criterion_04_far_slab_uniqueness(d):
         u = center + rng.uniform(-side / 2, side / 2, size=d)
         v = slopes[rng.integers(len(slopes))]
         x = (x1, *(u + x1 * v))
-        out = unique_far_slope(x, ds, N, d, c0)
+        out = unique_far_slope(x, ds, N, d)
         assert sticky_beta_audit(out)
         assert len(out) >= 1
         targeted_roots += len(out)

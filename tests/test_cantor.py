@@ -70,6 +70,9 @@ def test_level_counts_and_prefix_closure(k):
     spec = middle_spec(3, 6)
     ivs = build_level(spec, k)
     assert len(ivs) == 2**k
+    for a, b in zip(ivs, ivs[1:]):
+        assert b.left - a.right >= 0
+        assert b.left - a.left >= F(1, 3**k)
     if k:
         parents = {iv.digits for iv in build_level(spec, k - 1)}
         assert all(iv.digits[:-1] in parents for iv in ivs)

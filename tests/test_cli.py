@@ -1,12 +1,14 @@
 import csv
 import gc
 import json
+import shlex
 import warnings
+from pathlib import Path
 
 import pytest
 
 from kakeya import harness
-from kakeya.cli import main
+from kakeya.cli import build_parser, main
 from kakeya.sticky import assignment_from_dirset
 from kakeya.tubes import kakeya_measures
 
@@ -144,6 +146,27 @@ def test_slab_moments_exhaustive(tmp_path, capsys):
     assert payload["rows"][0]["samples"] == 4096
 
 
+def test_exhaustive_slab_record_names_only_what_it_reads(tmp_path, capsys):
+    """The exhaustive record and its hash leave out the seed, sample count
+    and quadrature that the enumeration never reads, so config files that
+    differ only in those give the same bytes."""
+    cfg_file = tmp_path / "cfg.json"
+    outs, records = [], []
+    for i, extra in enumerate([{}, {"seed": 5}, {"samples": 7}, {"quadrature": 8}]):
+        cfg_file.write_text(json.dumps(extra))
+        argv = ["slab-moments", "--N", "2", "--exhaustive", "--config", str(cfg_file)]
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+        assert main(argv + ["--out-dir", str(tmp_path / str(i))]) == 0
+        capsys.readouterr()
+        (record,) = [f for f in (tmp_path / str(i)).glob("*.json") if not f.name.endswith(".meta.json")]
+        records.append((record.name, record.read_bytes()))
+    assert outs == outs[:1] * 4
+    assert records == records[:1] * 4
+    assert sorted(json.loads(outs[0])["config"]) == ["M", "N", "backend", "curve", "d", "slab_offsets"]
+    assert "seed" not in json.loads(records[0][1])
+
+
 def test_percolate_full_binary(capsys):
     assert main(["percolate", "--height", "2", "--mc-samples", "2000"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -209,17 +232,6 @@ def test_prob_oracle_random(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 11
     assert all(line.endswith("True") for line in lines[1:])
-
-
-def test_verify_subsets(capsys):
-    assert main(["verify", "tree", "percolation"]) == 0
-    out = capsys.readouterr().out
-    assert "[PASS]" in out and "FAIL" not in out
-
-
-def test_verify_rejects_unknown_group():
-    with pytest.raises(ValueError):
-        main(["verify", "nonsense"])
 
 
 def test_lower_bound_cli(capsys):
@@ -420,10 +432,26 @@ def test_count_below_one_rejected(tmp_path, capsys, argv, config, message):
 
 
 @pytest.mark.parametrize(
-    "argv", [["simulate", "--samples", "1"], ["volume"], ["slopes"]]
+    "argv",
+    [["simulate", "--samples", "1"], ["volume"], ["slopes"], ["prob-oracle", "--count", "1"]],
 )
 def test_leaf_budget_guards_every_experiment(tmp_path, argv):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"leaf_budget": 10}))
     with pytest.raises(ResourceWarning, match="exceeds the leaf budget 10"):
         main(argv + ["--config", str(cfg_file), "--N", "3"])
+
+
+def test_readme_command_lines_parse():
+    """Every ``kakeya`` example of the README's command-line block parses;
+    nothing is run."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("kakeya ")]
+    assert len(examples) >= 15
+    parser = build_parser()
+    for argv in examples:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {shlex.join(argv)}")

@@ -106,6 +106,8 @@ def test_classification_is_total_and_unique():
         cc = classify4(*t)
         assert cc.type_tag in (1, 2)
         assert cc.exponent == k_edges(cc.cond, cc.query)
+        c3 = classify3(*t[:3])
+        assert c3.exponent == k_edges(c3.cond, c3.query)
         seen.add(cc.label)
     # base 3 cannot realize case 1b; everything else appears
     assert seen >= {

@@ -69,9 +69,10 @@ def test_encode_decode_roundtrip_random():
         d = rng.choice([1, 2])
         x = [F(rng.randrange(10**6), 10**6) for _ in range(d)]
         k = rng.randrange(1, 5)
-        v = encode_cube(x, k, 3, d)
-        corner, side = decode_cube(v, 3, d)
-        assert all(c <= xi < c + side for c, xi in zip(corner, x))
+        for point in (x, [float(xi) for xi in x]):
+            v = encode_cube(point, k, 3, d)
+            corner, side = decode_cube(v, 3, d)
+            assert all(c <= xi < c + side for c, xi in zip(corner, point))
 
 
 def test_cube_from_axis_indices_matches_encode():
@@ -186,6 +187,9 @@ def test_finite_tree_structure():
     assert tree.level_counts() == [1, 2, 3]
     assert tree.leaves() == [(0, 1), (0, 2), (1, 0)]
     assert tree.edges() == [(0,), (0, 1), (0, 2), (1,), (1, 0)]
+    rng = random.Random(4)
+    leaves = [tuple(rng.randrange(3) for _ in range(5)) for _ in range(40)]
+    assert FiniteTree.from_leaves(leaves).is_prefix_closed()
 
 
 def test_full_tree_counts():
