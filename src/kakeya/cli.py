@@ -230,7 +230,7 @@ def cmd_volume(args) -> int:
     rows = []
     total = 0.0
     for k in slab_indices(cfg.M, cfg.N, lo, hi):
-        v, _ = union_volume(
+        v = union_volume(
             centers,
             slopes,
             k * width,

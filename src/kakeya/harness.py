@@ -218,9 +218,12 @@ def slab_sum_expectation_exact(cfg: ExperimentConfig, N: int, R: int) -> float:
     return total
 
 
-def _moment_rows(M: int, N: int, R: int, sums: np.ndarray) -> list[dict]:
+def _moment_rows(
+    M: int, N: int, R: int, sums: np.ndarray, exhaustive: bool
+) -> list[dict]:
     """First- and second-moment rows of the pair sums, against the
-    predicted scale N*M^(2R-2N) and its square."""
+    predicted scale N*M^(2R-2N) and its square.  A mean over every edge
+    field has no sampling error, so exhaustive rows carry ci99 0.0."""
     scale = N * float(M) ** (2 * R - 2 * N)
     return [
         {
@@ -230,7 +233,7 @@ def _moment_rows(M: int, N: int, R: int, sums: np.ndarray) -> list[dict]:
             key: float(values.mean()),
             "scale": s,
             "ratio": float(values.mean() / s),
-            "ci99": ci99(values),
+            "ci99": 0.0 if exhaustive else ci99(values),
         }
         for key, values, s in (
             ("mean_sum", sums, scale),
@@ -249,7 +252,7 @@ def slab_moments(cfg: ExperimentConfig, exhaustive: bool = False) -> dict:
             R = N - off
             if R < 0:
                 continue
-            first, second = _moment_rows(cfg.M, N, R, pair_sums(cfg, N, R))
+            first, second = _moment_rows(cfg.M, N, R, pair_sums(cfg, N, R), exhaustive)
             rows.append(first)
             second_rows.append(second)
     return {"experiment": "slab-moments", "rows": rows, "second_rows": second_rows}

@@ -1,9 +1,10 @@
 """Hot numeric kernels, vectorized in numpy.
 
-Pair sums and union lengths for d = 1, exact union areas for d = 2, and
-bulk edge bits of the sticky fields.  Pair sums score only the candidate
-pairs, whose centre hulls over the slab come within one cross-section
-width, found by one sort: O(n log n + K') for K' candidates, not O(n^2).
+Pair sums and union lengths for d = 1, exact union measures of equal
+cubes for every d >= 2 (by slicing), and bulk edge bits of the sticky
+fields.  Pair sums score only the candidate pairs, whose centre hulls
+over the slab come within one cross-section width, found by one sort:
+O(n log n + K') for K' candidates, not O(n^2).
 Every kernel has an oracle test in ``tests/test_kernels.py``;
 ``python3 perfbench/run.py`` times them inside the experiments that use
 them.
@@ -179,39 +180,49 @@ def union_lengths_1d(
 
 
 # ---------------------------------------------------------------------------
-# cross-section union areas, d = 2 (exact sweep over equal squares)
+# cross-section union measures, d >= 2: Klee's measure problem by slicing
+# (Bentley 1977; Chan, FOCS 2013).  Between consecutive events on the first
+# axis the active cubes are fixed, so the measure is the sum of each gap
+# times the (k-1)-dimensional union of the active cubes, down to the d = 1
+# sorted-gap formula.
 # ---------------------------------------------------------------------------
 
 
-def _np_union_area_squares(ys, zs, width):
-    events = np.sort(np.concatenate([ys, ys + width]))
-    area = 0.0
-    for y0, y1 in zip(events[:-1], events[1:]):
-        if y1 <= y0:
-            continue
-        act = zs[(ys <= y0) & (y0 < ys + width)]
-        if act.size == 0:
-            continue
-        act = np.sort(act)
-        gaps = np.minimum(np.diff(act), width)
-        area += (width + gaps.sum()) * (y1 - y0)
-    return float(area)
+def _union_measure_cubes(lo, side):
+    """Exact measure of the union of equal axis-aligned cubes of side
+    ``side`` with (n, k) lower corners ``lo``."""
+    if lo.shape[1] == 1:
+        return float(side + np.minimum(np.diff(np.sort(lo[:, 0])), side).sum())
+    lo = lo[np.argsort(lo[:, 0], kind="stable")]
+    starts = lo[:, 0]
+    ends = starts + side
+    events = np.sort(np.concatenate([starts, ends]))
+    first = np.searchsorted(ends, events, side="right").tolist()
+    stop = np.searchsorted(starts, events, side="right").tolist()
+    ys = events.tolist()
+    measure = 0.0
+    for y0, y1, i, j in zip(ys, ys[1:], first, stop):
+        if y1 > y0 and i < j:
+            measure += _union_measure_cubes(lo[i:j, 1:], side) * (y1 - y0)
+    return measure
 
 
 def union_areas_2d(
     centers: np.ndarray, slopes: np.ndarray, width: float, xs: np.ndarray
 ) -> np.ndarray:
-    """Exact union area of the n square cross-sections at each x in xs.
+    """Exact union measure of the n cube cross-sections at each x in xs.
 
-    ``centers`` and ``slopes`` are (n, 2) arrays holding the lower corner
-    drift; squares have side ``width``.
+    ``centers`` and ``slopes`` are (n, d) arrays, d >= 2, holding the lower
+    corner drift; cubes have side ``width``.  Each node slices the cubes
+    along the first axis.  With one side for all, the upper corners
+    lo + side keep the order of the lower ones, so the cubes active at an
+    event y0 (lo <= y0 < lo + side) are one contiguous slice of the cubes
+    sorted by lo, found by two searchsorted calls.
     """
     c = np.ascontiguousarray(centers, dtype=np.float64)
     v = np.ascontiguousarray(slopes, dtype=np.float64)
     x = np.ascontiguousarray(xs, dtype=np.float64)
     out = np.empty(x.shape[0], dtype=np.float64)
     for s in range(x.shape[0]):
-        ys = c[:, 0] + x[s] * v[:, 0]
-        zs = c[:, 1] + x[s] * v[:, 1]
-        out[s] = _np_union_area_squares(ys, zs, float(width))
+        out[s] = _union_measure_cubes(c + x[s] * v, float(width))
     return out

@@ -105,6 +105,31 @@ def test_volume_csv_n5_slabs(tmp_path, window, k0):
     assert sum(float(r["volume"]) for r in rows) == pytest.approx(expected, rel=0, abs=1e-12)
 
 
+def test_volume_d3_far_window_is_exact(tmp_path, capsys):
+    """The d=3 window total is the exact union volume, not a sampled 0."""
+    argv = ["volume", "--seed", "7", "--d", "3", "--N", "1", "--range", "far"]
+    assert main(argv + ["--out", str(tmp_path / "vol.csv")]) == 0
+    total = float(capsys.readouterr().err.rsplit(":", 1)[1])
+    dirset = harness.build_dirset(harness.ExperimentConfig(N=1, d=3), 1)
+    expected = kakeya_measures(assignment_from_dirset(dirset, 3, 7))["far"]
+    assert total > 0.0
+    assert total == pytest.approx(expected, rel=0, abs=1e-12)
+
+
+def _reject_non_finite(constant):
+    raise AssertionError(f"non-finite JSON value {constant}")
+
+
+@pytest.mark.parametrize("command", ["simulate", "upper-bound"])
+def test_d3_experiments_write_finite_json(capsys, command):
+    """With exact d=3 volumes the far window is never 0, so every ratio is
+    finite and the canonical JSON writer accepts the result."""
+    assert main([command, "--d", "3", "--N", "1", "--samples", "2"]) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_non_finite)
+    far = [r["far"] if command == "simulate" else r["far_mean"] for r in payload["rows"]]
+    assert far and all(v > 0.0 for v in far)
+
+
 def test_simulate_outdir(tmp_path):
     rc = main(
         [
@@ -144,6 +169,8 @@ def test_slab_moments_exhaustive(tmp_path, capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["rows"][0]["samples"] == 4096
+    # a mean over every edge field has no sampling error
+    assert [r["ci99"] for r in payload["rows"] + payload["second_rows"]] == [0.0, 0.0]
 
 
 def test_exhaustive_slab_record_names_only_what_it_reads(tmp_path, capsys):

@@ -91,7 +91,7 @@ def test_n1_exhaustive_near_volume_quantile():
     slope_table = dirset.slope_floats()
     vols = []
     for idx in all_fields_exhaustive(3, 1):
-        v, _ = union_volume(centers, slope_table[idx], 0.0, 1.0, 3, 1, samples=8)
+        v = union_volume(centers, slope_table[idx], 0.0, 1.0, 3, 1, samples=8)
         vols.append(v)
     assert len(vols) == 8
     q25 = float(np.quantile(vols, 0.25))

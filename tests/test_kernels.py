@@ -106,15 +106,55 @@ def test_union_lengths_against_merge_oracle(family):
 def test_union_area_disjoint_squares_exact():
     ys = np.array([0.0, 1.0, 2.5])
     zs = np.array([0.0, 0.0, 1.0])
-    assert kernels._np_union_area_squares(ys, zs, 0.5) == pytest.approx(3 * 0.25)
+    got = kernels._union_measure_cubes(np.column_stack([ys, zs]), 0.5)
+    assert got == pytest.approx(3 * 0.25)
 
 
 def test_union_area_nested_overlap():
     ys = np.array([0.0, 0.1])
     zs = np.array([0.0, 0.1])
     # two unit squares offset by 0.1: union = 2 - (0.9)^2... side 1 squares
-    got = kernels._np_union_area_squares(ys, zs, 1.0)
+    got = kernels._union_measure_cubes(np.column_stack([ys, zs]), 1.0)
     assert got == pytest.approx(2.0 - 0.9 * 0.9)
+
+
+def _cell_union_oracle(lo, side):
+    """Coordinate-compressed cells: the unique cube edges on each axis cut
+    space into boxes, and a box counts when its midpoint lies in a cube."""
+    hi = lo + side
+    edges = [np.unique(np.concatenate([lo[:, a], hi[:, a]])) for a in range(lo.shape[1])]
+    mids = np.meshgrid(*[(e[:-1] + e[1:]) / 2 for e in edges], indexing="ij")
+    sizes = np.meshgrid(*[np.diff(e) for e in edges], indexing="ij")
+    pts = np.stack([m.ravel() for m in mids], axis=1)
+    covered = ((pts[:, None, :] >= lo[None]) & (pts[:, None, :] < hi[None])).all(axis=2).any(axis=1)
+    return float(np.prod([s.ravel() for s in sizes], axis=0)[covered].sum())
+
+
+# corners on a coarse grid, so that shared edges, coincident and disjoint
+# cubes all occur
+_grid_corner = st.integers(0, 12).map(lambda k: k / 8)
+_grid_drift = st.integers(-2, 2).map(lambda k: k / 4)
+
+
+def _grid_rows(values, n, d):
+    return st.lists(st.lists(values, min_size=d, max_size=d), min_size=n, max_size=n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    data=st.data(),
+    side=st.sampled_from([1 / 8, 1 / 4, 0.3, 1.0]),
+    x=st.sampled_from([0.0, 0.5, 1.25]),
+)
+def test_union_areas_match_cell_oracle(d, data, side, x):
+    """Exact union of equal cubes in d = 2 and 3, drifted to abscissa x."""
+    n = data.draw(st.integers(1, 8))
+    c = np.array(data.draw(_grid_rows(_grid_corner, n, d)))
+    v = np.array(data.draw(_grid_rows(_grid_drift, n, d)))
+    got = kernels.union_areas_2d(c, v, side, np.array([x]))
+    expect = _cell_union_oracle(c + x * v, side)
+    assert got[0] == pytest.approx(expect, rel=1e-12, abs=0.0)
 
 
 def test_node_bits_match_python_int_mix64():

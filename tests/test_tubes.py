@@ -203,16 +203,16 @@ def test_single_tube_volume_any_sampling():
     slopes = np.array([[0.7]])
     side = float(kappa(1)) / 9
     for s in (1, 3, 8):
-        v, ci = union_volume(centers, slopes, 0.0, 1.0, 3, 2, samples=s)
-        assert ci == 0.0
+        v = union_volume(centers, slopes, 0.0, 1.0, 3, 2, samples=s)
+        assert isinstance(v, float)
         assert v == pytest.approx(side, rel=1e-12)
 
 
 def test_parallel_family_tiles_shrunk_cube():
-    for d in (1, 2):
+    for d in (1, 2, 3):
         centers = leaf_centers(3, 2, d)
         slopes = np.full_like(centers, 0.37)
-        v, _ = union_volume(centers, slopes, 0.0, 1.0, 3, 2, samples=2)
+        v = union_volume(centers, slopes, 0.0, 1.0, 3, 2, samples=2)
         assert v == pytest.approx(float(kappa(d)) ** d, rel=1e-10)
 
 
@@ -220,36 +220,33 @@ def test_union_refinement_converges():
     ds = direction_set(middle_spec(3, 5), affine_curve(1))
     assignment = assignment_from_dirset(ds, 1, seed=21)
     centers, slopes = assignment_arrays(assignment)
-    v1, _ = union_volume(centers, slopes, 0.0, 1.0, 3, 5, samples=4)
-    v2, _ = union_volume(centers, slopes, 0.0, 1.0, 3, 5, samples=8)
-    v3, _ = union_volume(centers, slopes, 0.0, 1.0, 3, 5, samples=16)
+    v1 = union_volume(centers, slopes, 0.0, 1.0, 3, 5, samples=4)
+    v2 = union_volume(centers, slopes, 0.0, 1.0, 3, 5, samples=8)
+    v3 = union_volume(centers, slopes, 0.0, 1.0, 3, 5, samples=16)
     assert abs(v2 - v1) < 5e-3 * v1
     assert abs(v3 - v2) < abs(v2 - v1) + 1e-12
 
 
-def test_union_volume_d3_monte_carlo_single_tube():
+def test_union_volume_d3_single_tube_exact():
     centers = np.array([[0.5, 0.5, 0.5]])
     slopes = np.array([[0.1, -0.1, 0.2]])
     side = float(kappa(3)) / 3
-    v, ci = union_volume(centers, slopes, 0.0, 1.0, 3, 1, samples=1, mc_points=2000)
-    assert ci > 0
-    assert v == pytest.approx(side**3, rel=0.2)
+    v = union_volume(centers, slopes, 0.0, 1.0, 3, 1, samples=1)
+    assert v == pytest.approx(side**3, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize(
     "offset, exact_over_cube",
     [((0.5, 0.5, 0.0), 1.75), ((3.0, 0.0, 0.0), 2.0)],  # half-overlapping, disjoint
 )
-def test_union_volume_d3_monte_carlo_two_tubes(offset, exact_over_cube):
+def test_union_volume_d3_two_tubes_exact(offset, exact_over_cube):
     """Two parallel d=3 tubes: offset by half a side on two axes their
-    union is 7/4 side^3 per unit length (7/9 of the bounding box), apart
-    it is 2 side^3; each estimate lies within its Hoeffding half-width."""
+    union is 7/4 side^3 per unit length, apart it is 2 side^3."""
     side = float(kappa(3)) / 3
     centers = np.array([[0.5, 0.5, 0.5], [0.5 + offset[0] * side, 0.5 + offset[1] * side, 0.5]])
     slopes = np.array([[0.1, -0.1, 0.2], [0.1, -0.1, 0.2]])
-    v, ci = union_volume(centers, slopes, 0.0, 1.0, 3, 1, samples=2, mc_points=2000, seed=3)
-    assert 0 < ci < exact_over_cube * side**3
-    assert abs(v - exact_over_cube * side**3) <= ci
+    v = union_volume(centers, slopes, 0.0, 1.0, 3, 1, samples=2)
+    assert v == pytest.approx(exact_over_cube * side**3, rel=1e-12, abs=0.0)
 
 
 def test_union_upper_bounded_by_sum():
@@ -257,7 +254,7 @@ def test_union_upper_bounded_by_sum():
     assignment = assignment_from_dirset(ds, 1, seed=5)
     centers, slopes = assignment_arrays(assignment)
     side = float(kappa(1)) * 3.0**-4
-    v, _ = union_volume(centers, slopes, 0.0, 1.0, 3, 4, samples=4)
+    v = union_volume(centers, slopes, 0.0, 1.0, 3, 4, samples=4)
     assert v <= centers.shape[0] * side + 1e-12
 
 
@@ -381,8 +378,8 @@ def test_all_zero_field_measures_exact():
     assignment = SlopeAssignment(field=_Zero(seed=0, base=3), dirset=ds, d=1)
     centers = leaf_centers(3, 3, 1)
     slopes = np.zeros_like(centers)
-    near, _ = union_volume(centers, slopes, 0.0, 1.0, 3, 3, samples=2)
-    far, _ = union_volume(centers, slopes, 2.0, 3.0, 3, 3, samples=2)
+    near = union_volume(centers, slopes, 0.0, 1.0, 3, 3, samples=2)
+    far = union_volume(centers, slopes, 2.0, 3.0, 3, 3, samples=2)
     assert near == pytest.approx(float(kappa(1)), rel=1e-12)
     assert far == pytest.approx(float(kappa(1)), rel=1e-12)
     assert near == pytest.approx(far, rel=1e-12)
