@@ -14,15 +14,18 @@ from .cantor import (
     DirectionCurve,
     DirectionSet,
     affine_curve,
+    binary_address,
     build_level,
     direction_set,
+    interval_digits,
     middle_spec,
     moment_curve,
+    phi_map,
 )
 from .configs import ConfigClass, classify3, classify4, cond_prob_general, cond_prob_pair
 from .percolation import lyons_bounds, resistance, shorted_resistance, survival_exact
 from .sticky import SlopeAssignment, StickyField, make_assignment, sticky_admissible
-from .trees import FiniteTree, Vertex, build_psi, encode_cube, phi_map, yca
+from .trees import FiniteTree, Vertex, encode_cube, yca
 from .tubes import kakeya_measures, kappa, pair_measure, poss_set, union_volume
 
 __all__ = [
@@ -35,14 +38,15 @@ __all__ = [
     "StickyField",
     "Vertex",
     "affine_curve",
+    "binary_address",
     "build_level",
-    "build_psi",
     "classify3",
     "classify4",
     "cond_prob_general",
     "cond_prob_pair",
     "direction_set",
     "encode_cube",
+    "interval_digits",
     "kakeya_measures",
     "kappa",
     "lyons_bounds",

@@ -137,6 +137,39 @@ def build_level(spec: CantorSpec, k: int) -> list[BasicInterval]:
     return [BasicInterval(d, spec.M) for d in frontier]
 
 
+def binary_address(spec: CantorSpec, digits: Digits) -> Digits:
+    """psi: the binary vertex of a kept interval, bit 0 for the smaller kept
+    child and 1 for the larger at every level.  It preserves heights and
+    lineage, and maps the kept-interval tree onto the full binary tree."""
+    bits = []
+    for k, dig in enumerate(digits):
+        pair = spec.children(digits[:k])
+        if dig not in pair:
+            raise KeyError(f"vertex {digits} not in the kept-interval tree")
+        bits.append(pair.index(dig))
+    return tuple(bits)
+
+
+def interval_digits(spec: CantorSpec, bits: Digits) -> Digits:
+    """psi^-1: the digits of the kept interval with binary vertex ``bits``."""
+    digits: Digits = ()
+    for b in bits:
+        if b not in (0, 1):
+            raise KeyError(f"binary vertex {bits} has non-bit digit")
+        digits += (spec.children(digits)[b],)
+    return digits
+
+
+def phi_map(spec: CantorSpec, digits: Digits) -> Fraction:
+    """phi: the representative parameter of a kept interval of height <= N,
+    the left endpoint of the depth-N interval reached through smaller kept
+    children, which lies inside the interval."""
+    if len(digits) > spec.N:
+        raise KeyError(f"vertex {digits} not in the kept-interval tree")
+    bits = binary_address(spec, digits) + (0,) * (spec.N - len(digits))
+    return BasicInterval(interval_digits(spec, bits), spec.M).left
+
+
 def representatives(spec: CantorSpec) -> list[BasicInterval]:
     """The level-N intervals; their left endpoints are the representatives."""
     return build_level(spec, spec.N)

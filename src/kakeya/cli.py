@@ -34,10 +34,12 @@ from .cantor import (
 )
 from .configs import classify4, oracle_check
 from .harness import (
+    LOWER_BOUND_MIN_SAMPLES,
     ExhaustiveConfig,
     ExperimentConfig,
     build_dirset,
     canonical_json,
+    config_block,
     lower_bound_experiment,
     percolation_iid_audit,
     pointwise_percolation_bound,
@@ -128,7 +130,7 @@ def _emit(result: dict, cfg: ExperimentConfig):
         path = save_result(result, cfg, cfg.out_dir)
         print(f"wrote {path}")
     else:
-        print(canonical_json({"config": cfg.to_dict(), **result}))
+        print(canonical_json({**result, "config": config_block(result, cfg)}))
 
 
 def _write_json(path, payload) -> None:
@@ -271,6 +273,8 @@ def cmd_slab_moments(args) -> int:
 
 def cmd_lower_bound(args) -> int:
     cfg = _config_from_args(args)
+    if cfg.samples < LOWER_BOUND_MIN_SAMPLES:
+        args.error(f"argument --samples: lower-bound needs at least {LOWER_BOUND_MIN_SAMPLES}")
     _emit(lower_bound_experiment(cfg), cfg)
     return 0
 
@@ -282,6 +286,7 @@ def cmd_upper_bound(args) -> int:
         result["pointwise"] = [
             pointwise_percolation_bound(cfg, N, grid=args.pointwise) for N in cfg.ns()
         ]
+        result["config"] = {"pointwise": args.pointwise}
     _emit(result, cfg)
     return 0
 
@@ -376,13 +381,13 @@ def cmd_resist(args) -> int:
 def cmd_iid_audit(args) -> int:
     cfg = _config_from_args(args)
     rows = [percolation_iid_audit(cfg, N, fields=args.fields) for N in cfg.ns()]
-    _emit({"experiment": "iid-audit", "rows": rows}, cfg)
+    _emit({"experiment": "iid-audit", "config": {"fields": args.fields}, "rows": rows}, cfg)
     return 0 if all(row["pass"] for row in rows) else 1
 
 
 def cmd_resistance_growth(args) -> int:
     cfg = _config_from_args(args)
-    _emit(resistance_growth(cfg, points=args.points), cfg)
+    _emit({**resistance_growth(cfg, points=args.points), "config": {"points": args.points}}, cfg)
     return 0
 
 

@@ -94,16 +94,24 @@ class ExperimentConfig:
         out["backend"] = BACKEND
         return out
 
-    def config_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
-
     def guard(self, N: int) -> None:
         leaves = self.M ** (N * self.d)
         if leaves > self.leaf_budget:
             raise ResourceWarning(
                 f"M^(N*d) = {leaves} exceeds the leaf budget {self.leaf_budget}"
             )
+
+
+def block_hash(config: dict) -> str:
+    """The identity of a config block: the head of its sorted-key sha256."""
+    return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def config_block(result: dict, cfg: ExperimentConfig) -> dict:
+    """The config block of a record: the config's fields, plus the run's own
+    inputs (a point, field or grid count) that ``result["config"]`` names,
+    since those change the rows too."""
+    return {**cfg.to_dict(), **result.get("config", {})}
 
 
 class ExhaustiveConfig(ExperimentConfig):
@@ -301,11 +309,14 @@ def volume_sweep(cfg: ExperimentConfig) -> dict:
     return {"experiment": "volume-sweep", "rows": rows}
 
 
+LOWER_BOUND_MIN_SAMPLES = 100  # realizations behind a lower quartile
+
+
 def lower_bound_experiment(cfg: ExperimentConfig, sweep: dict | None = None) -> dict:
     """Lower quartile of near-window volumes: the value exceeded by three
     quarters of realizations, compared against c/N and c*sqrt(log N)/N."""
-    if cfg.samples < 100:
-        raise ValueError("lower bound experiment needs >= 100 samples")
+    if cfg.samples < LOWER_BOUND_MIN_SAMPLES:
+        raise ValueError(f"lower bound experiment needs >= {LOWER_BOUND_MIN_SAMPLES} samples")
     sweep = sweep or volume_sweep(cfg)
     rows = []
     for r in sweep["rows"]:
@@ -742,12 +753,13 @@ def canonical_json(obj) -> str:
 def save_result(result: dict, cfg: ExperimentConfig, out_dir: str | Path) -> Path:
     """Persist one experiment result: deterministic JSON records, a CSV
     summary table, and a ``.meta.json`` sidecar with the write time and
-    the kernel backend."""
+    the kernel backend.  The files are named by the hash of the config
+    block the record holds."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    name = f"{result['experiment']}-{cfg.config_hash()}"
-    config = cfg.to_dict()
-    payload = {"schema_version": SCHEMA_VERSION, "config": config, **result}
+    config = config_block(result, cfg)
+    name = f"{result['experiment']}-{block_hash(config)}"
+    payload = {"schema_version": SCHEMA_VERSION, **result, "config": config}
     if "seed" in config:  # an exhaustive record reads no seed
         payload["seed"] = cfg.seed
     json_path = out / f"{name}.json"

@@ -22,7 +22,7 @@ import numpy as np
 from . import kernels
 from .cantor import CantorSpec, DirectionCurve, DirectionSet, direction_set
 from .kernels import _GOLDEN, _MIX1, _MIX2
-from .trees import Vertex, height, leaf_from_index, ray_edges, yca, yca_all
+from .trees import Vertex, height, leaf_from_index, ray_edges, yca
 
 MASK64 = (1 << 64) - 1
 
@@ -143,8 +143,9 @@ def sticky_admissible(pairs: Sequence[tuple[Vertex, Vertex]]) -> bool:
     """Whether a (leaf, binary address) collection is realizable by some
     sticky map: shared leaf prefixes must force shared address prefixes.
 
-    Checked pairwise and on the full tuple; a leaf listed twice with
-    different addresses is inadmissible.
+    Checked on every pair, which covers every subset: the longest common
+    prefix of a set is the shortest over its pairs.  A leaf listed twice
+    with different addresses is inadmissible.
     """
     if not pairs:
         return True
@@ -161,10 +162,6 @@ def sticky_admissible(pairs: Sequence[tuple[Vertex, Vertex]]) -> bool:
         for t2, b2 in items[i + 1 :]:
             if height(yca(b1, b2)) < height(yca(t1, t2)):
                 return False
-    if len(items) > 2:
-        ts, bs = zip(*items)
-        if height(yca_all(bs)) < height(yca_all(ts)):
-            return False
     return True
 
 

@@ -12,20 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .cantor import CantorSpec
-
 Vertex = tuple[int, ...]
 ROOT: Vertex = ()
 
 
 def height(v: Vertex) -> int:
     return len(v)
-
-
-def parent(v: Vertex) -> Vertex:
-    if not v:
-        raise ValueError("root has no parent")
-    return v[:-1]
 
 
 def is_ancestor(u: Vertex, v: Vertex) -> bool:
@@ -44,17 +36,6 @@ def yca(u: Vertex, v: Vertex) -> Vertex:
     while k < n and u[k] == v[k]:
         k += 1
     return u[:k]
-
-
-def yca_all(vs: Iterable[Vertex]) -> Vertex:
-    it = iter(vs)
-    try:
-        acc = next(it)
-    except StopIteration:
-        raise ValueError("yca_all of empty collection")
-    for v in it:
-        acc = yca(acc, v)
-    return acc
 
 
 def ray_edges(v: Vertex) -> list[Vertex]:
@@ -151,109 +132,6 @@ def count_level_vertices(points: Iterable[Sequence], k: int, M: int, d: int) -> 
         if all(0 <= float(x) < 1 for x in p):
             seen.add(encode_cube(p, k, M, d))
     return len(seen)
-
-
-# ---------------------------------------------------------------------------
-# the Cantor tree, its binary structure, and the representative map
-# ---------------------------------------------------------------------------
-
-
-class CantorTree:
-    """Kept-interval tree of a Cantor construction, truncated at depth N."""
-
-    def __init__(self, spec: CantorSpec):
-        self.spec = spec
-
-    def contains(self, v: Vertex) -> bool:
-        if len(v) > self.spec.N:
-            return False
-        for k, dig in enumerate(v):
-            if dig not in self.spec.children(v[:k]):
-                return False
-        return True
-
-    def children(self, v: Vertex) -> tuple[Vertex, Vertex]:
-        lo, hi = self.spec.children(v)
-        return (v + (lo,), v + (hi,))
-
-    def level(self, k: int) -> list[Vertex]:
-        frontier = [ROOT]
-        for _ in range(k):
-            frontier = [c for v in frontier for c in self.children(v)]
-        return frontier
-
-    def leaves(self) -> list[Vertex]:
-        return self.level(self.spec.N)
-
-
-class BinaryIsomorphism:
-    """The height/lineage-preserving bijection between the kept-interval
-    tree and the full binary tree: at every level the smaller kept child
-    maps to bit 0, the larger to bit 1."""
-
-    def __init__(self, spec: CantorSpec):
-        self.spec = spec
-        self.tree = CantorTree(spec)
-
-    def forward(self, v: Vertex) -> Vertex:
-        bits = []
-        for k, dig in enumerate(v):
-            lo, hi = self.spec.children(v[:k])
-            if dig == lo:
-                bits.append(0)
-            elif dig == hi:
-                bits.append(1)
-            else:
-                raise KeyError(f"vertex {v} not in the kept-interval tree")
-        return tuple(bits)
-
-    def backward(self, bits: Vertex) -> Vertex:
-        digs: list[int] = []
-        for b in bits:
-            pair = self.spec.children(tuple(digs))
-            if b not in (0, 1):
-                raise KeyError(f"binary vertex {bits} has non-bit digit")
-            digs.append(pair[b])
-        return tuple(digs)
-
-
-def build_psi(spec: CantorSpec) -> BinaryIsomorphism:
-    return BinaryIsomorphism(spec)
-
-
-def phi_map(spec: CantorSpec, v: Vertex) -> Fraction:
-    """Representative parameter of a kept-interval vertex.
-
-    Vertices above depth N descend through the first kept child; the
-    result is the left endpoint of the reached depth-N interval, which
-    always lies inside the original interval.
-    """
-    tree = CantorTree(spec)
-    if not tree.contains(v):
-        raise KeyError(f"vertex {v} not in the kept-interval tree")
-    digs = list(v)
-    while len(digs) < spec.N:
-        digs.append(spec.children(tuple(digs))[0])
-    x = Fraction(0)
-    for j, dig in enumerate(digs, start=1):
-        x += Fraction(dig, spec.M**j)
-    return x
-
-
-def is_sticky(fn, vertices: Sequence[Vertex]) -> bool:
-    """Audit: heights preserved and prefixes preserved on all given pairs."""
-    imgs = {}
-    for v in vertices:
-        w = fn(v)
-        if height(w) != height(v):
-            return False
-        imgs[v] = w
-    vs = list(imgs)
-    for i, u in enumerate(vs):
-        for v in vs[i + 1 :]:
-            if height(yca(imgs[u], imgs[v])) < height(yca(u, v)):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -22,15 +22,7 @@ import numpy as np
 from . import kernels
 from .cantor import DirectionSet
 from .sticky import SlopeAssignment
-from .trees import (
-    Vertex,
-    address_bits,
-    cube_center,
-    cube_from_axis_indices,
-    encode_cube,
-    height,
-    yca,
-)
+from .trees import Vertex, address_bits, cube_from_axis_indices
 
 
 def kappa(d: int) -> Fraction:
@@ -87,10 +79,10 @@ def intersection_necessary(
 ) -> bool:
     """Necessary condition for two tubes to meet at some x1 in [lo, hi]:
     each coordinate of the centre offset must admit |a_i + x1*b_i| <=
-    threshold somewhere in the range (threshold = 2*kappa*sqrt(d)*M^-N).
-
-    The per-coordinate box test is implied by the Euclidean criterion, so
-    a False here guarantees empty intersection.
+    threshold somewhere in the range.  Equal axis-aligned cross-sections
+    of side s meet only where every offset is at most s, so with
+    threshold = s, as ``pair_sum_over_range`` passes, a False here
+    guarantees empty intersection.
     """
     xlo, xhi = float(lo), float(hi)
     for ai, bi in zip(
@@ -285,24 +277,28 @@ class PossSet:
 def poss_set(
     p: Sequence[float], dirset: DirectionSet, N: int, d: int
 ) -> PossSet:
-    """Scan every direction, pull the point back to the root hyperplane,
-    and keep the root cubes whose shrunk cube contains the pullback."""
+    """Pull the point back along every direction to the root hyperplane and
+    keep the root cubes whose shrunk cube contains the pullback.
+
+    A pullback's cube comes from the integer grid, floor(base * M^N), and
+    its centre is (index + 1/2) / M^N, dividing by the exact integer M^N.
+    A float floor can differ from the exact one only within rounding of a
+    grid line, about M^-N/2 from either centre, far outside the shrunk
+    half-width kappa*M^-N/2, so the set is the exact floor's."""
     p1 = float(p[0])
     pbar = np.asarray(p[1:], dtype=np.float64)
     if len(pbar) != d:
         raise ValueError("point dimension mismatch")
     M = dirset.spec.M
     half = cross_section_side(M, N, d) / 2.0
-    slopes = dirset.slope_floats()
+    base = pbar - p1 * dirset.slope_floats()
+    idx = np.floor(base * M**N)
+    center = (idx + 0.5) / M**N
+    keep = np.all((base >= 0.0) & (base < 1.0) & (np.abs(base - center) <= half), axis=1)
     witnesses: dict[Vertex, list[int]] = {}
-    for k in range(slopes.shape[0]):
-        base_pt = pbar - p1 * slopes[k]
-        if np.any(base_pt < 0.0) or np.any(base_pt >= 1.0):
-            continue
-        t = encode_cube([float(x) for x in base_pt], N, M, d)
-        center = np.array([float(c) for c in cube_center(t, M, d)])
-        if np.all(np.abs(base_pt - center) <= half):
-            witnesses.setdefault(t, []).append(k)
+    for k in np.flatnonzero(keep):
+        t = cube_from_axis_indices(idx[k].astype(np.int64).tolist(), N, M, d)
+        witnesses.setdefault(t, []).append(int(k))
     return PossSet(point=tuple(float(x) for x in p), witnesses=witnesses)
 
 
@@ -311,24 +307,23 @@ def poss_set_affine(
 ) -> PossSet:
     """Same set computed through the affine copy of the direction set:
     enumerate candidate cubes around the pulled-back copy and keep those
-    whose shrunk cube meets it."""
+    whose shrunk cube meets it.  Centres are those of ``poss_set``."""
     p1 = float(p[0])
     pbar = np.asarray(p[1:], dtype=np.float64)
     M = dirset.spec.M
-    scale = float(M) ** (-N)
     half = cross_section_side(M, N, d) / 2.0
     slopes = dirset.slope_floats()
     copy_pts = pbar[None, :] - p1 * slopes  # the affine image of the directions
     witnesses: dict[Vertex, list[int]] = {}
-    lo_idx = np.floor((copy_pts.min(axis=0) - half) / scale).astype(int)
-    hi_idx = np.floor((copy_pts.max(axis=0) + half) / scale).astype(int)
+    lo_idx = np.floor((copy_pts.min(axis=0) - half) * M**N).astype(int)
+    hi_idx = np.floor((copy_pts.max(axis=0) + half) * M**N).astype(int)
     lo_idx = np.maximum(lo_idx, 0)
     hi_idx = np.minimum(hi_idx, M**N - 1)
     if np.any(lo_idx > hi_idx):
         return PossSet(point=tuple(float(x) for x in p), witnesses={})
     ranges = [range(lo_idx[a], hi_idx[a] + 1) for a in range(d)]
     for axis_indices in itertools.product(*ranges):
-        center = (np.asarray(axis_indices) + 0.5) * scale
+        center = (np.asarray(axis_indices) + 0.5) / M**N
         inside = np.all(np.abs(copy_pts - center[None, :]) <= half, axis=1)
         if np.any(inside):
             t = cube_from_axis_indices(axis_indices, N, M, d)
@@ -360,17 +355,6 @@ def unique_far_slope(
             )
         out[t] = (wit[0], address_bits(wit[0], N))
     return out
-
-
-def sticky_beta_audit(addresses: dict[Vertex, tuple[int, Vertex]]) -> bool:
-    """Whether the root -> binary-address map extends as a sticky map:
-    roots sharing a level-k cube must share the first k address bits."""
-    items = list(addresses.items())
-    for i, (t1, (_, b1)) in enumerate(items):
-        for t2, (_, b2) in items[i + 1 :]:
-            if height(yca(b1, b2)) < height(yca(t1, t2)):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from kakeya.percolation import (
     shorted_resistance,
     survival_exact,
 )
-from kakeya.sticky import all_fields_exhaustive, enumerate_joint_addresses
+from kakeya.sticky import all_fields_exhaustive, enumerate_joint_addresses, sticky_admissible
 from kakeya.trees import FiniteTree, leaf_from_index
 from kakeya.tubes import (
     intersection_necessary,
@@ -47,7 +47,6 @@ from kakeya.tubes import (
     pair_measure,
     poss_set,
     poss_set_affine,
-    sticky_beta_audit,
     unique_far_slope,
 )
 
@@ -199,7 +198,7 @@ def test_criterion_04_far_slab_uniqueness(d):
     for _ in range(1000):
         x = rng.uniform(lo, hi)
         out = unique_far_slope(x, ds, N, d)  # raises on duplicate witnesses
-        assert sticky_beta_audit(out)
+        assert sticky_admissible([(t, bits) for t, (_, bits) in out.items()])
         if out:
             nonempty += 1
             roots_seen += len(out)
@@ -218,7 +217,7 @@ def test_criterion_04_far_slab_uniqueness(d):
         v = slopes[rng.integers(len(slopes))]
         x = (x1, *(u + x1 * v))
         out = unique_far_slope(x, ds, N, d)
-        assert sticky_beta_audit(out)
+        assert sticky_admissible([(t, bits) for t, (_, bits) in out.items()])
         assert len(out) >= 1
         targeted_roots += len(out)
     assert targeted_roots >= 200

@@ -300,6 +300,29 @@ def test_config_file_accepts_saved_config(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv, flag, values",
+    [
+        (["resistance-growth", "--N", "4"], "--points", ("5", "9")),
+        (["iid-audit", "--N", "4"], "--fields", ("20", "21")),
+        (["upper-bound", "--N", "3", "--samples", "2"], "--pointwise", ("1", "2")),
+    ],
+)
+def test_run_inputs_enter_the_record_identity(tmp_path, argv, flag, values):
+    """Runs that differ only in a count of their own write different
+    records, each named by the hash of the config block it holds."""
+    names = set()
+    for value in values:
+        out = tmp_path / value
+        assert main(argv + [flag, value, "--out-dir", str(out)]) == 0
+        (path,) = [f for f in out.glob("*.json") if not f.name.endswith(".meta.json")]
+        config = json.loads(path.read_text())["config"]
+        assert config[flag[2:]] == int(value)
+        assert path.stem.rsplit("-", 1)[1] == harness.block_hash(config)
+        names.add(path.name)
+    assert len(names) == 2
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["upper-bound", "--N", "3", "--samples", "1"],
@@ -446,6 +469,7 @@ def test_volume_reads_config_quadrature(tmp_path, capsys):
         (["resist", "--height", "0"], None, "argument --height: '0'"),
         (["simulate", "--N", "2"], {"samples": 0}, "samples must be at least 1"),
         (["simulate", "--N", "2", "--samples", "1"], {"quadrature": 0}, "quadrature must be at least 1"),
+        (["lower-bound", "--N", "3", "--samples", "2"], None, "argument --samples: lower-bound needs at least 100"),
     ],
 )
 def test_count_below_one_rejected(tmp_path, capsys, argv, config, message):
@@ -456,6 +480,8 @@ def test_count_below_one_rejected(tmp_path, capsys, argv, config, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert message in f"{exc.value.code}\n{capsys.readouterr().err}"
+    if config is None:  # a refused flag is a usage error
+        assert exc.value.code == 2
 
 
 @pytest.mark.parametrize(

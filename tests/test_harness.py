@@ -9,6 +9,7 @@ import pytest
 
 from kakeya.harness import (
     ExperimentConfig,
+    block_hash,
     canonical_json,
     counting_diagnostics,
     lower_bound_experiment,
@@ -262,8 +263,8 @@ def test_guard_rejects_oversized():
 
 
 def test_config_hash_changes_with_seed():
-    a = ExperimentConfig(seed=1).config_hash()
-    b = ExperimentConfig(seed=2).config_hash()
+    a = block_hash(ExperimentConfig(seed=1).to_dict())
+    b = block_hash(ExperimentConfig(seed=2).to_dict())
     assert a != b
 
 
@@ -300,7 +301,7 @@ def test_far_points_lie_in_reachable_strip(monkeypatch, d, curve, run):
 def test_result_identity_ignores_out_dir_and_leaf_budget(tmp_path):
     cfg = ExperimentConfig(seed=5)
     moved = replace(cfg, out_dir=str(tmp_path), leaf_budget=5)
-    assert moved.config_hash() == cfg.config_hash()
+    assert block_hash(moved.to_dict()) == block_hash(cfg.to_dict())
     result = {"experiment": "identity", "rows": [{"x": 1.5}]}
     a = save_result(result, cfg, tmp_path / "a")
     b = save_result(result, moved, tmp_path / "b")

@@ -1,9 +1,11 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from kakeya import kernels
 from kakeya.cantor import affine_curve, middle_spec
@@ -150,6 +152,28 @@ def test_sibling_leaves_need_shared_address_prefix():
     t1, t2 = (0, 0), (0, 1)
     assert not sticky_admissible([(t1, (0, 0)), (t2, (1, 0))])
     assert sticky_admissible([(t1, (0, 0)), (t2, (0, 1))])
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.tuples(*[st.integers(0, 2)] * 3), st.tuples(*[st.integers(0, 1)] * 3)
+        ),
+        min_size=3,
+        max_size=6,
+    )
+)
+def test_admissible_sets_keep_their_common_prefix(pairs):
+    """The pairwise check covers the whole set: the longest common prefix
+    of a set is the shortest over its pairs, so an admissible set's
+    addresses share at least as long a prefix as its leaves."""
+    leaves = {t for t, _ in pairs}
+    assert height(functools.reduce(yca, leaves)) == min(
+        (height(yca(u, v)) for u, v in itertools.combinations(leaves, 2)), default=3
+    )
+    if sticky_admissible(pairs):
+        addresses = [b for _, b in pairs]
+        assert height(functools.reduce(yca, addresses)) >= height(functools.reduce(yca, leaves))
 
 
 def test_admissible_iff_some_field_realizes_n2():

@@ -1,24 +1,24 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from kakeya.cantor import middle_spec
+import kakeya
+from kakeya.cantor import binary_address, interval_digits, middle_spec, phi_map
+from kakeya.sticky import sticky_admissible
 from kakeya.trees import (
     FiniteTree,
-    build_psi,
     count_level_vertices,
     cube_center,
     cube_from_axis_indices,
     decode_cube,
     encode_cube,
     height,
-    is_sticky,
     leaf_from_index,
-    phi_map,
     yca,
-    yca_all,
 )
 
 F = Fraction
@@ -44,14 +44,6 @@ def test_yca_symmetric_and_bounded(u, v):
     assert yca(u, v) == yca(v, u)
     assert height(yca(u, v)) <= min(height(u), height(v))
     assert yca(u, u) == u
-
-
-@given(vertices, vertices, vertices)
-def test_yca_all_matches_pairwise_min(u, v, w):
-    d = yca_all([u, v, w])
-    assert height(d) == min(
-        height(yca(u, v)), height(yca(u, w)), height(yca(v, w))
-    )
 
 
 def test_encode_cube_base3():
@@ -87,39 +79,45 @@ def test_cube_from_axis_indices_matches_encode():
 
 
 def test_psi_middle_thirds():
-    psi = build_psi(middle_spec(3, 2))
-    assert psi.forward((0, 2)) == (0, 1)
-    assert psi.forward(()) == ()
-    assert psi.backward((0, 1)) == (0, 2)
+    spec = middle_spec(3, 2)
+    assert binary_address(spec, (0, 2)) == (0, 1)
+    assert binary_address(spec, ()) == ()
+    assert interval_digits(spec, (0, 1)) == (0, 2)
 
 
 def test_psi_roundtrip_depth10():
     spec = middle_spec(3, 10)
-    psi = build_psi(spec)
     seen = set()
     for i in range(1 << 10):
         bits = tuple((i >> (9 - j)) & 1 for j in range(10))
-        v = psi.backward(bits)
-        assert psi.forward(v) == bits
+        v = interval_digits(spec, bits)
+        assert binary_address(spec, v) == bits
         seen.add(v)
     assert len(seen) == 1 << 10
 
 
 def test_psi_is_sticky_both_ways():
     spec = middle_spec(3, 6)
-    psi = build_psi(spec)
     rng = random.Random(2)
     cantor_vs = []
     for _ in range(80):
         bits = tuple(rng.randrange(2) for _ in range(rng.randrange(7)))
-        cantor_vs.append(psi.backward(bits))
-    assert is_sticky(psi.forward, cantor_vs)
-    assert is_sticky(psi.backward, [psi.forward(v) for v in cantor_vs])
+        cantor_vs.append(interval_digits(spec, bits))
+    assert sticky_admissible([(v, binary_address(spec, v)) for v in cantor_vs])
+    assert sticky_admissible([(binary_address(spec, v), v) for v in cantor_vs])
+
+
+def test_psi_rejects_vertices_off_the_tree():
+    spec = middle_spec(3, 2)
+    with pytest.raises(KeyError):
+        binary_address(spec, (0, 1))
+    with pytest.raises(KeyError):
+        interval_digits(spec, (0, 2))
 
 
 def test_non_sticky_map_fails_audit():
     flip = lambda v: tuple(reversed(v))
-    assert not is_sticky(flip, [(0, 1), (0, 2), (1, 0)])
+    assert not sticky_admissible([(v, flip(v)) for v in [(0, 1), (0, 2), (1, 0)]])
 
 
 def test_phi_left_endpoint():
@@ -136,11 +134,10 @@ def test_phi_consistent_with_representatives():
 
 def test_phi_containment_sweep():
     spec = middle_spec(3, 8)
-    psi = build_psi(spec)
     for k in range(0, 9):
         for i in range(1 << k):
             bits = tuple((i >> (k - 1 - j)) & 1 for j in range(k))
-            v = psi.backward(bits)
+            v = interval_digits(spec, bits)
             x = phi_map(spec, v)
             lo = sum(F(dig, 3**j) for j, dig in enumerate(v, start=1))
             assert lo <= x < lo + F(1, 3**k)
@@ -149,6 +146,8 @@ def test_phi_containment_sweep():
 def test_phi_rejects_unselected():
     with pytest.raises(KeyError):
         phi_map(middle_spec(3, 2), (1,))
+    with pytest.raises(KeyError):  # below the truncation depth
+        phi_map(middle_spec(3, 2), (0, 0, 0))
 
 
 def test_count_level_vertices_parameter_tree():
@@ -206,3 +205,22 @@ def test_leaf_from_index_lexicographic():
 
 def test_cube_center():
     assert cube_center((0, 2), 3, 1) == (F(5, 18),)
+
+
+def _kakeya_imports(path: Path) -> set[str]:
+    """The kakeya modules a source file imports, relative imports resolved."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            out.add(f"kakeya.{node.module or ''}".rstrip(".") if node.level else node.module)
+        elif isinstance(node, ast.Import):
+            out.update(a.name for a in node.names)
+    return {m for m in out if m.split(".")[0] == "kakeya"}
+
+
+def test_trees_and_cantor_import_no_kakeya_module():
+    """The two base layers stand alone; every other module builds on them."""
+    graph = {p.stem: _kakeya_imports(p) for p in Path(kakeya.__file__).parent.glob("*.py")}
+    assert graph["trees"] == set()
+    assert graph["cantor"] == set()
+    assert {"kakeya", "kakeya.cantor", "kakeya.trees"} <= graph["tubes"]  # the scan sees relative imports

@@ -8,8 +8,8 @@ from scipy.integrate import quad
 
 from kakeya import kernels
 from kakeya.cantor import affine_curve, direction_set, middle_spec
-from kakeya.sticky import SlopeAssignment, StickyField, assignment_from_dirset
-from kakeya.trees import height, leaf_from_index, yca
+from kakeya.sticky import SlopeAssignment, StickyField, assignment_from_dirset, sticky_admissible
+from kakeya.trees import cube_from_axis_indices, height, leaf_from_index, yca
 from kakeya.tubes import (
     WitnessError,
     assignment_arrays,
@@ -22,7 +22,6 @@ from kakeya.tubes import (
     pair_sum_over_range,
     poss_set,
     poss_set_affine,
-    sticky_beta_audit,
     union_volume,
     unique_far_slope,
 )
@@ -302,6 +301,70 @@ def test_poss_dual_computation_agrees_d2(ds_moment_n4_d2):
         assert a.witnesses == b.witnesses
 
 
+def _poss_by_exact_floor(p, dirset, N, d):
+    """Witnesses of ``p``: float pull-backs as in ``poss_set``, each placed
+    in its root cube by an exact Fraction floor, then the float face test."""
+    M = dirset.spec.M
+    half = float(kappa(d)) * float(M) ** (-N) / 2.0
+    base = np.asarray(p[1:], dtype=np.float64) - float(p[0]) * dirset.slope_floats()
+    witnesses = {}
+    for k, row in enumerate(base):
+        exact = [Fraction(float(x)) for x in row]
+        if not all(0 <= x < 1 for x in exact):
+            continue
+        idx = [math.floor(x * M**N) for x in exact]
+        center = np.array([float(Fraction(2 * i + 1, 2 * M**N)) for i in idx])
+        if np.all(np.abs(row - center) <= half):
+            witnesses.setdefault(cube_from_axis_indices(idx, N, M, d), []).append(k)
+    return witnesses
+
+
+@pytest.mark.parametrize("fixture, N, d", [("ds_affine_n5", 5, 1), ("ds_moment_n4_d2", 4, 2)])
+def test_poss_on_grid_lines_and_shrunk_faces(request, fixture, N, d):
+    """Points whose pull-back along a chosen direction lies on an M^-N grid
+    line or on a face of a shrunk root cube, and an ulp either side:
+    the integer-grid floor of ``poss_set`` gives the exact floor's set."""
+    ds = request.getfixturevalue(fixture)
+    M = ds.spec.M
+    half = float(kappa(d)) * float(M) ** (-N) / 2.0
+    slopes = ds.slope_floats()
+    # grid lines whose float the float floor puts in the cube above the
+    # exact one, and one that it does not
+    lines = [g for g in range(1, M**N) if g / M**N * M**N == g > Fraction(g / M**N) * M**N]
+    targets = []  # per-axis pull-back targets: grid lines and both faces
+    for g in lines[:3] + [1]:
+        center = (g + 0.5) / M**N
+        targets += [g / M**N, center - half, center + half]
+    # a target on the first axis with the others mid-cell, or on every axis
+    mid = (M**N // 3 + 0.5) / M**N
+    combos = sorted({(t,) + (mid,) * (d - 1) for t in targets} | {(t,) * d for t in targets})
+    floor_differs = face_in = face_out = 0
+    for p1 in (0.0, 2.0 * d):  # the root hyperplane and the far window's C0
+        for k in (0, ds.n - 1):
+            for combo in combos:
+                for step in (-math.inf, None, math.inf):  # an ulp either side
+                    pbar = np.asarray(combo) + p1 * slopes[k]
+                    if step:
+                        pbar = np.nextafter(pbar, step)
+                    p = (p1, *pbar)
+                    want = _poss_by_exact_floor(p, ds, N, d)
+                    assert poss_set(p, ds, N, d).witnesses == want
+                    assert poss_set_affine(p, ds, N, d).witnesses == want
+                    row = pbar - p1 * slopes[k]
+                    exact_idx = [math.floor(Fraction(float(x)) * M**N) for x in row]
+                    floor_differs += list(np.floor(row * M**N)) != exact_idx
+                    center = (np.floor(row * M**N) + 0.5) / M**N
+                    off = np.abs(row - center) - half
+                    if np.any(np.abs(off) <= np.spacing(center)) and np.all(off <= np.spacing(center)):
+                        face_in += bool(np.all(off <= 0.0))
+                        face_out += bool(np.any(off > 0.0))
+    # the float floor does cross grid lines here, and pull-backs within an
+    # ulp of a face fall on both sides of it
+    assert floor_differs > 0
+    assert face_in > 0
+    assert face_out > 0
+
+
 def test_unique_far_witness_and_prefix_property(ds_affine_n8):
     ds = ds_affine_n8
     rng = random.Random(13)
@@ -309,7 +372,7 @@ def test_unique_far_witness_and_prefix_property(ds_affine_n8):
     for _ in range(200):
         p = (rng.uniform(2.0, 3.0), rng.uniform(-0.5, 3.5))
         out = unique_far_slope(p, ds, 8, 1)  # raises on duplicates
-        assert sticky_beta_audit(out)
+        assert sticky_admissible([(t, bits) for t, (_, bits) in out.items()])
         roots = sorted(out)
         for i, t1 in enumerate(roots):
             for t2 in roots[i + 1 :]:
