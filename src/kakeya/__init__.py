@@ -25,7 +25,7 @@ from .cantor import (
 from .configs import ConfigClass, classify3, classify4, cond_prob_general, cond_prob_pair
 from .percolation import lyons_bounds, resistance, shorted_resistance, survival_exact
 from .sticky import SlopeAssignment, StickyField, make_assignment, sticky_admissible
-from .trees import FiniteTree, Vertex, encode_cube, yca
+from .trees import FiniteTree, Vertex, yca
 from .tubes import kakeya_measures, kappa, pair_measure, poss_set, union_volume
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "cond_prob_general",
     "cond_prob_pair",
     "direction_set",
-    "encode_cube",
     "interval_digits",
     "kakeya_measures",
     "kappa",

@@ -5,9 +5,10 @@ Subcommands mirror the library surface: construction dumps (``cantor``,
 sweeps (``slab-moments``, ``lower-bound``, ``upper-bound``,
 ``iid-audit``, ``resistance-growth``), probability oracles
 (``prob-oracle``) and percolation evaluators (``percolate``, ``resist``).
-``--config FILE`` loads a JSON experiment config; explicit flags override
-its fields.  Modes follow from the inputs given, and a flag the run would
-not read is an error.
+``--config FILE`` loads a JSON experiment config, or the config block of
+any record the subcommand saves; explicit flags override its fields.
+Modes follow from the inputs given, and a flag the run would not read is
+an error.
 """
 
 from __future__ import annotations
@@ -35,11 +36,9 @@ from .cantor import (
 from .configs import classify4, oracle_check
 from .harness import (
     LOWER_BOUND_MIN_SAMPLES,
-    ExhaustiveConfig,
     ExperimentConfig,
     build_dirset,
     canonical_json,
-    config_block,
     lower_bound_experiment,
     percolation_iid_audit,
     pointwise_percolation_bound,
@@ -69,24 +68,35 @@ from .tubes import (
 )
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of every count."""
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return int(text)
+def _int_from(low: int):
+    """argparse type of an integer flag that must be at least ``low``."""
+    def parse(text: str) -> int:
+        if not text.isdigit() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {low}")
+        return int(text)
+    return parse
+
+
+_positive_int = _int_from(1)  # every count, depth and dimension
+_M_TYPE = _int_from(3)  # the middle-digit Cantor construction needs M >= 3
 
 
 def _n_range(text: str) -> tuple[int, ...]:
-    """argparse type of --N-range: lo:hi inclusive, not empty."""
+    """argparse type of --N-range: lo:hi inclusive, not empty, lo >= 1."""
     lo, hi = map(int, text.split(":"))
-    if lo > hi:
-        raise argparse.ArgumentTypeError(f"{text!r} is an empty range")
+    if lo < 1 or lo > hi:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a range of depths >= 1")
     return tuple(range(lo, hi + 1))
 
 
 _GEOMETRY = ("M", "N", "d", "curve")
-_FLAG_TYPES = {"curve": {"choices": ["affine", "moment"]}, "samples": {"type": _positive_int}}
+_FLAG_TYPES = {  # every other config flag is a positive integer
+    "seed": {"type": int}, "M": {"type": _M_TYPE}, "curve": {"choices": ["affine", "moment"]}
+}
 _CONFIG_FIELDS = {f.name for f in dc_fields(ExperimentConfig)}
+# a run's own counts, which its record's block holds beside the config
+# fields: flag dest -> value when neither the flag nor the file gives one
+_RUN_COUNTS = {"points": 100, "fields": 10_000, "pointwise": None}
 
 
 def _add_config(p: argparse.ArgumentParser, *names: str, sweep: bool = False) -> None:
@@ -95,7 +105,7 @@ def _add_config(p: argparse.ArgumentParser, *names: str, sweep: bool = False) ->
     p.add_argument("--config", type=Path, help="JSON experiment config file")
     n_or_range = p.add_mutually_exclusive_group()
     for name in names:
-        kind = _FLAG_TYPES.get(name, {"type": int})
+        kind = _FLAG_TYPES.get(name, {"type": _positive_int})
         (n_or_range if name == "N" else p).add_argument(f"--{name}", **kind)
     if sweep:
         n_or_range.add_argument("--N-range", dest="n_values", type=_n_range, metavar="LO:HI")
@@ -103,15 +113,29 @@ def _add_config(p: argparse.ArgumentParser, *names: str, sweep: bool = False) ->
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    """The config file's fields, overridden by the flags named by dest."""
+    """The config file's fields, overridden by the flags named by dest; an
+    explicit --N drops the file's n_values, and --N-range its N.  The
+    run's own counts in the file, as a saved record's block holds them,
+    stand in for the flags not given, so any record of the subcommand
+    replays through --config."""
     base = {}
     if args.config:
         base = json.loads(Path(args.config).read_text())
         base.pop("backend", None)  # saved records carry it; it is a constant
-        unknown = sorted(set(base) - _CONFIG_FIELDS)
-        if unknown:
-            raise SystemExit(f"{args.config}: unknown config keys: {', '.join(unknown)}")
+    for key in _RUN_COUNTS.keys() & vars(args).keys():
+        count = base.pop(key, None)
+        if count is not None and (type(count) is not int or count < 1):
+            raise SystemExit(f"{args.config}: {key} must be at least 1, got {count!r}")
+        if getattr(args, key) is None:
+            setattr(args, key, _RUN_COUNTS[key] if count is None else count)
+    unknown = sorted(set(base) - _CONFIG_FIELDS)
+    if unknown:
+        raise SystemExit(f"{args.config}: unknown config keys: {', '.join(unknown)}")
     flags = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS and v is not None}
+    if "N" in flags:
+        base.pop("n_values", None)
+    if "n_values" in flags:
+        base.pop("N", None)
     try:
         return ExperimentConfig(**{**base, **flags})
     except ValueError as err:  # flags are checked by argparse, so the file is at fault
@@ -125,12 +149,12 @@ def _refuse(args, reason: str, *dests: str) -> None:
             args.error(f"argument --{dest}: {reason}")
 
 
-def _emit(result: dict, cfg: ExperimentConfig):
-    if cfg.out_dir:
-        path = save_result(result, cfg, cfg.out_dir)
-        print(f"wrote {path}")
+def _emit(result: dict, out_dir: str | None) -> None:
+    """Save the record under ``out_dir``, or print its canonical JSON."""
+    if out_dir:
+        print(f"wrote {save_result(result, out_dir)}")
     else:
-        print(canonical_json({**result, "config": config_block(result, cfg)}))
+        print(canonical_json(result))
 
 
 def _write_json(path, payload) -> None:
@@ -216,7 +240,7 @@ def cmd_slopes(args) -> int:
                 "sigma_float": [float(c) for c in assignment.sigma(leaf)],
             }
         )
-    _write_json(args.out, {"config": cfg.to_dict(), "rows": rows})
+    _write_json(args.out, {"config": cfg.to_dict("seed", "N"), "rows": rows})
     return 0
 
 
@@ -256,7 +280,8 @@ def cmd_simulate(args) -> int:
         for i in range(cfg.samples):
             m = kakeya_measures(sample_assignment(cfg, N, i), samples=cfg.quadrature)
             rows.append({"N": N, "sample": i, **m})
-    _emit({"experiment": "simulate", "rows": rows}, cfg)
+    config = cfg.to_dict("seed", "samples", "quadrature")
+    _emit({"experiment": "simulate", "config": config, "rows": rows}, cfg.out_dir)
     return 0
 
 
@@ -264,10 +289,8 @@ def cmd_slab_moments(args) -> int:
     if args.exhaustive:
         _refuse(args, "is not read with --exhaustive", "samples", "seed")
     cfg = _config_from_args(args)
-    if args.exhaustive:
-        cfg = ExhaustiveConfig(**vars(cfg))
     moments = slab_moments if args.second else slab_first_moment
-    _emit(moments(cfg, exhaustive=args.exhaustive), cfg)
+    _emit(moments(cfg, exhaustive=args.exhaustive), cfg.out_dir)
     return 0
 
 
@@ -275,7 +298,7 @@ def cmd_lower_bound(args) -> int:
     cfg = _config_from_args(args)
     if cfg.samples < LOWER_BOUND_MIN_SAMPLES:
         args.error(f"argument --samples: lower-bound needs at least {LOWER_BOUND_MIN_SAMPLES}")
-    _emit(lower_bound_experiment(cfg), cfg)
+    _emit(lower_bound_experiment(cfg), cfg.out_dir)
     return 0
 
 
@@ -283,11 +306,10 @@ def cmd_upper_bound(args) -> int:
     cfg = _config_from_args(args)
     result = upper_bound_experiment(cfg)
     if args.pointwise:
-        result["pointwise"] = [
-            pointwise_percolation_bound(cfg, N, grid=args.pointwise) for N in cfg.ns()
-        ]
-        result["config"] = {"pointwise": args.pointwise}
-    _emit(result, cfg)
+        config = {**result["config"], "pointwise": args.pointwise}
+        pointwise = [pointwise_percolation_bound(cfg, N, grid=args.pointwise) for N in cfg.ns()]
+        result = {**result, "config": config, "pointwise": pointwise}
+    _emit(result, cfg.out_dir)
     return 0
 
 
@@ -381,13 +403,14 @@ def cmd_resist(args) -> int:
 def cmd_iid_audit(args) -> int:
     cfg = _config_from_args(args)
     rows = [percolation_iid_audit(cfg, N, fields=args.fields) for N in cfg.ns()]
-    _emit({"experiment": "iid-audit", "config": {"fields": args.fields}, "rows": rows}, cfg)
+    config = cfg.to_dict("seed", fields=args.fields)
+    _emit({"experiment": "iid-audit", "config": config, "rows": rows}, cfg.out_dir)
     return 0 if all(row["pass"] for row in rows) else 1
 
 
 def cmd_resistance_growth(args) -> int:
     cfg = _config_from_args(args)
-    _emit({**resistance_growth(cfg, points=args.points), "config": {"points": args.points}}, cfg)
+    _emit(resistance_growth(cfg, points=args.points), cfg.out_dir)
     return 0
 
 
@@ -405,9 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("cantor", help="dump intervals, representatives, directions")
-    p.add_argument("--M", type=int, default=3)
-    p.add_argument("--N", type=int, default=2)
-    p.add_argument("--d", type=int, help="default 1")
+    p.add_argument("--M", type=_M_TYPE, default=3)
+    p.add_argument("--N", type=_positive_int, default=2)
+    p.add_argument("--d", type=_positive_int, help="default 1")
     p.add_argument("--selector-file", type=Path, help="default: the middle digits")
     curve = p.add_mutually_exclusive_group()
     curve.add_argument("--curve", choices=["affine", "moment"], help="default affine")
@@ -473,12 +496,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("iid-audit", help="edge-bit consistency and uniformity tests")
     _add_config(p, "seed", *_GEOMETRY, sweep=True)
-    p.add_argument("--fields", type=_positive_int, default=10_000)
+    p.add_argument("--fields", type=_positive_int, help=f"default {_RUN_COUNTS['fields']}")
     p.set_defaults(fn=cmd_iid_audit)
 
     p = sub.add_parser("resistance-growth", help="R(Poss(x)) versus N")
     _add_config(p, "seed", *_GEOMETRY, sweep=True)
-    p.add_argument("--points", type=_positive_int, default=100)
+    p.add_argument("--points", type=_positive_int, help=f"default {_RUN_COUNTS['points']}")
     p.set_defaults(fn=cmd_resistance_growth)
 
     for p in sub.choices.values():

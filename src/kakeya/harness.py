@@ -7,9 +7,11 @@ near-window lower quantile against c/N.  Tiny instances are also evaluated
 by exhaustive enumeration over all edge fields, which pins the Monte Carlo
 statistics to exact values.
 
-Result files are canonical JSON keyed by (config, seed); rerunning a
-config reproduces them byte for byte.  The write time goes to a
-``.meta.json`` sidecar, with the kernel backend, so the records stay
+Each experiment returns, under ``"config"``, the block of inputs it read
+(``ExperimentConfig.to_dict``), and that block alone is the result's
+identity: result files are canonical JSON named by its hash, and
+rerunning a block reproduces them byte for byte.  The write time goes to
+a ``.meta.json`` sidecar, with the kernel backend, so the records stay
 deterministic.
 """
 
@@ -20,7 +22,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -79,20 +81,25 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        for name in ("samples", "quadrature"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name, low in (("M", 3), ("N", 1), ("d", 1), ("samples", 1), ("quadrature", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        if any(n < 1 for n in self.n_values or ()):
+            raise ValueError(f"n_values must be at least 1, got {list(self.n_values)}")
 
     def ns(self) -> tuple[int, ...]:
         return self.n_values if self.n_values else (self.N,)
 
-    def to_dict(self) -> dict:
-        """The fields that determine results; where they are written and the
-        size guard are left out, so they do not change a result's identity."""
-        out = asdict(self)
-        del out["leaf_budget"], out["out_dir"]
-        out["backend"] = BACKEND
-        return out
+    def to_dict(self, *reads: str, **counts) -> dict:
+        """The config block of a run, which names the result: the geometry,
+        the depth (``n_values`` for a sweep, else ``N``; naming ``"N"`` in
+        ``reads`` asks for N whatever is swept), the fields the run
+        ``reads``, its own ``counts`` and the backend.  Nothing else enters,
+        so a field the run does not read cannot change its identity."""
+        depth = "n_values" if self.n_values and "N" not in reads else "N"
+        block = {"M": self.M, "d": self.d, "curve": self.curve, depth: getattr(self, depth)}
+        block.update((name, getattr(self, name)) for name in reads)
+        return {**block, **counts, "backend": BACKEND}
 
     def guard(self, N: int) -> None:
         leaves = self.M ** (N * self.d)
@@ -105,25 +112,6 @@ class ExperimentConfig:
 def block_hash(config: dict) -> str:
     """The identity of a config block: the head of its sorted-key sha256."""
     return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
-
-
-def config_block(result: dict, cfg: ExperimentConfig) -> dict:
-    """The config block of a record: the config's fields, plus the run's own
-    inputs (a point, field or grid count) that ``result["config"]`` names,
-    since those change the rows too."""
-    return {**cfg.to_dict(), **result.get("config", {})}
-
-
-class ExhaustiveConfig(ExperimentConfig):
-    """The config of a run that enumerates every edge field.  Such a run
-    reads no seed, sample count or quadrature, and reads N only when it
-    sweeps no n_values, so those fields stay out of its identity."""
-
-    def to_dict(self) -> dict:
-        out = super().to_dict()
-        del out["seed"], out["samples"], out["quadrature"]
-        del out["N" if self.n_values else "n_values"]
-        return out
 
 
 _DIRSET_CACHE: dict = {}
@@ -254,6 +242,7 @@ def slab_moments(cfg: ExperimentConfig, exhaustive: bool = False) -> dict:
     """First- and second-moment rows from one pass over the pair sums of
     every swept N and slab offset."""
     pair_sums = _exhaustive_pair_sums if exhaustive else _sample_pair_sums
+    reads = ("slab_offsets",) if exhaustive else ("seed", "samples", "slab_offsets")
     rows, second_rows = [], []
     for N in cfg.ns():
         for off in cfg.slab_offsets:
@@ -263,17 +252,24 @@ def slab_moments(cfg: ExperimentConfig, exhaustive: bool = False) -> dict:
             first, second = _moment_rows(cfg.M, N, R, pair_sums(cfg, N, R), exhaustive)
             rows.append(first)
             second_rows.append(second)
-    return {"experiment": "slab-moments", "rows": rows, "second_rows": second_rows}
+    return {
+        "experiment": "slab-moments",
+        "config": cfg.to_dict(*reads),
+        "rows": rows,
+        "second_rows": second_rows,
+    }
 
 
 def slab_first_moment(cfg: ExperimentConfig, exhaustive: bool = False) -> dict:
-    rows = slab_moments(cfg, exhaustive)["rows"]
-    return {"experiment": "slab-first-moment", "rows": rows}
+    moments = slab_moments(cfg, exhaustive)
+    rows = moments["rows"]
+    return {"experiment": "slab-first-moment", "config": moments["config"], "rows": rows}
 
 
 def slab_second_moment(cfg: ExperimentConfig, exhaustive: bool = False) -> dict:
-    rows = slab_moments(cfg, exhaustive)["second_rows"]
-    return {"experiment": "slab-second-moment", "rows": rows}
+    moments = slab_moments(cfg, exhaustive)
+    rows = moments["second_rows"]
+    return {"experiment": "slab-second-moment", "config": moments["config"], "rows": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +302,8 @@ def volume_sweep(cfg: ExperimentConfig) -> dict:
                 "ratio_mean": float((near / far).mean()),
             }
         )
-    return {"experiment": "volume-sweep", "rows": rows}
+    config = cfg.to_dict("seed", "samples", "quadrature")
+    return {"experiment": "volume-sweep", "config": config, "rows": rows}
 
 
 LOWER_BOUND_MIN_SAMPLES = 100  # realizations behind a lower quartile
@@ -333,6 +330,7 @@ def lower_bound_experiment(cfg: ExperimentConfig, sweep: dict | None = None) -> 
     cs = [r["c_over_n"] for r in rows]
     return {
         "experiment": "lower-bound",
+        "config": sweep["config"],
         "rows": rows,
         "fitted_c": min(cs),
         "spread": max(cs) / min(cs) if min(cs) > 0 else math.inf,
@@ -356,6 +354,7 @@ def upper_bound_experiment(cfg: ExperimentConfig, sweep: dict | None = None) -> 
     vals = [r["n_times_mean"] for r in rows]
     return {
         "experiment": "upper-bound",
+        "config": sweep["config"],
         "rows": rows,
         "spread": max(vals) / min(vals) if min(vals) > 0 else math.inf,
     }
@@ -430,6 +429,7 @@ def resistance_growth(cfg: ExperimentConfig, points: int = 100) -> dict:
         )
     return {
         "experiment": "resistance-growth",
+        "config": cfg.to_dict("seed", points=points),
         "rows": rows,
         "fitted_beta": min(r["beta_min"] for r in rows),
     }
@@ -750,18 +750,19 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def save_result(result: dict, cfg: ExperimentConfig, out_dir: str | Path) -> Path:
+def save_result(result: dict, out_dir: str | Path) -> Path:
     """Persist one experiment result: deterministic JSON records, a CSV
     summary table, and a ``.meta.json`` sidecar with the write time and
-    the kernel backend.  The files are named by the hash of the config
-    block the record holds."""
+    the kernel backend.  The record holds ``result["config"]`` as given,
+    and the files are named by its hash; the top-level seed is the
+    block's, so a run that reads no seed carries none."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    config = config_block(result, cfg)
+    config = result["config"]
     name = f"{result['experiment']}-{block_hash(config)}"
-    payload = {"schema_version": SCHEMA_VERSION, **result, "config": config}
-    if "seed" in config:  # an exhaustive record reads no seed
-        payload["seed"] = cfg.seed
+    payload = {"schema_version": SCHEMA_VERSION, **result}
+    if "seed" in config:
+        payload["seed"] = config["seed"]
     json_path = out / f"{name}.json"
     json_path.write_text(canonical_json(payload) + "\n")
     rows = result.get("rows", [])

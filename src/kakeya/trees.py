@@ -64,23 +64,6 @@ def unpack_axes(digit: int, M: int, d: int) -> tuple[int, ...]:
     return tuple(reversed(axes))
 
 
-def encode_cube(point: Sequence, k: int, M: int, d: int) -> Vertex:
-    """Vertex of the level-k M-adic cube containing ``point`` in [0,1)^d."""
-    if len(point) != d:
-        raise ValueError(f"point has {len(point)} coordinates, expected {d}")
-    digs = []
-    for x in point:
-        xi = x if isinstance(x, Fraction) else Fraction(x)
-        if not 0 <= xi < 1:
-            raise ValueError(f"coordinate {x} outside [0,1)")
-        idx = (xi * M**k).__floor__()
-        axis_digits = []
-        for j in range(k):
-            axis_digits.append(idx // M ** (k - 1 - j) % M)
-        digs.append(axis_digits)
-    return tuple(pack_axes([digs[a][lvl] for a in range(d)], M) for lvl in range(k))
-
-
 def decode_cube(v: Vertex, M: int, d: int) -> tuple[tuple[Fraction, ...], Fraction]:
     """Lower corner and side length of the cube a vertex represents."""
     k = len(v)
@@ -90,11 +73,6 @@ def decode_cube(v: Vertex, M: int, d: int) -> tuple[tuple[Fraction, ...], Fracti
         for a in range(d):
             corner[a] += Fraction(axes[a], M**lvl)
     return tuple(corner), Fraction(1, M**k)
-
-
-def cube_center(v: Vertex, M: int, d: int) -> tuple[Fraction, ...]:
-    corner, side = decode_cube(v, M, d)
-    return tuple(c + side / 2 for c in corner)
 
 
 def cube_from_axis_indices(axis_indices: Sequence[int], k: int, M: int, d: int) -> Vertex:
@@ -123,15 +101,6 @@ def index_from_leaf(v: Vertex, base: int) -> int:
 def address_bits(index: int, N: int) -> Vertex:
     """Binary address of direction ``index`` of 2^N, first bit most significant."""
     return leaf_from_index(index, 2, N)
-
-
-def count_level_vertices(points: Iterable[Sequence], k: int, M: int, d: int) -> int:
-    """Number of level-k M-adic cubes of [0,1)^d meeting the point set."""
-    seen = set()
-    for p in points:
-        if all(0 <= float(x) < 1 for x in p):
-            seen.add(encode_cube(p, k, M, d))
-    return len(seen)
 
 
 # ---------------------------------------------------------------------------

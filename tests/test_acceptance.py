@@ -366,11 +366,11 @@ def test_criterion_10_iid_audit():
 def test_criterion_11_replay(tmp_path):
     """Identical config and seed give byte-identical result records."""
     cfg = ExperimentConfig(M=3, N=3, d=1, samples=40, quadrature=2, seed=123)
-    p1 = save_result(volume_sweep(cfg), cfg, tmp_path / "run1")
-    p2 = save_result(volume_sweep(cfg), cfg, tmp_path / "run2")
+    p1 = save_result(volume_sweep(cfg), tmp_path / "run1")
+    p2 = save_result(volume_sweep(cfg), tmp_path / "run2")
     assert p1.read_bytes() == p2.read_bytes()
-    m1 = save_result(slab_first_moment(cfg), cfg, tmp_path / "run1")
-    m2 = save_result(slab_first_moment(cfg), cfg, tmp_path / "run2")
+    m1 = save_result(slab_first_moment(cfg), tmp_path / "run1")
+    m2 = save_result(slab_first_moment(cfg), tmp_path / "run2")
     assert m1.read_bytes() == m2.read_bytes()
     payload = json.loads(p1.read_text())
     assert payload["config"]["backend"] == "numpy"

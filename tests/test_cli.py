@@ -61,6 +61,7 @@ def test_slopes_dump(tmp_path):
     row = payload["rows"][0]
     assert len(row["tau"]) == 2
     assert row["sigma_float"][0] == 1.0
+    assert sorted(payload["config"]) == ["M", "N", "backend", "curve", "d", "seed"]
 
 
 def test_volume_csv(tmp_path, capsys):
@@ -173,25 +174,66 @@ def test_slab_moments_exhaustive(tmp_path, capsys):
     assert [r["ci99"] for r in payload["rows"] + payload["second_rows"]] == [0.0, 0.0]
 
 
-def test_exhaustive_slab_record_names_only_what_it_reads(tmp_path, capsys):
-    """The exhaustive record and its hash leave out the seed, sample count
-    and quadrature that the enumeration never reads, so config files that
-    differ only in those give the same bytes."""
+def _record(out_dir: Path) -> Path:
+    (path,) = [f for f in out_dir.glob("*.json") if not f.name.endswith(".meta.json")]
+    return path
+
+
+_SWEEP = ["M", "backend", "curve", "d", "quadrature", "samples", "seed"]
+_SLAB = ["M", "backend", "curve", "d", "samples", "seed", "slab_offsets"]
+_GROWTH = ["M", "backend", "curve", "d", "seed"]
+
+# Every run that writes a record: the subcommand with its mode flags, the
+# inputs its block records, config fields it does not read, and the keys
+# of its block.
+RECORD_RUNS = [
+    pytest.param(["simulate"], ["--N", "2", "--samples", "2"], {"slab_offsets": [3]}, ["N", *_SWEEP], id="simulate"),
+    pytest.param(["simulate"], ["--N-range", "2:3", "--samples", "1"], {"N": 9}, ["n_values", *_SWEEP], id="simulate-swept"),
+    pytest.param(["slab-moments"], ["--N", "2", "--samples", "2"], {"quadrature": 8}, ["N", *_SLAB], id="slab-moments"),
+    pytest.param(["slab-moments", "--second"], ["--N", "2", "--samples", "2"], {"quadrature": 8}, ["N", *_SLAB], id="slab-moments-second"),
+    pytest.param(
+        ["slab-moments", "--exhaustive"], ["--N", "2"], {"seed": 5, "samples": 7, "quadrature": 8},
+        ["M", "N", "backend", "curve", "d", "slab_offsets"], id="slab-moments-exhaustive",
+    ),
+    pytest.param(["lower-bound"], ["--N", "3", "--samples", "100"], {"slab_offsets": [3]}, ["N", *_SWEEP], id="lower-bound"),
+    pytest.param(["upper-bound"], ["--N", "3", "--samples", "2"], {"slab_offsets": [3]}, ["N", *_SWEEP], id="upper-bound"),
+    pytest.param(
+        ["upper-bound"], ["--N", "3", "--samples", "2", "--pointwise", "2"], {"slab_offsets": [3]},
+        ["N", "pointwise", *_SWEEP], id="upper-bound-pointwise",
+    ),
+    pytest.param(
+        ["iid-audit"], ["--N", "4", "--fields", "20"], {"samples": 7, "quadrature": 8},
+        ["N", "fields", *_GROWTH], id="iid-audit",
+    ),
+    pytest.param(
+        ["resistance-growth"], ["--N", "4", "--points", "3"], {"samples": 7, "quadrature": 8, "slab_offsets": [3]},
+        ["N", "points", *_GROWTH], id="resistance-growth",
+    ),
+]
+
+
+@pytest.mark.parametrize("mode, inputs, unread, keys", RECORD_RUNS)
+def test_exhaustive_slab_record_names_only_what_it_reads(tmp_path, capsys, mode, inputs, unread, keys):
+    """A record and its hash hold exactly the inputs the run reads, so
+    config files that differ only in fields it does not read give the
+    same stdout and the same saved record."""
     cfg_file = tmp_path / "cfg.json"
+    extras = [{}] + [{k: v} for k, v in unread.items()]
     outs, records = [], []
-    for i, extra in enumerate([{}, {"seed": 5}, {"samples": 7}, {"quadrature": 8}]):
+    for i, extra in enumerate(extras):
         cfg_file.write_text(json.dumps(extra))
-        argv = ["slab-moments", "--N", "2", "--exhaustive", "--config", str(cfg_file)]
+        argv = mode + inputs + ["--config", str(cfg_file)]
         assert main(argv) == 0
         outs.append(capsys.readouterr().out)
         assert main(argv + ["--out-dir", str(tmp_path / str(i))]) == 0
         capsys.readouterr()
-        (record,) = [f for f in (tmp_path / str(i)).glob("*.json") if not f.name.endswith(".meta.json")]
+        record = _record(tmp_path / str(i))
         records.append((record.name, record.read_bytes()))
-    assert outs == outs[:1] * 4
-    assert records == records[:1] * 4
-    assert sorted(json.loads(outs[0])["config"]) == ["M", "N", "backend", "curve", "d", "slab_offsets"]
-    assert "seed" not in json.loads(records[0][1])
+    assert outs == outs[:1] * len(extras)
+    assert records == records[:1] * len(extras)
+    config = json.loads(outs[0])["config"]
+    assert sorted(config) == sorted(keys)
+    assert json.loads(records[0][1]).get("seed") == config.get("seed")
 
 
 def test_percolate_full_binary(capsys):
@@ -289,14 +331,34 @@ def test_config_file_rejects_unknown_keys(tmp_path, extra):
         main(["simulate", "--config", str(cfg_file)])
 
 
-def test_config_file_accepts_saved_config(tmp_path):
-    """The config block of a saved record, backend included, replays it."""
-    assert main(["simulate", "--N", "2", "--samples", "2", "--out-dir", str(tmp_path / "a")]) == 0
-    (first,) = [f for f in (tmp_path / "a").glob("*.json") if not f.name.endswith(".meta.json")]
+@pytest.mark.parametrize("mode, inputs, unread, keys", RECORD_RUNS)
+def test_config_file_accepts_saved_config(tmp_path, capsys, mode, inputs, unread, keys):
+    """The config block of a saved record, backend and the run's own
+    counts included, replays it byte for byte with only the mode flags."""
+    assert main(mode + inputs + ["--out-dir", str(tmp_path / "a")]) == 0
+    first = _record(tmp_path / "a")
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(json.loads(first.read_text())["config"]))
-    assert main(["simulate", "--config", str(cfg_file), "--out-dir", str(tmp_path / "b")]) == 0
+    assert main(mode + ["--config", str(cfg_file), "--out-dir", str(tmp_path / "b")]) == 0
+    assert _record(tmp_path / "b").name == first.name
     assert (tmp_path / "b" / first.name).read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "config, flags, ns, depth",
+    [
+        ({"n_values": [2, 3]}, ["--N", "4"], [4], {"N": 4}),
+        ({"N": 4}, ["--N-range", "2:3"], [2, 3], {"n_values": [2, 3]}),
+    ],
+)
+def test_explicit_depth_flag_overrides_config_depth(tmp_path, capsys, config, flags, ns, depth):
+    """An explicit --N drops the file's n_values, and --N-range its N."""
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(config))
+    assert main(["simulate", "--samples", "1", "--config", str(cfg_file), *flags]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [r["N"] for r in payload["rows"]] == ns
+    assert {k: v for k, v in payload["config"].items() if k in ("N", "n_values")} == depth
 
 
 @pytest.mark.parametrize(
@@ -470,6 +532,18 @@ def test_volume_reads_config_quadrature(tmp_path, capsys):
         (["simulate", "--N", "2"], {"samples": 0}, "samples must be at least 1"),
         (["simulate", "--N", "2", "--samples", "1"], {"quadrature": 0}, "quadrature must be at least 1"),
         (["lower-bound", "--N", "3", "--samples", "2"], None, "argument --samples: lower-bound needs at least 100"),
+        (["simulate", "--N", "0", "--samples", "1"], None, "argument --N: '0'"),
+        (["simulate", "--M", "2", "--N", "2", "--samples", "1"], None, "argument --M: '2'"),
+        (["simulate", "--d", "0", "--N", "2", "--samples", "1"], None, "argument --d: '0'"),
+        (["simulate", "--N-range", "0:2", "--samples", "1"], None, "argument --N-range: '0:2'"),
+        (["cantor", "--M", "2"], None, "argument --M: '2'"),
+        (["cantor", "--N", "0"], None, "argument --N: '0'"),
+        (["cantor", "--d", "0"], None, "argument --d: '0'"),
+        (["simulate", "--samples", "1"], {"M": 2}, "M must be at least 3"),
+        (["simulate", "--samples", "1"], {"N": 0}, "N must be at least 1"),
+        (["simulate", "--samples", "1"], {"d": 0}, "d must be at least 1"),
+        (["simulate", "--samples", "1"], {"n_values": [0, 2]}, "n_values must be at least 1"),
+        (["resistance-growth", "--N", "3"], {"points": 0}, "points must be at least 1"),
     ],
 )
 def test_count_below_one_rejected(tmp_path, capsys, argv, config, message):

@@ -110,6 +110,7 @@ def test_volume_sweep_and_bounds():
     assert lower["fitted_c"] > 0
     upper = upper_bound_experiment(cfg, sweep=sweep)
     assert upper["rows"][0]["n_times_mean"] == pytest.approx(4 * row["far_mean"])
+    assert lower["config"] == upper["config"] == sweep["config"] == cfg.to_dict("seed", "samples", "quadrature")
 
 
 def test_volume_sweep_offset_constant_per_n(monkeypatch):
@@ -242,9 +243,9 @@ def test_iid_audit_quick():
 def test_replay_byte_identical(tmp_path):
     cfg = ExperimentConfig(M=3, N=3, d=1, samples=25, quadrature=2, seed=11)
     r1 = volume_sweep(cfg)
-    p1 = save_result(r1, cfg, tmp_path / "a")
+    p1 = save_result(r1, tmp_path / "a")
     r2 = volume_sweep(cfg)
-    p2 = save_result(r2, cfg, tmp_path / "b")
+    p2 = save_result(r2, tmp_path / "b")
     assert p1.read_bytes() == p2.read_bytes()
     payload = json.loads(p1.read_text())
     assert payload["schema_version"] == 1
@@ -263,8 +264,8 @@ def test_guard_rejects_oversized():
 
 
 def test_config_hash_changes_with_seed():
-    a = block_hash(ExperimentConfig(seed=1).to_dict())
-    b = block_hash(ExperimentConfig(seed=2).to_dict())
+    a = block_hash(ExperimentConfig(seed=1).to_dict("seed"))
+    b = block_hash(ExperimentConfig(seed=2).to_dict("seed"))
     assert a != b
 
 
@@ -301,10 +302,11 @@ def test_far_points_lie_in_reachable_strip(monkeypatch, d, curve, run):
 def test_result_identity_ignores_out_dir_and_leaf_budget(tmp_path):
     cfg = ExperimentConfig(seed=5)
     moved = replace(cfg, out_dir=str(tmp_path), leaf_budget=5)
-    assert block_hash(moved.to_dict()) == block_hash(cfg.to_dict())
-    result = {"experiment": "identity", "rows": [{"x": 1.5}]}
-    a = save_result(result, cfg, tmp_path / "a")
-    b = save_result(result, moved, tmp_path / "b")
+    reads = ("seed", "samples", "quadrature")
+    assert block_hash(moved.to_dict(*reads)) == block_hash(cfg.to_dict(*reads))
+    rows = [{"x": 1.5}]
+    a = save_result({"experiment": "identity", "config": cfg.to_dict(*reads), "rows": rows}, tmp_path / "a")
+    b = save_result({"experiment": "identity", "config": moved.to_dict(*reads), "rows": rows}, tmp_path / "b")
     assert a.name == b.name
     assert a.read_bytes() == b.read_bytes()
 

@@ -1,4 +1,5 @@
 import ast
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -11,11 +12,8 @@ from kakeya.cantor import binary_address, interval_digits, middle_spec, phi_map
 from kakeya.sticky import sticky_admissible
 from kakeya.trees import (
     FiniteTree,
-    count_level_vertices,
-    cube_center,
     cube_from_axis_indices,
     decode_cube,
-    encode_cube,
     height,
     leaf_from_index,
     yca,
@@ -46,13 +44,24 @@ def test_yca_symmetric_and_bounded(u, v):
     assert yca(u, u) == u
 
 
+def _level_cubes(points, k: int, M: int, d: int) -> set:
+    """The level-k cubes of [0,1)^d that meet the points, found on the
+    integer grid as ``poss_set`` finds root cubes."""
+    return {
+        cube_from_axis_indices([math.floor(x * M**k) for x in p], k, M, d)
+        for p in points
+        if all(0 <= x < 1 for x in p)
+    }
+
+
 def test_encode_cube_base3():
-    assert encode_cube([F(2, 9)], 2, 3, 1) == (0, 2)
+    # 2/9 sits in grid cell 2 of 9 at level 2
+    assert cube_from_axis_indices([2], 2, 3, 1) == (0, 2)
 
 
 def test_encode_cube_d2_lexicographic():
     # (1/3, 0) at level 1: per-axis digits (1, 0) pack to rank 3
-    assert encode_cube([F(1, 3), F(0)], 1, 3, 2) == (3,)
+    assert cube_from_axis_indices([1, 0], 1, 3, 2) == (3,)
 
 
 def test_encode_decode_roundtrip_random():
@@ -62,8 +71,8 @@ def test_encode_decode_roundtrip_random():
         x = [F(rng.randrange(10**6), 10**6) for _ in range(d)]
         k = rng.randrange(1, 5)
         for point in (x, [float(xi) for xi in x]):
-            v = encode_cube(point, k, 3, d)
-            corner, side = decode_cube(v, 3, d)
+            idx = [math.floor(xi * 3**k) for xi in point]
+            corner, side = decode_cube(cube_from_axis_indices(idx, k, 3, d), 3, d)
             assert all(c <= xi < c + side for c, xi in zip(corner, point))
 
 
@@ -75,7 +84,8 @@ def test_cube_from_axis_indices_matches_encode():
         v = cube_from_axis_indices(idx, k, M, d)
         corner, side = decode_cube(v, M, d)
         assert corner == tuple(F(i, M**k) for i in idx)
-        assert encode_cube(corner, k, M, d) == v
+        assert side == F(1, M**k)
+        assert [c * M**k for c in corner] == idx
 
 
 def test_psi_middle_thirds():
@@ -156,8 +166,8 @@ def test_count_level_vertices_parameter_tree():
 
     pts = [[p] for p in representative_points(spec)]
     for k in range(0, 7):
-        assert count_level_vertices(pts, k, 3, 1) == 2**k
-    assert count_level_vertices(pts, 0, 3, 1) == 1
+        assert len(_level_cubes(pts, k, 3, 1)) == 2**k
+    assert len(_level_cubes(pts, 0, 3, 1)) == 1
 
 
 def test_count_level_vertices_affine_copies():
@@ -175,7 +185,7 @@ def test_count_level_vertices_affine_copies():
         if not pts:
             continue
         for k in range(1, 7):
-            c = count_level_vertices(pts, k, 3, 1) / 2**k
+            c = len(_level_cubes(pts, k, 3, 1)) / 2**k
             worst = max(worst, c)
     assert 0 < worst <= 4.0  # fitted constant stays small
 
@@ -204,7 +214,8 @@ def test_leaf_from_index_lexicographic():
 
 
 def test_cube_center():
-    assert cube_center((0, 2), 3, 1) == (F(5, 18),)
+    corner, side = decode_cube((0, 2), 3, 1)
+    assert (corner[0] + side / 2,) == (F(5, 18),)
 
 
 def _kakeya_imports(path: Path) -> set[str]:

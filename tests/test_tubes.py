@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from kakeya import kernels
 from kakeya.cantor import affine_curve, direction_set, middle_spec
 from kakeya.sticky import SlopeAssignment, StickyField, assignment_from_dirset, sticky_admissible
-from kakeya.trees import cube_from_axis_indices, height, leaf_from_index, yca
+from kakeya.trees import cube_from_axis_indices, decode_cube, height, leaf_from_index, yca
 from kakeya.tubes import (
     WitnessError,
     assignment_arrays,
@@ -265,10 +265,9 @@ def test_union_upper_bounded_by_sum():
 def test_poss_degenerate_at_root_hyperplane(ds_affine_n5):
     # p1 = 0: every direction pulls back to the same point
     center = 0.5 / 243 * 3  # centre of some root cube? use exact centre below
-    from kakeya.trees import cube_center
-
     t = leaf_from_index(10, 3, 5)
-    c = float(cube_center(t, 3, 1)[0])
+    corner, side = decode_cube(t, 3, 1)
+    c = float(corner[0] + side / 2)
     poss = poss_set((0.0, c), ds_affine_n5, 5, 1)
     assert poss.roots() == [t]
     assert len(poss.witnesses[t]) == ds_affine_n5.n
@@ -385,10 +384,9 @@ def test_unique_far_witness_and_prefix_property(ds_affine_n8):
 
 def test_duplicate_witnesses_near_root_hyperplane(ds_affine_n5):
     # close to the root hyperplane one cube can see many directions
-    from kakeya.trees import cube_center
-
     t = leaf_from_index(7, 3, 5)
-    c = float(cube_center(t, 3, 1)[0])
+    corner, side = decode_cube(t, 3, 1)
+    c = float(corner[0] + side / 2)
     with pytest.raises(WitnessError):
         unique_far_slope((1e-6, c), ds_affine_n5, 5, 1)
 
