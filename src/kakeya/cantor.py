@@ -281,6 +281,7 @@ class DirectionSet:
 
     ``params`` are sorted ascending; ``addresses[i]`` is the Cantor digit
     address of params[i].  ``slopes[i]`` always has first coordinate 1.
+    It is the one source of M and N (``spec``), d (``curve``) and C0 (``c0``).
     """
 
     spec: CantorSpec
@@ -304,6 +305,12 @@ class DirectionSet:
     @property
     def n(self) -> int:
         return len(self.params)
+
+    @property
+    def c0(self) -> int:
+        """Far-window offset, beyond which a root cube sees one direction at most."""
+        d = self.d
+        return math.ceil(max(d**d / self.lip_lo, 2 * math.sqrt(d) / self.lip_lo))
 
     def slope_floats(self) -> np.ndarray:
         """(n, d) read-only array of the last d slope coordinates, built once."""
@@ -338,9 +345,10 @@ def direction_set(spec: CantorSpec, curve: DirectionCurve) -> DirectionSet:
     )
 
 
+BUILTIN_CURVES = {"affine": affine_curve, "moment": moment_curve}  # name -> curve of d
+
+
 def builtin_curve(name: str, d: int) -> DirectionCurve:
-    if name == "affine":
-        return affine_curve(d)
-    if name == "moment":
-        return moment_curve(d)
-    raise ValueError(f"unknown curve {name!r} (expected affine|moment)")
+    if name not in BUILTIN_CURVES:
+        raise ValueError(f"unknown curve {name!r} (expected {'|'.join(BUILTIN_CURVES)})")
+    return BUILTIN_CURVES[name](d)

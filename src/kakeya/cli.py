@@ -25,6 +25,7 @@ from dataclasses import fields as dc_fields
 from pathlib import Path
 
 from .cantor import (
+    BUILTIN_CURVES,
     CantorSpec,
     build_level,
     builtin_curve,
@@ -61,7 +62,6 @@ from .trees import FiniteTree, leaf_from_index
 from .tubes import (
     assignment_arrays,
     kakeya_measures,
-    offset_constant,
     poss_set,
     slab_indices,
     union_volume,
@@ -91,7 +91,7 @@ def _n_range(text: str) -> tuple[int, ...]:
 
 _GEOMETRY = ("M", "N", "d", "curve")
 _FLAG_TYPES = {  # every other config flag is a positive integer
-    "seed": {"type": int}, "M": {"type": _M_TYPE}, "curve": {"choices": ["affine", "moment"]}
+    "seed": {"type": int}, "M": {"type": _M_TYPE}, "curve": {"choices": list(BUILTIN_CURVES)}
 }
 _CONFIG_FIELDS = {f.name for f in dc_fields(ExperimentConfig)}
 # a run's own counts, which its record's block holds beside the config
@@ -131,6 +131,8 @@ def _config_from_args(args) -> ExperimentConfig:
     unknown = sorted(set(base) - _CONFIG_FIELDS)
     if unknown:
         raise SystemExit(f"{args.config}: unknown config keys: {', '.join(unknown)}")
+    if "n_values" in base and "n_values" not in vars(args):
+        raise SystemExit(f"{args.config}: n_values is read only by a subcommand with --N-range")
     flags = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS and v is not None}
     if "N" in flags:
         base.pop("n_values", None)
@@ -226,7 +228,7 @@ def cmd_slopes(args) -> int:
     cfg = _config_from_args(args)
     cfg.guard(cfg.N)
     dirset = build_dirset(cfg, cfg.N)
-    assignment = assignment_from_dirset(dirset, cfg.d, cfg.seed)
+    assignment = assignment_from_dirset(dirset, cfg.seed)
     B = cfg.M**cfg.d
     rows = []
     for i in range(B**cfg.N):
@@ -248,10 +250,8 @@ def cmd_volume(args) -> int:
     cfg = _config_from_args(args)
     cfg.guard(cfg.N)
     dirset = build_dirset(cfg, cfg.N)
-    assignment = assignment_from_dirset(dirset, cfg.d, cfg.seed)
-    centers, slopes = assignment_arrays(assignment)
-    c0 = offset_constant(cfg.d, dirset.lip_lo)
-    lo, hi = (0.0, 1.0) if args.range == "near" else (float(c0), float(c0) + 1.0)
+    centers, slopes = assignment_arrays(assignment_from_dirset(dirset, cfg.seed))
+    lo, hi = (0.0, 1.0) if args.range == "near" else (float(dirset.c0), float(dirset.c0) + 1.0)
     width = float(cfg.M) ** (-cfg.N)
     rows = []
     total = 0.0
@@ -354,7 +354,7 @@ def _tree_from_args(args, cfg: ExperimentConfig) -> FiniteTree:
         return FiniteTree.full(2, args.height or 4)
     dirset = build_dirset(cfg, cfg.N)
     point = tuple(float(x) for x in args.point.split(","))
-    poss = poss_set(point, dirset, cfg.N, cfg.d)
+    poss = poss_set(point, dirset)
     if len(poss) == 0:
         raise SystemExit("point is reachable from no root cube")
     return FiniteTree.from_leaves(poss.roots())
@@ -366,11 +366,12 @@ def cmd_percolate(args) -> int:
     r = resistance(tree)
     lo, hi = lyons_bounds(r)
     est, half = survival_mc(tree, cfg.seed, args.mc_samples)
+    exact = survival_exact(tree)
     payload = {
         "vertices": len(tree.vertices),
         "height": tree.height,
-        "survival_exact": str(survival_exact(tree)),
-        "survival_exact_float": float(survival_exact(tree)),
+        "survival_exact": str(exact),
+        "survival_exact_float": float(exact),
         "survival_mc": est,
         "mc_ci99": half,
         "resistance": str(r),
@@ -433,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_positive_int, help="default 1")
     p.add_argument("--selector-file", type=Path, help="default: the middle digits")
     curve = p.add_mutually_exclusive_group()
-    curve.add_argument("--curve", choices=["affine", "moment"], help="default affine")
+    curve.add_argument("--curve", choices=list(BUILTIN_CURVES), help="default affine")
     curve.add_argument("--curve-file", type=Path)
     p.add_argument("--out", type=Path)
     p.set_defaults(fn=cmd_cantor)

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .cantor import builtin_curve, direction_set, middle_spec
+from .cantor import BUILTIN_CURVES, builtin_curve, direction_set, middle_spec
 from .configs import cond_prob_pair
 from .percolation import lyons_bounds, resistance
 from .sticky import (
@@ -55,7 +55,6 @@ from .tubes import (
     cross_section_side,
     kakeya_measures,
     leaf_centers,
-    offset_constant,
     pair_measure,
     pair_sum_over_range,
     poss_set,
@@ -86,6 +85,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
         if any(n < 1 for n in self.n_values or ()):
             raise ValueError(f"n_values must be at least 1, got {list(self.n_values)}")
+        if self.curve not in BUILTIN_CURVES:
+            raise ValueError(f"curve must be one of {list(BUILTIN_CURVES)}, got {self.curve!r}")
 
     def ns(self) -> tuple[int, ...]:
         return self.n_values if self.n_values else (self.N,)
@@ -128,7 +129,7 @@ def build_dirset(cfg: ExperimentConfig, N: int):
 
 def sample_assignment(cfg: ExperimentConfig, N: int, index: int) -> SlopeAssignment:
     dirset = build_dirset(cfg, N)
-    return assignment_from_dirset(dirset, cfg.d, derive_seed(cfg.seed, index))
+    return assignment_from_dirset(dirset, derive_seed(cfg.seed, index))
 
 
 def ci99(values: np.ndarray) -> float:
@@ -366,14 +367,14 @@ def _strip_resistances(cfg: ExperimentConfig, N: int, key: int):
     reaches x).  x1 is uniform on [c0, c0+1], then x-bar uniform on the
     far box [-2c0, 2c0]^d clipped to where tubes can be at x1."""
     dirset = build_dirset(cfg, N)
-    c0 = offset_constant(cfg.d, dirset.lip_lo)
+    c0 = dirset.c0
     slopes = dirset.slope_floats()
     rng = np.random.default_rng(derive_seed(cfg.seed, key))
     while True:
         x1 = rng.uniform(c0, c0 + 1.0)
         lo = np.maximum(x1 * slopes.min(axis=0), -2.0 * c0)
         hi = np.minimum(1.0 + x1 * slopes.max(axis=0), 2.0 * c0)
-        poss = poss_set((x1, *rng.uniform(lo, hi)), dirset, N, cfg.d)
+        poss = poss_set((x1, *rng.uniform(lo, hi)), dirset)
         r = resistance(FiniteTree.from_leaves(poss.roots())) if len(poss) else None
         yield float(np.prod(hi - lo)), r
 
@@ -648,12 +649,11 @@ def percolation_iid_audit(cfg: ExperimentConfig, N: int, fields: int = 10_000) -
     from scipy.stats import chi2
 
     dirset = build_dirset(cfg, N)
-    d = cfg.d
-    c0 = offset_constant(d, dirset.lip_lo)
+    d, c0 = cfg.d, dirset.c0
     rng = np.random.default_rng(derive_seed(cfg.seed, 30_000_001))
     for _ in range(AUDIT_POINT_DRAWS):
         x = rng.uniform([float(c0)] + [-0.5] * d, [float(c0) + 1.0] + [0.5] * d)
-        if len(poss_set(x, dirset, N, d)) >= 4:
+        if len(poss_set(x, dirset)) >= 4:
             point = tuple(float(v) for v in x)
             break
     else:
@@ -661,7 +661,7 @@ def percolation_iid_audit(cfg: ExperimentConfig, N: int, fields: int = 10_000) -
             f"no far point with 4 or more possible roots in {AUDIT_POINT_DRAWS} "
             f"draws (M={cfg.M}, N={N}, d={d}); raise N"
         )
-    witnesses = unique_far_slope(point, dirset, N, d)
+    witnesses = unique_far_slope(point, dirset)
     roots = sorted(witnesses)
     beta = {t: bits for t, (_, bits) in witnesses.items()}
     tree = FiniteTree.from_leaves(roots)

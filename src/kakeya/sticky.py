@@ -82,14 +82,14 @@ class StickyField:
 
 @dataclass(frozen=True)
 class SlopeAssignment:
-    """Composite map root cube -> direction for one field realization."""
+    """Composite map root cube -> direction for one field realization, whose
+    M, N and d are the direction set's; the field branches M^d ways."""
 
     field: StickyField
     dirset: DirectionSet
-    d: int
 
     def __post_init__(self):
-        if self.field.base != self.dirset.spec.M**self.d:
+        if self.field.base != self.M**self.d:
             raise ValueError("field base must equal M^d")
 
     @property
@@ -99,6 +99,10 @@ class SlopeAssignment:
     @property
     def M(self) -> int:
         return self.dirset.spec.M
+
+    @property
+    def d(self) -> int:
+        return self.dirset.d
 
     def tau(self, t: Vertex) -> Vertex:
         return self.field.ray_bits(t)
@@ -123,15 +127,13 @@ class SlopeAssignment:
         return kernels.leaf_slope_indices(self.field.key, self.field.base, self.N)
 
 
-def make_assignment(
-    spec: CantorSpec, curve: DirectionCurve, d: int, seed: int
-) -> SlopeAssignment:
-    return assignment_from_dirset(direction_set(spec, curve), d, seed)
+def make_assignment(spec: CantorSpec, curve: DirectionCurve, seed: int) -> SlopeAssignment:
+    return assignment_from_dirset(direction_set(spec, curve), seed)
 
 
-def assignment_from_dirset(dirset: DirectionSet, d: int, seed: int) -> SlopeAssignment:
-    field = StickyField(seed=seed, base=dirset.spec.M**d)
-    return SlopeAssignment(field=field, dirset=dirset, d=d)
+def assignment_from_dirset(dirset: DirectionSet, seed: int) -> SlopeAssignment:
+    field = StickyField(seed=seed, base=dirset.spec.M**dirset.d)
+    return SlopeAssignment(field=field, dirset=dirset)
 
 
 # ---------------------------------------------------------------------------

@@ -75,11 +75,11 @@ def decode_cube(v: Vertex, M: int, d: int) -> tuple[tuple[Fraction, ...], Fracti
     return tuple(corner), Fraction(1, M**k)
 
 
-def cube_from_axis_indices(axis_indices: Sequence[int], k: int, M: int, d: int) -> Vertex:
-    """Vertex of the level-k cube with the given integer grid indices."""
+def cube_from_axis_indices(axis_indices: Sequence[int], k: int, M: int) -> Vertex:
+    """Vertex of the level-k cube with the given integer grid index per axis."""
     digs = []
     for lvl in range(k):
-        axes = [axis_indices[a] // M ** (k - 1 - lvl) % M for a in range(d)]
+        axes = [i // M ** (k - 1 - lvl) % M for i in axis_indices]
         digs.append(pack_axes(axes, M))
     return tuple(digs)
 

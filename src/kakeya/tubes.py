@@ -40,27 +40,18 @@ def cross_section_side(M: int, N: int, d: int) -> float:
     return float(kappa(d)) * float(M) ** (-N)
 
 
-def offset_constant(d: int, lip_lo: float) -> int:
-    """Distance C0 beyond which a root cube sees at most one direction."""
-    return math.ceil(max(d**d / lip_lo, 2 * math.sqrt(d) / lip_lo))
-
-
 def leaf_centers(M: int, N: int, d: int) -> np.ndarray:
     """(M^(N*d), d) array of root-cube centres, leaves in lexicographic order."""
     B = M**d
     n = B**N
     idx = np.arange(n, dtype=np.int64)
-    centers = np.zeros((n, d), dtype=np.float64)
     axis_idx = np.zeros((n, d), dtype=np.int64)
     for lvl in range(N):
         packed = idx // B ** (N - 1 - lvl) % B
         for a in range(d):
             dig = packed // M ** (d - 1 - a) % M
             axis_idx[:, a] = axis_idx[:, a] * M + dig
-    scale = float(M) ** (-N)
-    for a in range(d):
-        centers[:, a] = (axis_idx[:, a] + 0.5) * scale
-    return centers
+    return (axis_idx + 0.5) / M**N
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +265,10 @@ class PossSet:
         return len(self.witnesses)
 
 
-def poss_set(
-    p: Sequence[float], dirset: DirectionSet, N: int, d: int
-) -> PossSet:
+def poss_set(p: Sequence[float], dirset: DirectionSet) -> PossSet:
     """Pull the point back along every direction to the root hyperplane and
-    keep the root cubes whose shrunk cube contains the pullback.
+    keep the root cubes whose shrunk cube contains the pullback; M, N and d
+    are the direction set's.
 
     A pullback's cube comes from the integer grid, floor(base * M^N), and
     its centre is (index + 1/2) / M^N, dividing by the exact integer M^N.
@@ -287,9 +277,9 @@ def poss_set(
     half-width kappa*M^-N/2, so the set is the exact floor's."""
     p1 = float(p[0])
     pbar = np.asarray(p[1:], dtype=np.float64)
+    M, N, d = dirset.spec.M, dirset.spec.N, dirset.d
     if len(pbar) != d:
         raise ValueError("point dimension mismatch")
-    M = dirset.spec.M
     half = cross_section_side(M, N, d) / 2.0
     base = pbar - p1 * dirset.slope_floats()
     idx = np.floor(base * M**N)
@@ -297,20 +287,18 @@ def poss_set(
     keep = np.all((base >= 0.0) & (base < 1.0) & (np.abs(base - center) <= half), axis=1)
     witnesses: dict[Vertex, list[int]] = {}
     for k in np.flatnonzero(keep):
-        t = cube_from_axis_indices(idx[k].astype(np.int64).tolist(), N, M, d)
+        t = cube_from_axis_indices(idx[k].astype(np.int64).tolist(), N, M)
         witnesses.setdefault(t, []).append(int(k))
     return PossSet(point=tuple(float(x) for x in p), witnesses=witnesses)
 
 
-def poss_set_affine(
-    p: Sequence[float], dirset: DirectionSet, N: int, d: int
-) -> PossSet:
+def poss_set_affine(p: Sequence[float], dirset: DirectionSet) -> PossSet:
     """Same set computed through the affine copy of the direction set:
     enumerate candidate cubes around the pulled-back copy and keep those
     whose shrunk cube meets it.  Centres are those of ``poss_set``."""
     p1 = float(p[0])
     pbar = np.asarray(p[1:], dtype=np.float64)
-    M = dirset.spec.M
+    M, N, d = dirset.spec.M, dirset.spec.N, dirset.d
     half = cross_section_side(M, N, d) / 2.0
     slopes = dirset.slope_floats()
     copy_pts = pbar[None, :] - p1 * slopes  # the affine image of the directions
@@ -326,7 +314,7 @@ def poss_set_affine(
         center = (np.asarray(axis_indices) + 0.5) / M**N
         inside = np.all(np.abs(copy_pts - center[None, :]) <= half, axis=1)
         if np.any(inside):
-            t = cube_from_axis_indices(axis_indices, N, M, d)
+            t = cube_from_axis_indices(axis_indices, N, M)
             witnesses[t] = [int(k) for k in np.nonzero(inside)[0]]
     return PossSet(point=tuple(float(x) for x in p), witnesses=witnesses)
 
@@ -336,16 +324,16 @@ class WitnessError(RuntimeError):
 
 
 def unique_far_slope(
-    p: Sequence[float], dirset: DirectionSet, N: int, d: int
+    p: Sequence[float], dirset: DirectionSet
 ) -> dict[Vertex, tuple[int, Vertex]]:
-    """For a point with first coordinate in [C0, C0+1], the unique witness
-    direction of every possible root, plus its binary address.
+    """For a point with first coordinate in [C0, C0+1] (``dirset.c0``), the
+    unique witness direction of every possible root, plus its binary address.
 
     Raises WitnessError on duplicate witnesses; points violating the
     abscissa precondition are still scanned, so a too-small offset
     constant surfaces as that error rather than silently losing data.
     """
-    poss = poss_set(p, dirset, N, d)
+    poss = poss_set(p, dirset)
     out: dict[Vertex, tuple[int, Vertex]] = {}
     for t, wit in poss.witnesses.items():
         if len(wit) != 1:
@@ -353,7 +341,7 @@ def unique_far_slope(
                 f"root {t} has {len(wit)} witness directions; "
                 "offset constant too small for uniqueness"
             )
-        out[t] = (wit[0], address_bits(wit[0], N))
+        out[t] = (wit[0], address_bits(wit[0], dirset.spec.N))
     return out
 
 
@@ -381,7 +369,7 @@ def kakeya_measures(assignment: SlopeAssignment, samples: int = 4) -> dict:
     """
     centers, slopes = assignment_arrays(assignment)
     M, N = assignment.M, assignment.N
-    c0 = offset_constant(assignment.d, assignment.dirset.lip_lo)
+    c0 = assignment.dirset.c0
     near = union_volume(centers, slopes, 0.0, 1.0, M, N, samples=samples)
     far = union_volume(
         centers, slopes, float(c0), float(c0) + 1.0, M, N, samples=samples

@@ -197,7 +197,7 @@ def test_criterion_04_far_slab_uniqueness(d):
     roots_seen = 0
     for _ in range(1000):
         x = rng.uniform(lo, hi)
-        out = unique_far_slope(x, ds, N, d)  # raises on duplicate witnesses
+        out = unique_far_slope(x, ds)  # raises on duplicate witnesses
         assert sticky_admissible([(t, bits) for t, (_, bits) in out.items()])
         if out:
             nonempty += 1
@@ -216,7 +216,7 @@ def test_criterion_04_far_slab_uniqueness(d):
         u = center + rng.uniform(-side / 2, side / 2, size=d)
         v = slopes[rng.integers(len(slopes))]
         x = (x1, *(u + x1 * v))
-        out = unique_far_slope(x, ds, N, d)
+        out = unique_far_slope(x, ds)
         assert sticky_admissible([(t, bits) for t, (_, bits) in out.items()])
         assert len(out) >= 1
         targeted_roots += len(out)
@@ -339,7 +339,7 @@ def test_criterion_09_geometry_oracles():
     agree = 0
     for _ in range(100):
         p = (rng2.uniform(2.0, 3.0), rng2.uniform(-4.0, 4.0))
-        assert poss_set(p, ds, 6, 1).witnesses == poss_set_affine(p, ds, 6, 1).witnesses
+        assert poss_set(p, ds).witnesses == poss_set_affine(p, ds).witnesses
         agree += 1
     print(
         f"ACCEPTANCE 09 PASS geometry oracles: worst quad error={worst:.2e}, "

@@ -1,16 +1,22 @@
+import importlib
+import inspect
 import itertools
 import math
+import pkgutil
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import kakeya
 from kakeya.cantor import (
+    BUILTIN_CURVES,
     CantorSpec,
     CurveDomainError,
     SelectorError,
     affine_curve,
     build_level,
+    builtin_curve,
     curve_from_rows,
     direction_set,
     estimate_bilipschitz,
@@ -135,6 +141,52 @@ def test_slope_floats_built_once_and_read_only():
     with pytest.raises(ValueError):
         arr[0, 0] = 0.5
     assert np.array_equal(ds.slope_floats(), expect)
+
+
+def test_direction_set_c0_of_every_builtin_curve():
+    """C0 = ceil(max(d^d, 2 sqrt(d)) / lip_lo), where lip_lo is sqrt(d) for
+    the affine curves and 1 for the moment curves."""
+    got = {
+        (name, d): direction_set(middle_spec(3, 3), builtin_curve(name, d)).c0
+        for name in BUILTIN_CURVES
+        for d in (1, 2, 3)
+    }
+    assert got == {
+        ("affine", 1): 2, ("affine", 2): 3, ("affine", 3): 16,
+        ("moment", 1): 2, ("moment", 2): 4, ("moment", 3): 27,
+    }
+
+
+def _public_signatures():
+    """(qualified name, parameter names) of every public function, class
+    and method defined in a kakeya module; exceptions are left out."""
+    for info in pkgutil.iter_modules(kakeya.__path__):
+        module = importlib.import_module(f"kakeya.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj) and issubclass(obj, BaseException):
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members += [
+                    (f"{name}.{m}", f) for m, f in vars(obj).items()
+                    if not m.startswith("_") and inspect.isfunction(f)
+                ]
+            for qual, fn in members:
+                if callable(fn):
+                    yield f"{module.__name__}.{qual}", set(inspect.signature(fn).parameters)
+
+
+def test_direction_set_inputs_are_not_restated():
+    """A direction set fixes M, N and d, so nothing that takes one (or an
+    assignment built on one) takes them again beside it."""
+    checked = []
+    for qual, params in _public_signatures():
+        if params & {"dirset", "assignment"}:
+            checked.append(qual)
+            assert not params & {"M", "N", "d"}, qual
+    assert {"kakeya.tubes.poss_set", "kakeya.sticky.SlopeAssignment"} <= set(checked)
 
 
 def test_affine_isometry_distances():

@@ -102,7 +102,7 @@ def test_volume_csv_n5_slabs(tmp_path, window, k0):
         rows = list(csv.DictReader(fh))
     assert [int(r["k"]) for r in rows] == list(range(k0, k0 + 3**5))
     dirset = harness.build_dirset(harness.ExperimentConfig(N=5), 5)
-    expected = kakeya_measures(assignment_from_dirset(dirset, 1, 7))[window]
+    expected = kakeya_measures(assignment_from_dirset(dirset, 7))[window]
     assert sum(float(r["volume"]) for r in rows) == pytest.approx(expected, rel=0, abs=1e-12)
 
 
@@ -112,7 +112,7 @@ def test_volume_d3_far_window_is_exact(tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "vol.csv")]) == 0
     total = float(capsys.readouterr().err.rsplit(":", 1)[1])
     dirset = harness.build_dirset(harness.ExperimentConfig(N=1, d=3), 1)
-    expected = kakeya_measures(assignment_from_dirset(dirset, 3, 7))["far"]
+    expected = kakeya_measures(assignment_from_dirset(dirset, 7))["far"]
     assert total > 0.0
     assert total == pytest.approx(expected, rel=0, abs=1e-12)
 
@@ -505,7 +505,7 @@ def test_iid_audit_writes_one_row_per_n(capsys):
 def test_volume_reads_config_quadrature(tmp_path, capsys):
     """The nodes per slab come from the config's quadrature, and
     --samples-per-slab overrides it."""
-    assignment = assignment_from_dirset(harness.build_dirset(harness.ExperimentConfig(N=3), 3), 1, 7)
+    assignment = assignment_from_dirset(harness.build_dirset(harness.ExperimentConfig(N=3), 3), 7)
     expected = {q: kakeya_measures(assignment, samples=q)["near"] for q in (1, 4)}
     assert expected[1] != expected[4]
     cfg_file = tmp_path / "cfg.json"
@@ -544,6 +544,12 @@ def test_volume_reads_config_quadrature(tmp_path, capsys):
         (["simulate", "--samples", "1"], {"d": 0}, "d must be at least 1"),
         (["simulate", "--samples", "1"], {"n_values": [0, 2]}, "n_values must be at least 1"),
         (["resistance-growth", "--N", "3"], {"points": 0}, "points must be at least 1"),
+        (["slopes"], {"n_values": [2, 3]}, "n_values is read only by a subcommand with --N-range"),
+        (["volume"], {"n_values": [2, 3]}, "n_values is read only by a subcommand with --N-range"),
+        (["prob-oracle", "--count", "1"], {"n_values": [2]}, "n_values is read only by a subcommand with --N-range"),
+        (["percolate", "--point", "2.5,0.5"], {"n_values": [2]}, "n_values is read only by a subcommand with --N-range"),
+        (["resist", "--point", "2.5,0.5"], {"n_values": [2]}, "n_values is read only by a subcommand with --N-range"),
+        (["simulate", "--N", "2", "--samples", "1"], {"curve": "foo"}, "curve must be one of ['affine', 'moment'], got 'foo'"),
     ],
 )
 def test_count_below_one_rejected(tmp_path, capsys, argv, config, message):

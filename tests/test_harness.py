@@ -119,7 +119,6 @@ def test_volume_sweep_offset_constant_per_n(monkeypatch):
     from dataclasses import replace
 
     from kakeya import harness
-    from kakeya.tubes import offset_constant
 
     real = harness.build_dirset
     monkeypatch.setattr(
@@ -127,7 +126,7 @@ def test_volume_sweep_offset_constant_per_n(monkeypatch):
     )
     cfg = ExperimentConfig(M=3, d=1, n_values=(2, 3, 4), samples=2, quadrature=1)
     rows = volume_sweep(cfg)["rows"]
-    assert [r["c0"] for r in rows] == [offset_constant(1, 1.0 / N) for N in (2, 3, 4)]
+    assert [r["c0"] for r in rows] == [harness.build_dirset(cfg, N).c0 for N in (2, 3, 4)]
     assert [r["c0"] for r in rows] == [4, 6, 8]
 
 
@@ -281,7 +280,6 @@ def test_far_points_lie_in_reachable_strip(monkeypatch, d, curve, run):
     """Every point handed to poss_set has x1 in [c0, c0+1] and, on each
     axis, x-bar within [-2c0, 2c0] and where some tube can be at x1."""
     from kakeya import harness
-    from kakeya.tubes import offset_constant
 
     cfg = ExperimentConfig(M=3, N=3 if d == 1 else 2, d=d, curve=curve, seed=1)
     points = []
@@ -289,7 +287,7 @@ def test_far_points_lie_in_reachable_strip(monkeypatch, d, curve, run):
     monkeypatch.setattr(harness, "poss_set", lambda x, *a: points.append(x) or real(x, *a))
     run(cfg)
     dirset = harness.build_dirset(cfg, cfg.N)
-    c0 = offset_constant(d, dirset.lip_lo)
+    c0 = dirset.c0
     slopes = dirset.slope_floats()
     assert points
     for x1, *xbar in points:

@@ -52,7 +52,7 @@ def test_tau_stickiness_audit_10k_pairs():
 
 
 def test_sigma_depth1_composition():
-    a = make_assignment(middle_spec(3, 1), affine_curve(1), 1, seed=3)
+    a = make_assignment(middle_spec(3, 1), affine_curve(1), seed=3)
     for j in range(3):
         bit = a.field.bit((j,))
         expected = (F(1), F(0)) if bit == 0 else (F(1), F(2, 3))
@@ -69,15 +69,15 @@ class _ZeroField(StickyField):
 
 def test_all_zero_field_maps_to_leftmost():
     ds_spec = middle_spec(3, 3)
-    a = make_assignment(ds_spec, affine_curve(1), 1, seed=0)
-    zero = SlopeAssignment(field=_ZeroField(seed=0, base=3), dirset=a.dirset, d=1)
+    a = make_assignment(ds_spec, affine_curve(1), seed=0)
+    zero = SlopeAssignment(field=_ZeroField(seed=0, base=3), dirset=a.dirset)
     for i in range(27):
         leaf = leaf_from_index(i, 3, 3)
         assert zero.sigma(leaf) == (F(1), F(0))
 
 
 def test_sigma_lipschitz_audit():
-    a = make_assignment(middle_spec(3, 8), affine_curve(1), 1, seed=7)
+    a = make_assignment(middle_spec(3, 8), affine_curve(1), seed=7)
     rng = random.Random(2)
     C = a.dirset.lip_hi
     for _ in range(10_000):
@@ -88,8 +88,8 @@ def test_sigma_lipschitz_audit():
 
 
 def test_sigma_deterministic():
-    a1 = make_assignment(middle_spec(3, 4), affine_curve(1), 1, seed=99)
-    a2 = make_assignment(middle_spec(3, 4), affine_curve(1), 1, seed=99)
+    a1 = make_assignment(middle_spec(3, 4), affine_curve(1), seed=99)
+    a2 = make_assignment(middle_spec(3, 4), affine_curve(1), seed=99)
     for i in range(0, 81, 7):
         leaf = leaf_from_index(i, 3, 4)
         assert a1.sigma(leaf) == a2.sigma(leaf)
@@ -97,7 +97,7 @@ def test_sigma_deterministic():
 
 
 def test_all_slope_indices_matches_scalar():
-    a = make_assignment(middle_spec(3, 5), affine_curve(1), 1, seed=13)
+    a = make_assignment(middle_spec(3, 5), affine_curve(1), seed=13)
     idx = a.all_slope_indices()
     for i in range(0, 243, 11):
         leaf = leaf_from_index(i, 3, 5)

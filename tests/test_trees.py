@@ -44,11 +44,11 @@ def test_yca_symmetric_and_bounded(u, v):
     assert yca(u, u) == u
 
 
-def _level_cubes(points, k: int, M: int, d: int) -> set:
+def _level_cubes(points, k: int, M: int) -> set:
     """The level-k cubes of [0,1)^d that meet the points, found on the
     integer grid as ``poss_set`` finds root cubes."""
     return {
-        cube_from_axis_indices([math.floor(x * M**k) for x in p], k, M, d)
+        cube_from_axis_indices([math.floor(x * M**k) for x in p], k, M)
         for p in points
         if all(0 <= x < 1 for x in p)
     }
@@ -56,12 +56,12 @@ def _level_cubes(points, k: int, M: int, d: int) -> set:
 
 def test_encode_cube_base3():
     # 2/9 sits in grid cell 2 of 9 at level 2
-    assert cube_from_axis_indices([2], 2, 3, 1) == (0, 2)
+    assert cube_from_axis_indices([2], 2, 3) == (0, 2)
 
 
 def test_encode_cube_d2_lexicographic():
     # (1/3, 0) at level 1: per-axis digits (1, 0) pack to rank 3
-    assert cube_from_axis_indices([1, 0], 1, 3, 2) == (3,)
+    assert cube_from_axis_indices([1, 0], 1, 3) == (3,)
 
 
 def test_encode_decode_roundtrip_random():
@@ -72,7 +72,7 @@ def test_encode_decode_roundtrip_random():
         k = rng.randrange(1, 5)
         for point in (x, [float(xi) for xi in x]):
             idx = [math.floor(xi * 3**k) for xi in point]
-            corner, side = decode_cube(cube_from_axis_indices(idx, k, 3, d), 3, d)
+            corner, side = decode_cube(cube_from_axis_indices(idx, k, 3), 3, d)
             assert all(c <= xi < c + side for c, xi in zip(corner, point))
 
 
@@ -81,7 +81,7 @@ def test_cube_from_axis_indices_matches_encode():
     for _ in range(500):
         d, k, M = rng.choice([1, 2]), rng.randrange(1, 4), 3
         idx = [rng.randrange(M**k) for _ in range(d)]
-        v = cube_from_axis_indices(idx, k, M, d)
+        v = cube_from_axis_indices(idx, k, M)
         corner, side = decode_cube(v, M, d)
         assert corner == tuple(F(i, M**k) for i in idx)
         assert side == F(1, M**k)
@@ -166,8 +166,8 @@ def test_count_level_vertices_parameter_tree():
 
     pts = [[p] for p in representative_points(spec)]
     for k in range(0, 7):
-        assert len(_level_cubes(pts, k, 3, 1)) == 2**k
-    assert len(_level_cubes(pts, 0, 3, 1)) == 1
+        assert len(_level_cubes(pts, k, 3)) == 2**k
+    assert len(_level_cubes(pts, 0, 3)) == 1
 
 
 def test_count_level_vertices_affine_copies():
@@ -185,7 +185,7 @@ def test_count_level_vertices_affine_copies():
         if not pts:
             continue
         for k in range(1, 7):
-            c = len(_level_cubes(pts, k, 3, 1)) / 2**k
+            c = len(_level_cubes(pts, k, 3)) / 2**k
             worst = max(worst, c)
     assert 0 < worst <= 4.0  # fitted constant stays small
 

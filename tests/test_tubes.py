@@ -17,7 +17,6 @@ from kakeya.tubes import (
     kakeya_measures,
     kappa,
     leaf_centers,
-    offset_constant,
     pair_measure,
     pair_sum_over_range,
     poss_set,
@@ -60,11 +59,6 @@ def test_kappa_values():
     for d in range(1, 5):
         k = float(kappa(d))
         assert 1 - 2 * k * math.sqrt(d) >= k
-
-
-def test_offset_constant():
-    assert offset_constant(1, 1.0) == 2
-    assert offset_constant(2, 1.0) == 4
 
 
 def test_parallel_distinct_roots_never_necessary():
@@ -213,11 +207,18 @@ def test_parallel_family_tiles_shrunk_cube():
         slopes = np.full_like(centers, 0.37)
         v = union_volume(centers, slopes, 0.0, 1.0, 3, 2, samples=2)
         assert v == pytest.approx(float(kappa(d)) ** d, rel=1e-10)
+    # each centre is the exact centre of its root cube, rounded once, as in poss_set
+    for N, d in ((4, 1), (5, 1), (9, 1), (3, 2)):
+        exact = [
+            [float(c + side / 2) for c in corner]
+            for corner, side in (decode_cube(leaf_from_index(i, 3**d, N), 3, d) for i in range(3 ** (N * d)))
+        ]
+        assert leaf_centers(3, N, d).tolist() == exact
 
 
 def test_union_refinement_converges():
     ds = direction_set(middle_spec(3, 5), affine_curve(1))
-    assignment = assignment_from_dirset(ds, 1, seed=21)
+    assignment = assignment_from_dirset(ds, seed=21)
     centers, slopes = assignment_arrays(assignment)
     v1 = union_volume(centers, slopes, 0.0, 1.0, 3, 5, samples=4)
     v2 = union_volume(centers, slopes, 0.0, 1.0, 3, 5, samples=8)
@@ -250,7 +251,7 @@ def test_union_volume_d3_two_tubes_exact(offset, exact_over_cube):
 
 def test_union_upper_bounded_by_sum():
     ds = direction_set(middle_spec(3, 4), affine_curve(1))
-    assignment = assignment_from_dirset(ds, 1, seed=5)
+    assignment = assignment_from_dirset(ds, seed=5)
     centers, slopes = assignment_arrays(assignment)
     side = float(kappa(1)) * 3.0**-4
     v = union_volume(centers, slopes, 0.0, 1.0, 3, 4, samples=4)
@@ -268,13 +269,13 @@ def test_poss_degenerate_at_root_hyperplane(ds_affine_n5):
     t = leaf_from_index(10, 3, 5)
     corner, side = decode_cube(t, 3, 1)
     c = float(corner[0] + side / 2)
-    poss = poss_set((0.0, c), ds_affine_n5, 5, 1)
+    poss = poss_set((0.0, c), ds_affine_n5)
     assert poss.roots() == [t]
     assert len(poss.witnesses[t]) == ds_affine_n5.n
 
 
 def test_poss_far_outside_cone_empty(ds_affine_n5):
-    poss = poss_set((2.0, -3.5), ds_affine_n5, 5, 1)
+    poss = poss_set((2.0, -3.5), ds_affine_n5)
     assert len(poss) == 0
 
 
@@ -282,8 +283,8 @@ def test_poss_dual_computation_agrees(ds_affine_n5):
     rng = random.Random(11)
     for _ in range(100):
         p = (rng.uniform(2.0, 3.0), rng.uniform(-2.0, 3.5))
-        a = poss_set(p, ds_affine_n5, 5, 1)
-        b = poss_set_affine(p, ds_affine_n5, 5, 1)
+        a = poss_set(p, ds_affine_n5)
+        b = poss_set_affine(p, ds_affine_n5)
         assert a.witnesses == b.witnesses
 
 
@@ -295,8 +296,8 @@ def test_poss_dual_computation_agrees_d2(ds_moment_n4_d2):
             rng.uniform(-1.0, 4.0),
             rng.uniform(-1.0, 4.0),
         )
-        a = poss_set(p, ds_moment_n4_d2, 4, 2)
-        b = poss_set_affine(p, ds_moment_n4_d2, 4, 2)
+        a = poss_set(p, ds_moment_n4_d2)
+        b = poss_set_affine(p, ds_moment_n4_d2)
         assert a.witnesses == b.witnesses
 
 
@@ -314,7 +315,7 @@ def _poss_by_exact_floor(p, dirset, N, d):
         idx = [math.floor(x * M**N) for x in exact]
         center = np.array([float(Fraction(2 * i + 1, 2 * M**N)) for i in idx])
         if np.all(np.abs(row - center) <= half):
-            witnesses.setdefault(cube_from_axis_indices(idx, N, M, d), []).append(k)
+            witnesses.setdefault(cube_from_axis_indices(idx, N, M), []).append(k)
     return witnesses
 
 
@@ -347,8 +348,8 @@ def test_poss_on_grid_lines_and_shrunk_faces(request, fixture, N, d):
                         pbar = np.nextafter(pbar, step)
                     p = (p1, *pbar)
                     want = _poss_by_exact_floor(p, ds, N, d)
-                    assert poss_set(p, ds, N, d).witnesses == want
-                    assert poss_set_affine(p, ds, N, d).witnesses == want
+                    assert poss_set(p, ds).witnesses == want
+                    assert poss_set_affine(p, ds).witnesses == want
                     row = pbar - p1 * slopes[k]
                     exact_idx = [math.floor(Fraction(float(x)) * M**N) for x in row]
                     floor_differs += list(np.floor(row * M**N)) != exact_idx
@@ -370,7 +371,7 @@ def test_unique_far_witness_and_prefix_property(ds_affine_n8):
     checked_pairs = 0
     for _ in range(200):
         p = (rng.uniform(2.0, 3.0), rng.uniform(-0.5, 3.5))
-        out = unique_far_slope(p, ds, 8, 1)  # raises on duplicates
+        out = unique_far_slope(p, ds)  # raises on duplicates
         assert sticky_admissible([(t, bits) for t, (_, bits) in out.items()])
         roots = sorted(out)
         for i, t1 in enumerate(roots):
@@ -388,7 +389,7 @@ def test_duplicate_witnesses_near_root_hyperplane(ds_affine_n5):
     corner, side = decode_cube(t, 3, 1)
     c = float(corner[0] + side / 2)
     with pytest.raises(WitnessError):
-        unique_far_slope((1e-6, c), ds_affine_n5, 5, 1)
+        unique_far_slope((1e-6, c), ds_affine_n5)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +399,7 @@ def test_duplicate_witnesses_near_root_hyperplane(ds_affine_n5):
 
 def test_kakeya_measures_n1_against_direct_union():
     ds = direction_set(middle_spec(3, 1), affine_curve(1))
-    assignment = assignment_from_dirset(ds, 1, seed=17)
+    assignment = assignment_from_dirset(ds, seed=17)
     m = kakeya_measures(assignment, samples=4)
     centers, slopes = assignment_arrays(assignment)
     side = float(kappa(1)) / 3
@@ -436,7 +437,7 @@ def test_all_zero_field_measures_exact():
             return tuple(0 for _ in leaf)
 
     # kernels are bypassed: build arrays by hand for the constant field
-    assignment = SlopeAssignment(field=_Zero(seed=0, base=3), dirset=ds, d=1)
+    assignment = SlopeAssignment(field=_Zero(seed=0, base=3), dirset=ds)
     centers = leaf_centers(3, 3, 1)
     slopes = np.zeros_like(centers)
     near = union_volume(centers, slopes, 0.0, 1.0, 3, 3, samples=2)
@@ -449,7 +450,7 @@ def test_all_zero_field_measures_exact():
 def test_dilate_ratio_bound_at_least_one():
     ds = direction_set(middle_spec(3, 3), affine_curve(1))
     for seed in range(5):
-        m = kakeya_measures(assignment_from_dirset(ds, 1, seed=seed), samples=2)
+        m = kakeya_measures(assignment_from_dirset(ds, seed=seed), samples=2)
         assert m["dilate_ratio_bound"] >= 1.0
 
 
@@ -461,7 +462,7 @@ def test_dilate_ratio_bound_at_least_one():
 def test_separated_drift_on_positive_measure():
     # realized intersections of distinct roots keep x1*|dv| above kappa*M^-N
     ds = direction_set(middle_spec(3, 4), affine_curve(1))
-    assignment = assignment_from_dirset(ds, 1, seed=3)
+    assignment = assignment_from_dirset(ds, seed=3)
     centers, slopes = assignment_arrays(assignment)
     side = float(kappa(1)) * 3.0**-4
     rng = random.Random(14)
