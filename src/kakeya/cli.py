@@ -37,6 +37,7 @@ from .cantor import (
 from .configs import classify4, oracle_check
 from .harness import (
     LOWER_BOUND_MIN_SAMPLES,
+    AuditPointError,
     ExperimentConfig,
     build_dirset,
     canonical_json,
@@ -44,7 +45,7 @@ from .harness import (
     percolation_iid_audit,
     pointwise_percolation_bound,
     resistance_growth,
-    sample_assignment,
+    sampled_measures,
     save_result,
     slab_first_moment,
     slab_moments,
@@ -59,13 +60,7 @@ from .percolation import (
 )
 from .sticky import assignment_from_dirset
 from .trees import FiniteTree, leaf_from_index
-from .tubes import (
-    assignment_arrays,
-    kakeya_measures,
-    poss_set,
-    slab_indices,
-    union_volume,
-)
+from .tubes import assignment_arrays, poss_set, slab_indices, union_volume
 
 
 def _int_from(low: int):
@@ -276,9 +271,7 @@ def cmd_simulate(args) -> int:
     cfg = _config_from_args(args)
     rows = []
     for N in cfg.ns():
-        cfg.guard(N)
-        for i in range(cfg.samples):
-            m = kakeya_measures(sample_assignment(cfg, N, i), samples=cfg.quadrature)
+        for i, m in enumerate(sampled_measures(cfg, N)):
             rows.append({"N": N, "sample": i, **m})
     config = cfg.to_dict("seed", "samples", "quadrature")
     _emit({"experiment": "simulate", "config": config, "rows": rows}, cfg.out_dir)
@@ -403,7 +396,11 @@ def cmd_resist(args) -> int:
 
 def cmd_iid_audit(args) -> int:
     cfg = _config_from_args(args)
-    rows = [percolation_iid_audit(cfg, N, fields=args.fields) for N in cfg.ns()]
+    try:
+        rows = [percolation_iid_audit(cfg, N, fields=args.fields) for N in cfg.ns()]
+    except AuditPointError as err:
+        print(f"kakeya iid-audit: {err}", file=sys.stderr)
+        return 2
     config = cfg.to_dict("seed", fields=args.fields)
     _emit({"experiment": "iid-audit", "config": config, "rows": rows}, cfg.out_dir)
     return 0 if all(row["pass"] for row in rows) else 1

@@ -5,7 +5,9 @@ measure statistic against its predicted scaling: pairwise slab
 intersections against N*M^(2R-2N), far-window volume against 1/N, the
 near-window lower quantile against c/N.  Tiny instances are also evaluated
 by exhaustive enumeration over all edge fields, which pins the Monte Carlo
-statistics to exact values.
+statistics to exact values.  Every far point, of the resistance growth,
+the pointwise percolation bound and the i.i.d. audit, comes from one
+sampler of the strip that the tubes can reach.
 
 Each experiment returns, under ``"config"``, the block of inputs it read
 (``ExperimentConfig.to_dict``), and that block alone is the result's
@@ -19,9 +21,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -39,19 +43,10 @@ from .sticky import (
     assignment_from_dirset,
     derive_seed,
     node_id,
-    sticky_admissible,
 )
-from .trees import (
-    FiniteTree,
-    Vertex,
-    address_bits,
-    decode_cube,
-    height,
-    index_from_leaf,
-    leaf_from_index,
-    yca,
-)
+from .trees import FiniteTree, address_bits, leaf_from_index
 from .tubes import (
+    PossSet,
     cross_section_side,
     kakeya_measures,
     leaf_centers,
@@ -127,9 +122,19 @@ def build_dirset(cfg: ExperimentConfig, N: int):
     return _DIRSET_CACHE[key]
 
 
-def sample_assignment(cfg: ExperimentConfig, N: int, index: int) -> SlopeAssignment:
+def sampled_assignments(cfg: ExperimentConfig, N: int) -> Iterator[SlopeAssignment]:
+    """The config's sampled realizations of depth N, in index order: sample
+    i is the field seeded by ``derive_seed(cfg.seed, i)``.  The leaf budget
+    is checked here, before any sample is drawn."""
+    cfg.guard(N)
     dirset = build_dirset(cfg, N)
-    return assignment_from_dirset(dirset, derive_seed(cfg.seed, index))
+    return (assignment_from_dirset(dirset, derive_seed(cfg.seed, i)) for i in range(cfg.samples))
+
+
+def sampled_measures(cfg: ExperimentConfig, N: int) -> list[dict]:
+    """``kakeya_measures`` of every sampled realization of depth N, in
+    index order."""
+    return [kakeya_measures(a, samples=cfg.quadrature) for a in sampled_assignments(cfg, N)]
 
 
 def ci99(values: np.ndarray) -> float:
@@ -165,13 +170,8 @@ def _pair_sums(cfg: ExperimentConfig, N: int, R: int, slope_indices) -> np.ndarr
 
 
 def _sample_pair_sums(cfg: ExperimentConfig, N: int, R: int) -> np.ndarray:
-    cfg.guard(N)
-    return _pair_sums(
-        cfg,
-        N,
-        R,
-        (sample_assignment(cfg, N, i).all_slope_indices() for i in range(cfg.samples)),
-    )
+    samples = sampled_assignments(cfg, N)
+    return _pair_sums(cfg, N, R, (a.all_slope_indices() for a in samples))
 
 
 def _exhaustive_pair_sums(cfg: ExperimentConfig, N: int, R: int) -> np.ndarray:
@@ -283,11 +283,7 @@ def volume_sweep(cfg: ExperimentConfig) -> dict:
     window starts at the offset constant of each N's direction set."""
     rows = []
     for N in cfg.ns():
-        cfg.guard(N)
-        measures = [
-            kakeya_measures(sample_assignment(cfg, N, i), samples=cfg.quadrature)
-            for i in range(cfg.samples)
-        ]
+        measures = sampled_measures(cfg, N)
         near = np.array([m["near"] for m in measures])
         far = np.array([m["far"] for m in measures])
         rows.append(
@@ -361,22 +357,22 @@ def upper_bound_experiment(cfg: ExperimentConfig, sweep: dict | None = None) -> 
     }
 
 
-def _strip_resistances(cfg: ExperimentConfig, N: int, key: int):
+def _strip_draws(cfg: ExperimentConfig, N: int, key: int) -> Iterator[tuple[float, PossSet]]:
     """Endless far points x drawn from the reachable strip, as pairs (the
-    strip's cross-section volume at x1, R(Poss(x)) or None if no tube
-    reaches x).  x1 is uniform on [c0, c0+1], then x-bar uniform on the
-    far box [-2c0, 2c0]^d clipped to where tubes can be at x1."""
+    strip's cross-section volume at x1, Poss(x)).  x1 is uniform on
+    [c0, c0+1], then x-bar uniform on the far box [-2c0, 2c0]^d clipped to
+    where tubes can be at x1.  The stream is seeded by
+    ``derive_seed(cfg.seed, key)``."""
     dirset = build_dirset(cfg, N)
     c0 = dirset.c0
     slopes = dirset.slope_floats()
+    low, high = slopes.min(axis=0), slopes.max(axis=0)
     rng = np.random.default_rng(derive_seed(cfg.seed, key))
     while True:
         x1 = rng.uniform(c0, c0 + 1.0)
-        lo = np.maximum(x1 * slopes.min(axis=0), -2.0 * c0)
-        hi = np.minimum(1.0 + x1 * slopes.max(axis=0), 2.0 * c0)
-        poss = poss_set((x1, *rng.uniform(lo, hi)), dirset)
-        r = resistance(FiniteTree.from_leaves(poss.roots())) if len(poss) else None
-        yield float(np.prod(hi - lo)), r
+        lo = np.maximum(x1 * low, -2.0 * c0)
+        hi = np.minimum(1.0 + x1 * high, 2.0 * c0)
+        yield float(np.prod(hi - lo)), poss_set((x1, *rng.uniform(lo, hi)), dirset)
 
 
 def pointwise_percolation_bound(cfg: ExperimentConfig, N: int, grid: int = 200) -> dict:
@@ -387,8 +383,9 @@ def pointwise_percolation_bound(cfg: ExperimentConfig, N: int, grid: int = 200) 
     statistics cover the points some tube reaches; None if none does."""
     vals = np.zeros(grid)
     reached = []
-    for i, (section, r) in zip(range(grid), _strip_resistances(cfg, N, 10_000_019)):
-        if r is not None:
+    for i, (section, poss) in zip(range(grid), _strip_draws(cfg, N, 10_000_019)):
+        if len(poss):
+            r = resistance(FiniteTree.from_leaves(poss.roots()))
             reached.append(float(r))
             vals[i] = section * min(1.0, float(lyons_bounds(r)[1]))
     return {
@@ -409,13 +406,14 @@ def resistance_growth(cfg: ExperimentConfig, points: int = 100) -> dict:
     """
     rows = []
     for N in cfg.ns():
-        draws = _strip_resistances(cfg, N, 20_000_003 + N)
+        draws = _strip_draws(cfg, N, 20_000_003 + N)
         ratios = []
         attempts = 0
         while len(ratios) < points and attempts < 20 * points:
             attempts += 1
-            _, r = next(draws)
-            if r is not None:
+            _, poss = next(draws)
+            if len(poss):
+                r = resistance(FiniteTree.from_leaves(poss.roots()))
                 ratios.append(float(r) / N)
         if not ratios:
             raise RuntimeError(f"no far point hit any tube at N={N}")
@@ -437,199 +435,6 @@ def resistance_growth(cfg: ExperimentConfig, points: int = 100) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# measure-theoretic union bound
-# ---------------------------------------------------------------------------
-
-
-def measure_union_bound(alpha, n: int, L) -> Fraction:
-    """Lower bound alpha^2 n^2 / (16 L) for the measure of a union of n
-    equal-measure sets whose pairwise intersection total is at most L."""
-    alpha = Fraction(alpha)
-    L = Fraction(L)
-    if alpha < 0 or n < 1 or L <= 0:
-        raise ValueError("need alpha >= 0, n >= 1, L > 0")
-    return alpha**2 * n**2 / (16 * L)
-
-
-# ---------------------------------------------------------------------------
-# counting diagnostics
-# ---------------------------------------------------------------------------
-
-
-def _cube_bounds(t: Vertex, M: int, d: int):
-    corner, side = decode_cube(t, M, d)
-    lo = np.array([float(c) for c in corner])
-    return lo, lo + float(side)
-
-
-def counting_diagnostics(cfg: ExperimentConfig, N: int) -> dict:
-    """Cardinalities of the deterministic slab-counting sets against their
-    predicted growth rates, with fitted constants.
-
-    For the slab k = M^(N-1), at x1 ~ 1/M, and an ancestor cube u:
-      near-boundary roots:   roots in u within theta of a child boundary,
-                             against (k/M^N) M^(d(N-h(u)));
-      close sibling pairs:   t2 with yca u and centre distance <= theta;
-      reachable pairs:       (t2, v2) whose tube meets a fixed (t1, v1)
-                             tube inside the slab, with address constraint,
-                             against 2^(N-h(u)).
-    """
-    if cfg.M ** (N * cfg.d) > 4096:
-        raise ResourceWarning("counting diagnostics are exhaustive; keep M^(N*d) small")
-    dirset = build_dirset(cfg, N)
-    M, d = cfg.M, cfg.d
-    k = M ** (N - 1)
-    lo_x, hi_x = k * float(M) ** (-N), (k + 1) * float(M) ** (-N)
-    side = cross_section_side(M, N, d)
-    lip = dirset.lip_hi
-    B = M**d
-    leaves = [leaf_from_index(i, B, N) for i in range(B**N)]
-    centers = leaf_centers(M, N, d)
-    slope_table = dirset.slope_floats()
-    n_slopes = dirset.n
-    addr_h = lambda k1, k2: N - (k1 ^ k2).bit_length() if k1 != k2 else N
-
-    rows = []
-    for hu in range(0, N):
-        u = leaves[0][:hu]  # the leftmost cube at each height
-        theta = lip * (k + 1) * float(M) ** (-N - hu) + 2 * side * math.sqrt(d)
-        in_u = [i for i, t in enumerate(leaves) if t[:hu] == u]
-        a_u = []
-        for i in in_u:
-            child = leaves[i][: hu + 1]
-            clo, chi = _cube_bounds(child, M, d)
-            tlo, thi = _cube_bounds(leaves[i], M, d)
-            dist = min(
-                min(tlo[a] - clo[a], chi[a] - thi[a]) for a in range(d)
-            )
-            if dist <= theta:
-                a_u.append(i)
-        bound_a = (k / float(M) ** N) * float(M) ** (d * (N - hu))
-        t1 = a_u[0] if a_u else in_u[0]
-        b_t1 = [
-            j
-            for j in in_u
-            if j != t1
-            and height(yca(leaves[t1], leaves[j])) == hu
-            and np.linalg.norm(centers[t1] - centers[j]) <= theta
-        ]
-        v1 = 0
-        e_u = 0
-        for j in b_t1:
-            for k2 in range(n_slopes):
-                if addr_h(v1, k2) < hu:
-                    continue
-                m = pair_measure(
-                    centers[t1],
-                    slope_table[v1],
-                    centers[j],
-                    slope_table[k2],
-                    lo_x,
-                    hi_x,
-                    side,
-                )
-                if m > 0:
-                    e_u += 1
-        rows.append(
-            {
-                "h_u": hu,
-                "k": k,
-                "near_boundary_count": len(a_u),
-                "near_boundary_bound": bound_a,
-                "near_boundary_constant": len(a_u) / bound_a if bound_a else math.inf,
-                "close_pair_count": len(b_t1),
-                "reachable_count": e_u,
-                "reachable_bound": 2.0 ** (N - hu),
-                "reachable_constant": e_u / 2.0 ** (N - hu),
-            }
-        )
-    return {"experiment": "counting-diagnostics", "rows": rows}
-
-
-def estar_diagnostic(cfg: ExperimentConfig, N: int) -> dict:
-    """Cardinality of the four-point candidate sets behind the second
-    moment estimate, stratified by the cross-ancestor height.
-
-    For a fixed pair (t2, v2), (t2', v2') in type-2 position under an
-    ancestor u, counts the admissible (t1, v1), (t1', v1') whose tubes
-    meet the fixed ones inside a thin slab; the count at cross height
-    h(u1) is checked against its predicted ceiling 2^(2N-h(u)-h(u1)).
-    """
-    if cfg.d != 1:
-        raise ValueError("the candidate-set diagnostic is implemented for d=1")
-    if cfg.M**N > 256:
-        raise ResourceWarning("candidate-set diagnostic is exhaustive; keep M^N small")
-    dirset = build_dirset(cfg, N)
-    M = cfg.M
-    leaves = [leaf_from_index(i, M, N) for i in range(M**N)]
-    centers = leaf_centers(M, N, 1)
-    slope_table = dirset.slope_floats()
-    n_slopes = dirset.n
-    side = cross_section_side(M, N, 1)
-    # slab at x1 ~ 1: far enough that candidates on the left can drift in
-    k = M**N
-    lo_x, hi_x = k * float(M) ** (-N), (k + 1) * float(M) ** (-N)
-
-    rows = []
-    for hu in range(0, N - 1):
-        u = leaves[0][:hu]
-        # fixed deep pair: rightmost siblings inside u, slopes near zero,
-        # so left-of-u candidates with larger slopes can reach them
-        prefix = u + (M - 1,) * (N - hu - 1)
-        t2 = prefix + (0,)
-        t2p = prefix + (M - 1,)
-        v2, v2p = 0, 1  # addresses sharing N-1 levels, matching h(D(t2, t2'))
-        fixed = [(t2, address_bits(v2, N)), (t2p, address_bits(v2p, N))]
-
-        def reach(t_fix, v_fix):
-            out = []
-            i_fix = index_from_leaf(t_fix, M)
-            for i, t1 in enumerate(leaves):
-                if height(yca(t1, t_fix)) != hu:
-                    continue
-                for k1 in range(n_slopes):
-                    if N - (k1 ^ v_fix).bit_length() < hu and k1 != v_fix:
-                        continue
-                    m = pair_measure(
-                        centers[i],
-                        slope_table[k1],
-                        centers[i_fix],
-                        slope_table[v_fix],
-                        lo_x,
-                        hi_x,
-                        side,
-                    )
-                    if m > 0:
-                        out.append((t1, k1))
-            return out
-
-        e1 = reach(t2, v2)
-        e2 = reach(t2p, v2p)
-        by_height: dict[int, int] = {}
-        for t1, k1 in e1:
-            for t1p, k1p in e2:
-                if t1 == t1p:
-                    continue  # four distinct roots required
-                pairs = fixed + [(t1, address_bits(k1, N)), (t1p, address_bits(k1p, N))]
-                if not sticky_admissible(pairs):
-                    continue
-                h_u1 = height(yca(t1, t1p))
-                by_height[h_u1] = by_height.get(h_u1, 0) + 1
-        for h_u1, count in sorted(by_height.items()):
-            bound = 2.0 ** (2 * N - hu - h_u1)
-            rows.append(
-                {
-                    "h_u": hu,
-                    "h_u1": h_u1,
-                    "count": count,
-                    "bound": bound,
-                    "constant": count / bound,
-                }
-            )
-    return {"experiment": "candidate-sets", "rows": rows}
-
-
-# ---------------------------------------------------------------------------
 # i.i.d. audit of the induced percolation bits
 # ---------------------------------------------------------------------------
 
@@ -637,10 +442,15 @@ def estar_diagnostic(cfg: ExperimentConfig, N: int) -> dict:
 AUDIT_POINT_DRAWS = 1000  # far points tried before the audit gives up
 
 
+class AuditPointError(ValueError):
+    """No far point with 4 or more possible roots in the audit's draws."""
+
+
 def percolation_iid_audit(cfg: ExperimentConfig, N: int, fields: int = 10_000) -> dict:
     """Consistency and uniformity checks for the induced edge bits.
 
-    For a far-box point, every possible root carries a unique binary
+    For a far point, the first of the reachable strip's draws with 4 or
+    more possible roots, every possible root carries a unique binary
     address; an edge bit is "agree" when the field bit matches the address
     bit at that level.  Computed independently through every leaf under
     the edge, the values must coincide (consistency), and across fields
@@ -648,26 +458,20 @@ def percolation_iid_audit(cfg: ExperimentConfig, N: int, fields: int = 10_000) -
     """
     from scipy.stats import chi2
 
-    dirset = build_dirset(cfg, N)
-    d, c0 = cfg.d, dirset.c0
-    rng = np.random.default_rng(derive_seed(cfg.seed, 30_000_001))
-    for _ in range(AUDIT_POINT_DRAWS):
-        x = rng.uniform([float(c0)] + [-0.5] * d, [float(c0) + 1.0] + [0.5] * d)
-        if len(poss_set(x, dirset)) >= 4:
-            point = tuple(float(v) for v in x)
-            break
-    else:
-        raise ValueError(
+    draws = itertools.islice(_strip_draws(cfg, N, 30_000_001), AUDIT_POINT_DRAWS)
+    point = next((poss.point for _, poss in draws if len(poss) >= 4), None)
+    if point is None:
+        raise AuditPointError(
             f"no far point with 4 or more possible roots in {AUDIT_POINT_DRAWS} "
-            f"draws (M={cfg.M}, N={N}, d={d}); raise N"
+            f"draws (M={cfg.M}, N={N}, d={cfg.d}); raise N"
         )
-    witnesses = unique_far_slope(point, dirset)
+    witnesses = unique_far_slope(point, build_dirset(cfg, N))
     roots = sorted(witnesses)
     beta = {t: bits for t, (_, bits) in witnesses.items()}
     tree = FiniteTree.from_leaves(roots)
     edges = tree.edges()
     edge_index = {e: i for i, e in enumerate(edges)}
-    base = cfg.M**d
+    base = cfg.M**cfg.d
 
     # (leaf, level) incidence lists: route r computes Y at edge edge_of[r]
     leaf_node_ids = []
@@ -732,18 +536,8 @@ def percolation_iid_audit(cfg: ExperimentConfig, N: int, fields: int = 10_000) -
 
 
 # ---------------------------------------------------------------------------
-# operator-norm floor and persistence
+# persistence
 # ---------------------------------------------------------------------------
-
-
-def maximal_norm_floor(ratio: float, p: float, c0: float = 1.0) -> float:
-    """Lower bound c0 * ratio^(1/p) on the directional maximal operator
-    norm implied by a measured dilate ratio."""
-    if ratio < 1:
-        raise ValueError("ratio must be >= 1")
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    return c0 * ratio ** (1.0 / p)
 
 
 def canonical_json(obj) -> str:

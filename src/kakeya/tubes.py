@@ -265,6 +265,15 @@ class PossSet:
         return len(self.witnesses)
 
 
+def _pullback(p: Sequence[float], dirset: DirectionSet) -> np.ndarray:
+    """The point pulled back along every direction to the root hyperplane,
+    one row per direction: pbar - p1 * slopes."""
+    pbar = np.asarray(p[1:], dtype=np.float64)
+    if len(pbar) != dirset.d:
+        raise ValueError("point dimension mismatch")
+    return pbar - float(p[0]) * dirset.slope_floats()
+
+
 def poss_set(p: Sequence[float], dirset: DirectionSet) -> PossSet:
     """Pull the point back along every direction to the root hyperplane and
     keep the root cubes whose shrunk cube contains the pullback; M, N and d
@@ -275,13 +284,9 @@ def poss_set(p: Sequence[float], dirset: DirectionSet) -> PossSet:
     A float floor can differ from the exact one only within rounding of a
     grid line, about M^-N/2 from either centre, far outside the shrunk
     half-width kappa*M^-N/2, so the set is the exact floor's."""
-    p1 = float(p[0])
-    pbar = np.asarray(p[1:], dtype=np.float64)
     M, N, d = dirset.spec.M, dirset.spec.N, dirset.d
-    if len(pbar) != d:
-        raise ValueError("point dimension mismatch")
     half = cross_section_side(M, N, d) / 2.0
-    base = pbar - p1 * dirset.slope_floats()
+    base = _pullback(p, dirset)
     idx = np.floor(base * M**N)
     center = (idx + 0.5) / M**N
     keep = np.all((base >= 0.0) & (base < 1.0) & (np.abs(base - center) <= half), axis=1)
@@ -296,12 +301,9 @@ def poss_set_affine(p: Sequence[float], dirset: DirectionSet) -> PossSet:
     """Same set computed through the affine copy of the direction set:
     enumerate candidate cubes around the pulled-back copy and keep those
     whose shrunk cube meets it.  Centres are those of ``poss_set``."""
-    p1 = float(p[0])
-    pbar = np.asarray(p[1:], dtype=np.float64)
     M, N, d = dirset.spec.M, dirset.spec.N, dirset.d
     half = cross_section_side(M, N, d) / 2.0
-    slopes = dirset.slope_floats()
-    copy_pts = pbar[None, :] - p1 * slopes  # the affine image of the directions
+    copy_pts = _pullback(p, dirset)  # the affine image of the directions
     witnesses: dict[Vertex, list[int]] = {}
     lo_idx = np.floor((copy_pts.min(axis=0) - half) * M**N).astype(int)
     hi_idx = np.floor((copy_pts.max(axis=0) + half) * M**N).astype(int)

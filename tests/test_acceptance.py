@@ -34,7 +34,6 @@ from kakeya.harness import (
 )
 from kakeya.percolation import (
     lyons_bounds,
-    random_leaf_subtree,
     resistance,
     shorted_resistance,
     survival_exact,
@@ -49,6 +48,7 @@ from kakeya.tubes import (
     poss_set_affine,
     unique_far_slope,
 )
+from random_trees import random_leaf_subtree
 
 F = Fraction
 

@@ -202,7 +202,7 @@ RECORD_RUNS = [
         ["N", "pointwise", *_SWEEP], id="upper-bound-pointwise",
     ),
     pytest.param(
-        ["iid-audit"], ["--N", "4", "--fields", "20"], {"samples": 7, "quadrature": 8},
+        ["iid-audit"], ["--N", "4", "--fields", "200"], {"samples": 7, "quadrature": 8},
         ["N", "fields", *_GROWTH], id="iid-audit",
     ),
     pytest.param(
@@ -365,7 +365,7 @@ def test_explicit_depth_flag_overrides_config_depth(tmp_path, capsys, config, fl
     "argv, flag, values",
     [
         (["resistance-growth", "--N", "4"], "--points", ("5", "9")),
-        (["iid-audit", "--N", "4"], "--fields", ("20", "21")),
+        (["iid-audit", "--N", "4"], "--fields", ("200", "201")),
         (["upper-bound", "--N", "3", "--samples", "2"], "--pointwise", ("1", "2")),
     ],
 )
@@ -495,8 +495,25 @@ def test_unread_flag_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, flag)
     assert f"argument {flag}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["--N", "1"], ["--d", "2", "--curve", "moment", "--N", "3"]])
+def test_iid_audit_without_a_point_is_a_one_line_error(capsys, argv):
+    """No point with 4 or more possible roots in the audit's draws: one
+    line on stderr and exit code 2, not a traceback."""
+    assert main(["iid-audit", *argv, "--fields", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "4 or more possible roots" in captured.err
+
+
+def test_iid_audit_finds_its_point_in_the_reachable_strip(capsys):
+    # drawn from [-0.5, 0.5] instead, seed 2 had no 4-root point at N=4
+    assert main(["iid-audit", "--N-range", "4:4", "--seed", "2", "--fields", "2000"]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"][0]["pass"]
+
+
 def test_iid_audit_writes_one_row_per_n(capsys):
-    assert main(["iid-audit", "--N-range", "4:5", "--fields", "20"]) == 0
+    assert main(["iid-audit", "--N-range", "4:5", "--fields", "200"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert [r["N"] for r in rows] == [4, 5]
     assert rows[0]["edges"] < rows[1]["edges"]

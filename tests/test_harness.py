@@ -1,8 +1,6 @@
 import json
 import math
-import random
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,11 +8,9 @@ import pytest
 from kakeya.harness import (
     ExperimentConfig,
     block_hash,
+    build_dirset,
     canonical_json,
-    counting_diagnostics,
     lower_bound_experiment,
-    maximal_norm_floor,
-    measure_union_bound,
     percolation_iid_audit,
     pointwise_percolation_bound,
     resistance_growth,
@@ -27,8 +23,9 @@ from kakeya.harness import (
     _exhaustive_pair_sums,
     _sample_pair_sums,
 )
-
-F = Fraction
+from kakeya.sticky import sticky_admissible
+from kakeya.trees import address_bits, height, index_from_leaf, leaf_from_index, yca
+from kakeya.tubes import cross_section_side, leaf_centers, pair_measure
 
 
 def test_exhaustive_slab_sum_equals_exact_expectation():
@@ -147,84 +144,94 @@ def test_resistance_growth_positive():
 
 
 # ---------------------------------------------------------------------------
-# measure-theory union bound
+# candidate sets, audit, persistence
 # ---------------------------------------------------------------------------
 
 
-def test_union_bound_disjoint_sets():
-    # n disjoint sets of measure a: L = n a^2... pairwise sum counts i=j too
-    n, a = 10, F(1, 7)
-    L = n * a**2 * 0 + n * a * a  # sum over i=j of a each -> n*a... use measures
-    # with L = sum_{i,j} mu(Ai ∩ Aj) = n*a (diagonal only)
-    bound = measure_union_bound(a, n, n * a)
-    assert bound == a * n / 16
-    assert bound <= n * a  # true union measure
+def estar_diagnostic(cfg: ExperimentConfig, N: int) -> list[dict]:
+    """Cardinality of the four-point candidate sets behind the second
+    moment estimate, stratified by the cross-ancestor height (d=1, by
+    exhaustive scan over the M^N root cubes).
 
+    For a fixed pair (t2, v2), (t2', v2') in type-2 position under an
+    ancestor u, counts the admissible (t1, v1), (t1', v1') whose tubes
+    meet the fixed ones inside a thin slab; the count at cross height
+    h(u1) is checked against its predicted ceiling 2^(2N-h(u)-h(u1)).
+    """
+    dirset = build_dirset(cfg, N)
+    M = cfg.M
+    leaves = [leaf_from_index(i, M, N) for i in range(M**N)]
+    centers = leaf_centers(M, N, 1)
+    slope_table = dirset.slope_floats()
+    n_slopes = dirset.n
+    side = cross_section_side(M, N, 1)
+    # slab at x1 ~ 1: far enough that candidates on the left can drift in
+    k = M**N
+    lo_x, hi_x = k * float(M) ** (-N), (k + 1) * float(M) ** (-N)
 
-def test_union_bound_identical_sets():
-    n, a = 12, F(2, 5)
-    bound = measure_union_bound(a, n, n * n * a)
-    assert bound == a / 16
-    assert bound <= a
+    rows = []
+    for hu in range(0, N - 1):
+        u = leaves[0][:hu]
+        # fixed deep pair: rightmost siblings inside u, slopes near zero,
+        # so left-of-u candidates with larger slopes can reach them
+        prefix = u + (M - 1,) * (N - hu - 1)
+        t2 = prefix + (0,)
+        t2p = prefix + (M - 1,)
+        v2, v2p = 0, 1  # addresses sharing N-1 levels, matching h(D(t2, t2'))
+        fixed = [(t2, address_bits(v2, N)), (t2p, address_bits(v2p, N))]
 
+        def reach(t_fix, v_fix):
+            out = []
+            i_fix = index_from_leaf(t_fix, M)
+            for i, t1 in enumerate(leaves):
+                if height(yca(t1, t_fix)) != hu:
+                    continue
+                for k1 in range(n_slopes):
+                    if N - (k1 ^ v_fix).bit_length() < hu and k1 != v_fix:
+                        continue
+                    m = pair_measure(
+                        centers[i],
+                        slope_table[k1],
+                        centers[i_fix],
+                        slope_table[v_fix],
+                        lo_x,
+                        hi_x,
+                        side,
+                    )
+                    if m > 0:
+                        out.append((t1, k1))
+            return out
 
-def test_union_bound_on_random_interval_families():
-    rng = random.Random(9)
-    for _ in range(1000):
-        n = rng.randrange(2, 8)
-        alpha = F(1, rng.randrange(5, 30))
-        starts = [F(rng.randrange(0, 200), 100) for _ in range(n)]
-        # exact pairwise intersections of [s, s+alpha)
-        L = F(0)
-        for s in starts:
-            for t in starts:
-                L += max(F(0), min(s + alpha, t + alpha) - max(s, t))
-        events = sorted((s, s + alpha) for s in starts)
-        union = F(0)
-        cur_lo, cur_hi = events[0]
-        for lo, hi in events[1:]:
-            if lo > cur_hi:
-                union += cur_hi - cur_lo
-                cur_lo, cur_hi = lo, hi
-            else:
-                cur_hi = max(cur_hi, hi)
-        union += cur_hi - cur_lo
-        assert union >= measure_union_bound(alpha, n, L)
-
-
-def test_union_bound_rejects_bad_input():
-    with pytest.raises(ValueError):
-        measure_union_bound(F(1, 2), 3, 0)
-
-
-# ---------------------------------------------------------------------------
-# norm floor, diagnostics, audit, persistence
-# ---------------------------------------------------------------------------
-
-
-def test_maximal_norm_floor():
-    assert maximal_norm_floor(16, 2, c0=1.0) == pytest.approx(4.0)
-    assert maximal_norm_floor(1, 3, c0=0.7) == pytest.approx(0.7)
-    with pytest.raises(ValueError):
-        maximal_norm_floor(0.5, 2)
-
-
-def test_counting_diagnostics_constants_finite():
-    cfg = ExperimentConfig(M=3, N=3, d=1, seed=7)
-    res = counting_diagnostics(cfg, N=3)
-    assert len(res["rows"]) == 3
-    for row in res["rows"]:
-        assert row["near_boundary_count"] >= 0
-        assert math.isfinite(row["reachable_constant"])
-        assert row["reachable_count"] <= 8 * row["reachable_bound"]
+        e1 = reach(t2, v2)
+        e2 = reach(t2p, v2p)
+        by_height: dict[int, int] = {}
+        for t1, k1 in e1:
+            for t1p, k1p in e2:
+                if t1 == t1p:
+                    continue  # four distinct roots required
+                pairs = fixed + [(t1, address_bits(k1, N)), (t1p, address_bits(k1p, N))]
+                if not sticky_admissible(pairs):
+                    continue
+                h_u1 = height(yca(t1, t1p))
+                by_height[h_u1] = by_height.get(h_u1, 0) + 1
+        for h_u1, count in sorted(by_height.items()):
+            bound = 2.0 ** (2 * N - hu - h_u1)
+            rows.append(
+                {
+                    "h_u": hu,
+                    "h_u1": h_u1,
+                    "count": count,
+                    "bound": bound,
+                    "constant": count / bound,
+                }
+            )
+    return rows
 
 
 def test_candidate_sets_track_predicted_ceiling():
-    from kakeya.harness import estar_diagnostic
-
     for N in (4, 5):
         cfg = ExperimentConfig(M=3, N=N, d=1)
-        rows = estar_diagnostic(cfg, N=N)["rows"]
+        rows = estar_diagnostic(cfg, N=N)
         assert rows, "diagnostic found no candidate pairs"
         constants = [r["constant"] for r in rows]
         assert all(0 < c <= 1.0 for c in constants)
@@ -274,23 +281,25 @@ def test_config_hash_changes_with_seed():
         (1, "affine", lambda cfg: pointwise_percolation_bound(cfg, cfg.N, grid=60)),
         (2, "moment", lambda cfg: pointwise_percolation_bound(cfg, cfg.N, grid=30)),
         (1, "affine", lambda cfg: resistance_growth(cfg, points=20)),
+        (1, "affine", lambda cfg: percolation_iid_audit(cfg, 5, fields=10)),
     ],
 )
 def test_far_points_lie_in_reachable_strip(monkeypatch, d, curve, run):
-    """Every point handed to poss_set has x1 in [c0, c0+1] and, on each
-    axis, x-bar within [-2c0, 2c0] and where some tube can be at x1."""
+    """Every point that an experiment drawing far points hands to poss_set
+    has x1 in [c0, c0+1] and, on each axis, x-bar within [-2c0, 2c0] and
+    where some tube of the direction set it is pulled back along can be
+    at x1."""
     from kakeya import harness
 
     cfg = ExperimentConfig(M=3, N=3 if d == 1 else 2, d=d, curve=curve, seed=1)
-    points = []
+    calls = []
     real = harness.poss_set
-    monkeypatch.setattr(harness, "poss_set", lambda x, *a: points.append(x) or real(x, *a))
+    monkeypatch.setattr(harness, "poss_set", lambda x, ds: calls.append((x, ds)) or real(x, ds))
     run(cfg)
-    dirset = harness.build_dirset(cfg, cfg.N)
-    c0 = dirset.c0
-    slopes = dirset.slope_floats()
-    assert points
-    for x1, *xbar in points:
+    assert calls
+    for (x1, *xbar), dirset in calls:
+        c0 = dirset.c0
+        slopes = dirset.slope_floats()
         assert c0 <= x1 <= c0 + 1
         lo = np.maximum(x1 * slopes.min(axis=0), -2.0 * c0)
         hi = np.minimum(1.0 + x1 * slopes.max(axis=0), 2.0 * c0)
@@ -313,3 +322,36 @@ def test_iid_audit_point_search_is_bounded():
     # N=1 has only M^d = 3 root cubes, so no point has 4 possible roots
     with pytest.raises(ValueError, match="4 or more possible roots"):
         percolation_iid_audit(ExperimentConfig(M=3, N=1, d=1), N=1, fields=10)
+
+
+# oracles: public computations kept for the tests that pin the experiments
+HARNESS_ORACLES = ("slab_sum_expectation_exact",)
+
+
+def test_every_public_harness_function_has_a_reader():
+    """A public function of kakeya.harness is read somewhere in src/ or
+    perfbench/ (tests aside) other than at its own definition, or it is
+    a named oracle."""
+    import ast
+    from pathlib import Path
+
+    from kakeya import harness
+
+    root = Path(__file__).resolve().parents[1]
+    tree = ast.parse(Path(harness.__file__).read_text())
+    public = {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    read = set()
+    for path in [*root.glob("src/**/*.py"), *root.glob("perfbench/*.py")]:
+        if path.name.startswith("test_"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert set(HARNESS_ORACLES) <= public
+    assert sorted(public - read - set(HARNESS_ORACLES)) == []

@@ -6,7 +6,6 @@ import pytest
 from kakeya.percolation import (
     edge_resistance,
     lyons_bounds,
-    random_leaf_subtree,
     resistance,
     shorted_resistance,
     survival_enumerate,
@@ -14,6 +13,7 @@ from kakeya.percolation import (
     survival_mc,
 )
 from kakeya.trees import FiniteTree
+from random_trees import random_leaf_subtree
 
 F = Fraction
 

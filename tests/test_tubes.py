@@ -279,6 +279,12 @@ def test_poss_far_outside_cone_empty(ds_affine_n5):
     assert len(poss) == 0
 
 
+@pytest.mark.parametrize("possible_roots", [poss_set, poss_set_affine])
+def test_poss_refuses_wrong_point_dimension(ds_affine_n5, possible_roots):
+    with pytest.raises(ValueError, match="point dimension mismatch"):
+        possible_roots((2.5, 0.5, 0.5), ds_affine_n5)
+
+
 def test_poss_dual_computation_agrees(ds_affine_n5):
     rng = random.Random(11)
     for _ in range(100):
