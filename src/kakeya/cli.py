@@ -509,7 +509,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ResourceWarning as err:  # ExperimentConfig.guard: over the leaf budget
+        print(f"kakeya {args.command}: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,10 +1,13 @@
 """Hot numeric kernels, vectorized in numpy.
 
 Pair sums and union lengths for d = 1, exact union measures of equal
-cubes for every d >= 2 (by slicing), and bulk edge bits of the sticky
-fields.  Pair sums score only the candidate pairs, whose centre hulls
-over the slab come within one cross-section width, found by one sort:
-O(n log n + K') for K' candidates, not O(n^2).
+cubes for every d >= 2, and bulk edge bits of the sticky fields.  Pair
+sums score only the candidate pairs, whose centre hulls over the slab
+come within one cross-section width, found by one sort: O(n log n + K')
+for K' candidates, not O(n^2).  Cube unions slice along the first axes
+and measure the last two as arrays: every slab's active cubes form one
+contiguous slice of the sorted cubes, gathered into padded rows and
+measured by sorted gaps, a chunk of rows at a time.
 Every kernel has an oracle test in ``tests/test_kernels.py``;
 ``python3 perfbench/run.py`` times them inside the experiments that use
 them.
@@ -183,27 +186,45 @@ def union_lengths_1d(
 # cross-section union measures, d >= 2: Klee's measure problem by slicing
 # (Bentley 1977; Chan, FOCS 2013).  Between consecutive events on the first
 # axis the active cubes are fixed, so the measure is the sum of each gap
-# times the (k-1)-dimensional union of the active cubes, down to the d = 1
-# sorted-gap formula.
+# times the (k-1)-dimensional union of the active cubes.  On the last two
+# axes every gap is measured at once: the active cubes of a gap are one
+# contiguous slice of the cubes sorted by corner, the slices are gathered
+# into rows padded with each row's own last corner (a padded gap is then
+# exactly 0), and each sorted row takes the d = 1 sorted-gap formula.
 # ---------------------------------------------------------------------------
+
+_SLICE_CELLS = 1 << 16  # gathered corners sorted at once
 
 
 def _union_measure_cubes(lo, side):
     """Exact measure of the union of equal axis-aligned cubes of side
-    ``side`` with (n, k) lower corners ``lo``."""
-    if lo.shape[1] == 1:
-        return float(side + np.minimum(np.diff(np.sort(lo[:, 0])), side).sum())
+    ``side`` with (n, k) lower corners ``lo``, k >= 2."""
     lo = lo[np.argsort(lo[:, 0], kind="stable")]
     starts = lo[:, 0]
     ends = starts + side
     events = np.sort(np.concatenate([starts, ends]))
-    first = np.searchsorted(ends, events, side="right").tolist()
-    stop = np.searchsorted(starts, events, side="right").tolist()
-    ys = events.tolist()
+    gaps = np.diff(events)
+    first = np.searchsorted(ends, events[:-1], side="right")
+    stop = np.searchsorted(starts, events[:-1], side="right")
+    live = (gaps > 0) & (first < stop)
+    gaps, first, stop = gaps[live], first[live], stop[live]
     measure = 0.0
-    for y0, y1, i, j in zip(ys, ys[1:], first, stop):
-        if y1 > y0 and i < j:
-            measure += _union_measure_cubes(lo[i:j, 1:], side) * (y1 - y0)
+    if lo.shape[1] > 2:
+        for g, i, j in zip(gaps.tolist(), first.tolist(), stop.tolist()):
+            measure += _union_measure_cubes(lo[i:j, 1:], side) * g
+        return measure
+    if gaps.size == 0:
+        return measure
+    corners = lo[:, 1]
+    last = stop - 1
+    rows = max(1, _SLICE_CELLS // int((stop - first).max()))  # per chunk
+    for s in range(0, gaps.size, rows):
+        f, t = first[s : s + rows], last[s : s + rows]
+        longest = int((t - f).max()) + 1
+        cols = np.minimum(f[:, None] + np.arange(longest), t[:, None])
+        z = np.sort(corners[cols], axis=1)
+        lengths = side + np.minimum(np.diff(z, axis=1), side).sum(axis=1)
+        measure += float(np.dot(gaps[s : s + rows], lengths))
     return measure
 
 

@@ -161,32 +161,46 @@ def pair_sum_over_range(
     """Sum over ordered pairs of pairwise intersection measures.
 
     d = 1 goes through the kernels.  Higher dimensions take the candidate
-    pairs of the first axis from the same enumerator, in (i < j) order, and
-    sum the exact scalar measure over those that pass the prefilter; the
-    pairs left out measure exactly 0, so the sum is the full pair loop's."""
+    pairs of the first axis from the same enumerator and sort them into
+    (i < j) order.  The prefilter of ``intersection_necessary`` then runs
+    on all of them at once: on each axis, with a = c_j - c_i and
+    b = v_j - v_i, [lo, hi] shrinks to where |a + b*x| <= side (with
+    b = 0 the pair stays or goes by |a| <= side), in the same float
+    operations as the scalar test.  Equal axis-aligned cubes overlap only
+    where every offset is at most side, so the pairs left out measure
+    exactly 0; the exact scalar ``pair_measure`` of the survivors, added in
+    key order, gives the full pair loop's sum bit for bit."""
     d = centers.shape[1]
     if d == 1:
         return kernels.pair_sum_1d(centers[:, 0], slopes[:, 0], lo, hi, side)
+    lo, hi, side = float(lo), float(hi), float(side)
     n = centers.shape[0]
     chunks = [
         np.minimum(i, j) * n + np.maximum(i, j)
-        for i, j in kernels._candidate_pairs(
-            centers[:, 0], slopes[:, 0], float(lo), float(hi), float(side)
-        )
+        for i, j in kernels._candidate_pairs(centers[:, 0], slopes[:, 0], lo, hi, side)
     ]
-    keys = np.sort(np.concatenate(chunks)) if chunks else []  # i < j, row-major
+    keys = np.sort(np.concatenate(chunks)) if chunks else np.empty(0, np.int64)
     total = 0.0
-    for key in keys:
-        i, j = divmod(int(key), n)
-        # equal axis-aligned cubes overlap iff every centre offset is <= side,
-        # so this prefilter is exact for the measure computation
-        if not intersection_necessary(
-            centers[i], slopes[i], centers[j], slopes[j], lo, hi, side
-        ):
-            continue
-        total += pair_measure(
-            centers[i], slopes[i], centers[j], slopes[j], lo, hi, side
-        )
+    for s in range(0, keys.size, kernels._PAIR_CHUNK):
+        i, j = np.divmod(keys[s : s + kernels._PAIR_CHUNK], n)
+        a = centers[j] - centers[i]
+        b = slopes[j] - slopes[i]
+        xlo = np.full(i.size, lo)
+        xhi = np.full(i.size, hi)
+        keep = np.ones(i.size, dtype=bool)
+        for k in range(d):
+            flat = b[:, k] == 0.0
+            keep &= ~flat | (np.abs(a[:, k]) <= side)
+            bk = np.where(flat, 1.0, b[:, k])
+            r0 = (-side - a[:, k]) / bk
+            r1 = (side - a[:, k]) / bk
+            xlo = np.where(flat, xlo, np.maximum(xlo, np.minimum(r0, r1)))
+            xhi = np.where(flat, xhi, np.minimum(xhi, np.maximum(r0, r1)))
+        keep &= xlo <= xhi
+        for ii, jj in zip(i[keep].tolist(), j[keep].tolist()):
+            total += pair_measure(
+                centers[ii], slopes[ii], centers[jj], slopes[jj], lo, hi, side
+            )
     return 2.0 * total
 
 

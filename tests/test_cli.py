@@ -585,11 +585,15 @@ def test_count_below_one_rejected(tmp_path, capsys, argv, config, message):
     "argv",
     [["simulate", "--samples", "1"], ["volume"], ["slopes"], ["prob-oracle", "--count", "1"]],
 )
-def test_leaf_budget_guards_every_experiment(tmp_path, argv):
+def test_leaf_budget_guards_every_experiment(tmp_path, capsys, argv):
+    """Over the leaf budget: one line on stderr and exit code 2, not a
+    traceback."""
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"leaf_budget": 10}))
-    with pytest.raises(ResourceWarning, match="exceeds the leaf budget 10"):
-        main(argv + ["--config", str(cfg_file), "--N", "3"])
+    assert main(argv + ["--config", str(cfg_file), "--N", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"kakeya {argv[0]}: M^(N*d) = 27 exceeds the leaf budget 10"]
 
 
 def test_readme_command_lines_parse():

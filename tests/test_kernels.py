@@ -1,11 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kakeya import kernels
-from kakeya.sticky import MASK64, StickyField, mix64
+from kakeya.cantor import builtin_curve, direction_set, middle_spec
+from kakeya.sticky import MASK64, StickyField, assignment_from_dirset, mix64
 from kakeya.trees import leaf_from_index
-from kakeya.tubes import pair_measure
+from kakeya.tubes import assignment_arrays, cross_section_side, pair_measure
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +158,62 @@ def test_union_areas_match_cell_oracle(d, data, side, x):
     got = kernels.union_areas_2d(c, v, side, np.array([x]))
     expect = _cell_union_oracle(c + x * v, side)
     assert got[0] == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+
+def _slicing_union_oracle(lo, side):
+    """Per-event slicing recursion, one Python step per event: the union
+    measure of equal cubes of side ``side`` with (n, k) lower corners."""
+    if lo.shape[1] == 1:
+        return float(side + np.minimum(np.diff(np.sort(lo[:, 0])), side).sum())
+    lo = lo[np.argsort(lo[:, 0], kind="stable")]
+    starts = lo[:, 0]
+    ends = starts + side
+    events = np.sort(np.concatenate([starts, ends]))
+    first = np.searchsorted(ends, events, side="right").tolist()
+    stop = np.searchsorted(starts, events, side="right").tolist()
+    ys = events.tolist()
+    measure = 0.0
+    for y0, y1, i, j in zip(ys, ys[1:], first, stop):
+        if y1 > y0 and i < j:
+            measure += _slicing_union_oracle(lo[i:j, 1:], side) * (y1 - y0)
+    return measure
+
+
+def _union_against_slicing_oracle(corners, slopes, side, xs):
+    """``union_areas_2d`` with every float warning an error, against the
+    per-event recursion at each node."""
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        got = kernels.union_areas_2d(corners, slopes, side, xs)
+    expect = [_slicing_union_oracle(corners + x * slopes, side) for x in xs]
+    assert got == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("d, N", [(2, 3), (3, 2)])
+def test_union_areas_of_realized_family_match_slicing_oracle(d, N):
+    """The 729 cubes of a sampled moment-curve family, near the root
+    hyperplane and in the far window."""
+    dirset = direction_set(middle_spec(3, N), builtin_curve("moment", d))
+    centers, slopes = assignment_arrays(assignment_from_dirset(dirset, 5))
+    assert centers.shape == (729, d)
+    side = cross_section_side(3, N, d)
+    c0 = dirset.c0
+    xs = np.array([0.0, 0.3, 0.8, c0 + 0.1, c0 + 0.55, c0 + 1.0])
+    _union_against_slicing_oracle(centers - side / 2, slopes, side, xs)
+
+
+@pytest.mark.parametrize("cells", [kernels._SLICE_CELLS, 100])
+def test_union_areas_with_every_cube_active(monkeypatch, cells):
+    """All n cubes overlap on the first axis, so one slab's slice holds
+    every cube (L = n): the rows come in chunks of the cell cap, and with
+    a cap below n one row at a time."""
+    monkeypatch.setattr(kernels, "_SLICE_CELLS", cells)
+    rng = np.random.default_rng(11)
+    n, side = 729, 0.01
+    corners = np.column_stack([rng.uniform(0.0, side / 2, n), rng.uniform(0.0, 3.0, n)])
+    assert corners[:, 0].max() < corners[:, 0].min() + side  # a common slab
+    slopes = np.zeros_like(corners)
+    _union_against_slicing_oracle(corners, slopes, side, np.array([0.0]))
 
 
 def test_node_bits_match_python_int_mix64():

@@ -1,12 +1,14 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from kakeya import kernels
+from kakeya import kernels, tubes
 from kakeya.cantor import affine_curve, direction_set, middle_spec
 from kakeya.sticky import SlopeAssignment, StickyField, assignment_from_dirset, sticky_admissible
 from kakeya.trees import cube_from_axis_indices, decode_cube, height, leaf_from_index, yca
@@ -184,6 +186,69 @@ def test_pair_sum_d2_equals_pair_loop_exactly():
     assert total > 0.0
     assert candidates < n * (n - 1) // 4  # most pairs are pruned
     assert pair_sum_over_range(centers, slopes, lo, hi, side) == 2.0 * total
+
+
+def _pair_loop_oracle(centers, slopes, lo, hi, side):
+    """The scalar i < j loop: prefilter, then exact measure.  Returns the
+    pair sum and the number of pairs measured."""
+    total = 0.0
+    kept = 0
+    n = centers.shape[0]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if intersection_necessary(
+                centers[i], slopes[i], centers[j], slopes[j], lo, hi, side
+            ):
+                kept += 1
+                total += pair_measure(
+                    centers[i], slopes[i], centers[j], slopes[j], lo, hi, side
+                )
+    return 2.0 * total, kept
+
+
+def _grid_tubes(d, n):
+    """Centres on a 1/8 grid and slopes on a 1/4 grid: equal slope
+    components (b = 0 on an axis) and offsets of exactly one side are
+    common."""
+    row = lambda values: st.lists(values, min_size=d, max_size=d)
+    centre = st.integers(0, 8).map(lambda k: k / 8)
+    slope = st.integers(-4, 4).map(lambda k: k / 4)
+    return st.lists(st.tuples(row(centre), row(slope)), min_size=n, max_size=n)
+
+
+@settings(max_examples=60, deadline=None)
+@example(
+    # b = 0 on the first axis with offsets +side (tubes 0, 1), -side
+    # (1, 2) and below side (0, 3); tubes 0 and 2 come within side only at hi
+    family=[
+        ([0.0, 0.5], [0.5, 0.25]),
+        ([0.125, 0.25], [0.5, 0.5]),
+        ([0.0, 0.75], [0.5, 0.125]),
+        ([0.0625, 0.5], [0.5, 0.25]),
+    ],
+    lo=0.0,
+    span=1.0,
+    side=0.125,
+)
+@given(
+    family=st.sampled_from([2, 3]).flatmap(
+        lambda d: st.integers(2, 12).flatmap(lambda n: _grid_tubes(d, n))
+    ),
+    lo=st.integers(-4, 4).map(lambda k: k / 4),
+    span=st.integers(0, 4).map(lambda k: k / 4),
+    side=st.sampled_from([0.125, 0.25, 0.3]),
+)
+def test_pair_sum_equals_scalar_pair_loop(family, lo, span, side):
+    """d = 2 and 3: the array prefilter keeps exactly the pairs the scalar
+    test keeps, by the same float operations, and the survivors are added
+    in the loop's order, so the sums are ==."""
+    centers = np.array([t[0] for t in family], dtype=np.float64)
+    slopes = np.array([t[1] for t in family], dtype=np.float64)
+    hi = lo + span
+    expect, kept = _pair_loop_oracle(centers, slopes, lo, hi, side)
+    with mock.patch.object(tubes, "pair_measure", wraps=pair_measure) as measured:
+        assert pair_sum_over_range(centers, slopes, lo, hi, side) == expect
+    assert measured.call_count == kept
 
 
 # ---------------------------------------------------------------------------
