@@ -279,15 +279,14 @@ def estimate_bilipschitz(
 class DirectionSet:
     """The 2^N directions gamma(representatives), with exact coordinates.
 
-    ``params`` are sorted ascending; ``addresses[i]`` is the Cantor digit
-    address of params[i].  ``slopes[i]`` always has first coordinate 1.
-    It is the one source of M and N (``spec``), d (``curve``) and C0 (``c0``).
+    ``params`` are sorted ascending; ``slopes[i]`` always has first
+    coordinate 1.  It is the one source of M and N (``spec``), d
+    (``curve``) and C0 (``c0``).
     """
 
     spec: CantorSpec
     curve: DirectionCurve
     params: tuple[Fraction, ...]
-    addresses: tuple[Digits, ...]
     slopes: tuple[tuple[Fraction, ...], ...]
     lip_lo: float
     lip_hi: float
@@ -321,7 +320,6 @@ def direction_set(spec: CantorSpec, curve: DirectionCurve) -> DirectionSet:
     """Build the direction set and check the curve stays in {1} x [-1,1]^d."""
     ivs = representatives(spec)
     params = tuple(iv.left for iv in ivs)
-    addresses = tuple(iv.digits for iv in ivs)
     slopes = []
     for t in params:
         p = curve.point(t)
@@ -338,7 +336,6 @@ def direction_set(spec: CantorSpec, curve: DirectionCurve) -> DirectionSet:
         spec=spec,
         curve=curve,
         params=params,
-        addresses=addresses,
         slopes=tuple(slopes),
         lip_lo=c_lo,
         lip_hi=c_hi,

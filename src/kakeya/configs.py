@@ -25,21 +25,16 @@ from .trees import Vertex, height, is_ancestor, ray_edges, yca
 class ConfigClass:
     """Outcome of classifying a root tuple.
 
-    ``cond``/``query`` are (leaf, slot) lists: conditioning on the slopes
-    of ``cond`` the probability of the ``query`` slopes is (1/2)^exponent
-    whenever the full tuple is sticky-admissible, else 0.  ``slots`` name
-    the original positions, e.g. "t2'" for the second leaf of the second
-    pair, so permutation choices stay auditable.
+    ``cond``/``query`` are leaf tuples: conditioning on the slopes of
+    ``cond`` the probability of the ``query`` slopes is (1/2)^exponent
+    whenever the full tuple is sticky-admissible, else 0.
     """
 
     arity: int
     type_tag: int
     case: str
-    swapped: bool
     cond: tuple[Vertex, ...]
     query: tuple[Vertex, ...]
-    cond_slots: tuple[str, ...]
-    query_slots: tuple[str, ...]
     exponent: int
     h_u: int
     h_uprime: int
@@ -73,15 +68,10 @@ def classify4(t1: Vertex, t2: Vertex, t1p: Vertex, t2p: Vertex) -> ConfigClass:
     N = _check_leaves([t1, t2, t1p, t2p])
     u = yca(t1, t2)
     up = yca(t1p, t2p)
-    swapped = height(u) > height(up)
-    if swapped:
+    if height(u) > height(up):
         (t1, t2), (t1p, t2p) = (t1p, t2p), (t1, t2)
         u, up = up, u
     hu, hup = height(u), height(up)
-    if swapped:
-        names = {"1": "t1'", "2": "t2'", "1p": "t1", "2p": "t2"}
-    else:
-        names = {"1": "t1", "2": "t2", "1p": "t1'", "2p": "t2'"}
     firsts = {"1": t1, "2": t2}
     primes = {"1": t1p, "2": t2p}
 
@@ -89,25 +79,16 @@ def classify4(t1: Vertex, t2: Vertex, t1p: Vertex, t2p: Vertex) -> ConfigClass:
               deep_conditions=False):
         i1, i2 = i_perm
         j1, j2 = j_perm
+        cond = (firsts[i1], primes[j1])
+        query = (firsts[i2], primes[j2])
         if deep_conditions:
-            cond = (firsts[i2], primes[j2])
-            cond_slots = (names[i2], names[j2 + "p"])
-            query = (firsts[i1], primes[j1])
-            query_slots = (names[i1], names[j1 + "p"])
-        else:
-            cond = (firsts[i1], primes[j1])
-            cond_slots = (names[i1], names[j1 + "p"])
-            query = (firsts[i2], primes[j2])
-            query_slots = (names[i2], names[j2 + "p"])
+            cond, query = query, cond
         return ConfigClass(
             arity=4,
             type_tag=type_tag,
             case=case,
-            swapped=swapped,
             cond=cond,
             query=query,
-            cond_slots=cond_slots,
-            query_slots=query_slots,
             exponent=exponent,
             h_u=hu,
             h_uprime=hup,
@@ -177,19 +158,15 @@ def classify3(t1: Vertex, t2: Vertex, t2p: Vertex) -> ConfigClass:
     N = _check_leaves([t1, t2, t2p])
     u = yca(t1, t2)
     up = yca(t1, t2p)
-    swapped = height(u) > height(up)
-    if swapped:
+    if height(u) > height(up):
         t2, t2p = t2p, t2
         u, up = up, u
     hu, hup = height(u), height(up)
     u2 = yca(t2, t2p)
     common = dict(
         arity=3,
-        swapped=swapped,
         cond=(t1,),
         query=(t2, t2p),
-        cond_slots=("t1",),
-        query_slots=("t2", "t2'") if not swapped else ("t2'", "t2"),
         h_u=hu,
         h_uprime=hup,
     )

@@ -15,14 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import kernels
 from .cantor import CantorSpec, DirectionCurve, DirectionSet, direction_set
 from .kernels import _GOLDEN, _MIX1, _MIX2
-from .trees import Vertex, height, leaf_from_index, ray_edges, yca
+from .trees import EdgeBudgetError  # noqa: F401  (re-exported)
+from .trees import Vertex, height, index_from_leaf, leaf_from_index, ray_addresses, yca
 
 MASK64 = (1 << 64) - 1
 
@@ -111,10 +112,7 @@ class SlopeAssignment:
         """Index into the sorted direction list (binary address as integer)."""
         if height(t) != self.N:
             raise ValueError(f"need a height-{self.N} leaf, got height {height(t)}")
-        idx = 0
-        for b in self.tau(t):
-            idx = idx * 2 + b
-        return idx
+        return index_from_leaf(self.tau(t), 2)
 
     def sigma(self, t: Vertex) -> tuple[Fraction, ...]:
         return self.dirset.slopes[self.slope_index(t)]
@@ -167,17 +165,6 @@ def sticky_admissible(pairs: Sequence[tuple[Vertex, Vertex]]) -> bool:
     return True
 
 
-class EdgeBudgetError(RuntimeError):
-    """Enumeration would exceed the edge budget."""
-
-
-def _edge_list(leaves: Iterable[Vertex]) -> list[Vertex]:
-    edges: set[Vertex] = set()
-    for t in leaves:
-        edges.update(ray_edges(t))
-    return sorted(edges)
-
-
 def enumerate_realizations(
     pairs: Sequence[tuple[Vertex, Vertex]], budget: int = 30
 ) -> Fraction:
@@ -185,29 +172,13 @@ def enumerate_realizations(
     (leaf, binary address) pairs, by literal enumeration of all 2^E bit
     assignments on the union of the leaves' rays.
     """
-    if not pairs:
-        return Fraction(1)
-    leaves = [t for t, _ in pairs]
-    edges = _edge_list(leaves)
-    E = len(edges)
-    if E > budget:
-        raise EdgeBudgetError(f"{E} edges exceeds the budget of {budget}")
-    edge_pos = {e: i for i, e in enumerate(edges)}
-    total = 1 << E
-    hits = 0
-    # vectorized sweep over assignments, chunked to bound memory
-    chunk = 1 << 20
-    ray_positions = [
-        np.array([edge_pos[e] for e in ray_edges(t)], dtype=np.uint64) for t in leaves
-    ]
-    targets = [np.array(b, dtype=np.uint64) for _, b in pairs]
-    for start in range(0, total, chunk):
-        ms = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-        ok = np.ones(ms.shape[0], dtype=bool)
-        for pos, tgt in zip(ray_positions, targets):
-            bits = (ms[:, None] >> pos[None, :]) & np.uint64(1)
-            ok &= (bits == tgt[None, :]).all(axis=1)
-        hits += int(ok.sum())
+    if any(height(t) != height(b) for t, b in pairs):
+        raise ValueError("leaf and address heights differ")
+    targets = np.array([index_from_leaf(b, 2) for _, b in pairs], dtype=np.uint64)
+    hits = total = 0
+    for rows in ray_addresses([t for t, _ in pairs], budget):
+        hits += int((rows == targets).all(axis=1).sum())
+        total += rows.shape[0]
     return Fraction(hits, total)
 
 
@@ -218,8 +189,6 @@ def enumerate_conditional(
 ) -> Fraction:
     """Exact conditional probability Pr(query | condition) by enumeration."""
     joint = enumerate_realizations(list(condition) + list(query), budget=budget)
-    if not condition:
-        return joint
     denom = enumerate_realizations(condition, budget=budget)
     if denom == 0:
         raise ZeroDivisionError("conditioning event has probability zero")
@@ -227,7 +196,7 @@ def enumerate_conditional(
 
 
 def enumerate_joint_addresses(
-    leaves: Sequence[Vertex], depth: int, budget: int = 30
+    leaves: Sequence[Vertex], budget: int = 30
 ) -> dict[tuple[int, ...], int]:
     """Counts, over all edge-bit assignments on the union of rays, of every
     combination of binary addresses the given leaves can receive.
@@ -236,25 +205,9 @@ def enumerate_joint_addresses(
     aligned with ``leaves``.  Together the counts describe the exact joint
     distribution, from which any conditional probability is a ratio.
     """
-    edges = _edge_list(leaves)
-    E = len(edges)
-    if E > budget:
-        raise EdgeBudgetError(f"{E} edges exceeds the budget of {budget}")
-    edge_pos = {e: i for i, e in enumerate(edges)}
     counts: dict[tuple[int, ...], int] = {}
-    ray_positions = [
-        np.array([edge_pos[e] for e in ray_edges(t)], dtype=np.uint64) for t in leaves
-    ]
-    total = 1 << E
-    chunk = 1 << 20
-    weights = (np.uint64(1) << np.arange(depth - 1, -1, -1, dtype=np.uint64))
-    for start in range(0, total, chunk):
-        ms = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-        addrs = np.empty((ms.shape[0], len(leaves)), dtype=np.uint64)
-        for li, pos in enumerate(ray_positions):
-            bits = (ms[:, None] >> pos[None, :]) & np.uint64(1)
-            addrs[:, li] = (bits * weights[None, :]).sum(axis=1)
-        keys, kcounts = np.unique(addrs, axis=0, return_counts=True)
+    for rows in ray_addresses(leaves, budget):
+        keys, kcounts = np.unique(rows, axis=0, return_counts=True)
         for row, c in zip(keys, kcounts):
             key = tuple(int(x) for x in row)
             counts[key] = counts.get(key, 0) + int(c)
@@ -269,16 +222,5 @@ def all_fields_exhaustive(base: int, depth: int, budget: int = 30):
     ``budget``; used by the tiny-scale exhaustive experiments.
     """
     leaves = [leaf_from_index(i, base, depth) for i in range(base**depth)]
-    edges = _edge_list(leaves)
-    if len(edges) > budget:
-        raise EdgeBudgetError(f"{len(edges)} edges exceeds the budget of {budget}")
-    edge_pos = {e: i for i, e in enumerate(edges)}
-    rays = [[edge_pos[e] for e in ray_edges(t)] for t in leaves]
-    for m in range(1 << len(edges)):
-        idx = np.empty(len(leaves), dtype=np.int64)
-        for li, ray in enumerate(rays):
-            v = 0
-            for p in ray:
-                v = v * 2 + ((m >> p) & 1)
-            idx[li] = v
-        yield idx
+    for rows in ray_addresses(leaves, budget):
+        yield from rows.astype(np.int64)

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 Vertex = tuple[int, ...]
 ROOT: Vertex = ()
@@ -41,6 +43,42 @@ def yca(u: Vertex, v: Vertex) -> Vertex:
 def ray_edges(v: Vertex) -> list[Vertex]:
     """Edges on the ray to v, each identified by its terminating vertex."""
     return [v[:k] for k in range(1, len(v) + 1)]
+
+
+# ---------------------------------------------------------------------------
+# every 0/1 edge labelling of a set of rays
+# ---------------------------------------------------------------------------
+
+_CHUNK = 1 << 20  # labellings decoded per array
+
+
+class EdgeBudgetError(RuntimeError):
+    """Enumeration would exceed the edge budget."""
+
+
+def ray_addresses(leaves: Sequence[Vertex], budget: int) -> Iterator[np.ndarray]:
+    """Every 0/1 labelling of the edges on the leaves' rays, read as the
+    binary address each leaf's ray carries (root edge most significant).
+
+    The sorted edges are the bits of a mask, the first edge bit 0; yields
+    (labellings, len(leaves)) uint64 arrays in mask order, ``_CHUNK``
+    labellings at a time.
+    """
+    edges = sorted({e for t in leaves for e in ray_edges(t)})
+    if len(edges) > budget:
+        raise EdgeBudgetError(f"{len(edges)} edges exceeds the budget of {budget}")
+    bit = {e: np.uint64(i) for i, e in enumerate(edges)}
+    one = np.uint64(1)
+    total = 1 << len(edges)
+    for start in range(0, total, _CHUNK):
+        masks = np.arange(start, min(start + _CHUNK, total), dtype=np.uint64)
+        rows = np.empty((masks.size, len(leaves)), dtype=np.uint64)
+        for j, t in enumerate(leaves):
+            addr = np.zeros_like(masks)
+            for e in ray_edges(t):
+                addr = (addr << one) | ((masks >> bit[e]) & one)
+            rows[:, j] = addr
+        yield rows
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,7 @@ def test_criterion_01_exact_pair_oracle():
 
 def _verify_full_joint(cc, N):
     order = list(cc.cond) + list(cc.query)
-    counts = enumerate_joint_addresses(order, N)
+    counts = enumerate_joint_addresses(order)
     n_cond = len(cc.cond)
     marginals = {}
     for key, c in counts.items():

@@ -26,7 +26,7 @@ def _addr(v: int, N: int):
 def _verify_tuple_against_enumeration(cc, N):
     """Check the closed form against the full joint law of the addresses."""
     order = list(cc.cond) + list(cc.query)
-    counts = enumerate_joint_addresses(order, N)
+    counts = enumerate_joint_addresses(order)
     n_cond = len(cc.cond)
     marginals = {}
     for key, c in counts.items():
@@ -160,7 +160,7 @@ def test_pair_probability_examples():
 def test_pair_probability_exhaustive_n2():
     leaves = [leaf_from_index(i, 3, 2) for i in range(9)]
     for t1, t2 in itertools.permutations(leaves, 2):
-        counts = enumerate_joint_addresses([t1, t2], 2)
+        counts = enumerate_joint_addresses([t1, t2])
         total = sum(counts.values())
         for b1 in range(4):
             marg = sum(c for k, c in counts.items() if k[0] == b1)

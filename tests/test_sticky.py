@@ -197,6 +197,14 @@ def test_one_leaf_probability():
     assert enumerate_realizations([((0, 1), (0, 0))]) == F(1, 4)
 
 
+def test_realization_needs_address_of_leaf_height():
+    # a 1-bit address for a height-2 leaf is refused, as sticky_admissible refuses it
+    with pytest.raises(ValueError, match="leaf and address heights differ"):
+        enumerate_realizations([((0, 1), (1,))])
+    with pytest.raises(ValueError, match="leaf and address heights differ"):
+        sticky_admissible([((0, 1), (1,))])
+
+
 def test_conditional_probability_shared_parent():
     # h(u) = 1 at N = 2: one free edge left
     t1, t2 = (0, 0), (0, 1)
@@ -224,7 +232,7 @@ def test_exhaustive_fields_distinct_and_complete():
 
 def test_joint_counts_match_realizations():
     t1, t2 = (0, 0), (1, 1)
-    counts = enumerate_joint_addresses([t1, t2], 2)
+    counts = enumerate_joint_addresses([t1, t2])
     for b1 in range(4):
         for b2 in range(4):
             a1 = tuple((b1 >> (1 - j)) & 1 for j in range(2))

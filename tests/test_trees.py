@@ -4,10 +4,12 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import kakeya
+from kakeya import trees
 from kakeya.cantor import binary_address, interval_digits, middle_spec, phi_map
 from kakeya.sticky import sticky_admissible
 from kakeya.trees import (
@@ -16,6 +18,7 @@ from kakeya.trees import (
     decode_cube,
     height,
     leaf_from_index,
+    ray_addresses,
     yca,
 )
 
@@ -216,6 +219,68 @@ def test_leaf_from_index_lexicographic():
 def test_cube_center():
     corner, side = decode_cube((0, 2), 3, 1)
     assert (corner[0] + side / 2,) == (F(5, 18),)
+
+
+def _decode_oracle(leaves, masks):
+    """Per-mask Python decoding: edge i of the sorted ray edges is bit i of
+    the mask, and each leaf reads its ray's bits root first."""
+    edges = sorted({t[:k] for t in leaves for k in range(1, len(t) + 1)})
+    edge_pos = {e: i for i, e in enumerate(edges)}
+    rays = [[edge_pos[t[:k]] for k in range(1, len(t) + 1)] for t in leaves]
+    out = []
+    for m in masks:
+        row = []
+        for ray in rays:
+            v = 0
+            for p in ray:
+                v = v * 2 + ((m >> p) & 1)
+            row.append(v)
+        out.append(row)
+    return out
+
+
+def _decoded(leaves, stride=1):
+    """The decoder's rows at every ``stride``-th mask, with their masks."""
+    masks, rows, start = [], [], 0
+    for chunk in ray_addresses(leaves, budget=30):
+        assert chunk.dtype == np.uint64 and chunk.shape[1] == len(leaves)
+        first = -start % stride
+        masks.extend(range(start + first, start + len(chunk), stride))
+        rows.extend(chunk[first::stride].tolist())
+        start += len(chunk)
+    return masks, rows, start
+
+
+@pytest.mark.parametrize("base, depth", [(b, k) for b in (2, 3, 4) for k in (1, 2)])
+def test_ray_addresses_match_per_mask_decoding_on_full_trees(base, depth):
+    leaves = [leaf_from_index(i, base, depth) for i in range(base**depth)]
+    edges = sum(base**k for k in range(1, depth + 1))
+    stride = max(1, (1 << edges) >> 12)  # at most 4,096 masks for the Python oracle
+    masks, rows, total = _decoded(leaves, stride)
+    assert total == 1 << edges
+    assert rows == _decode_oracle(leaves, masks)
+
+
+RAGGED = [(0,), (1, 2), (2, 0, 1), (1, 2), (1,), ()]
+
+
+def test_ray_addresses_match_per_mask_decoding_on_ragged_leaves():
+    masks, rows, total = _decoded(RAGGED)
+    assert total == 1 << 6
+    assert rows == _decode_oracle(RAGGED, range(total))
+
+
+def test_ray_addresses_rows_cross_chunk_boundaries(monkeypatch):
+    monkeypatch.setattr(trees, "_CHUNK", 5)
+    chunks = list(ray_addresses(RAGGED, budget=6))
+    assert [len(c) for c in chunks] == [5] * 12 + [4]
+    rows = np.concatenate(chunks).tolist()
+    assert rows == _decode_oracle(RAGGED, range(1 << 6))
+
+
+def test_ray_addresses_refuse_over_budget():
+    with pytest.raises(trees.EdgeBudgetError, match="6 edges exceeds the budget of 5"):
+        next(ray_addresses(RAGGED, budget=5))
 
 
 def _kakeya_imports(path: Path) -> set[str]:
