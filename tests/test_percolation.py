@@ -32,6 +32,15 @@ def test_single_ray_resistance_series():
         assert resistance(FiniteTree.single_ray(k)) == 2**k - 1
 
 
+def test_edge_resistance_fair_coins():
+    # the ray to v is the ray to its parent plus the edge into v, in series
+    tree = FiniteTree.full(2, 3)
+    for v in tree.edges():
+        ray = resistance(FiniteTree.from_leaves([v]))
+        parent_ray = resistance(FiniteTree.from_leaves([v[:-1]])) if len(v) > 1 else 0
+        assert ray - parent_ray == 2 ** (len(v) - 1)
+
+
 def test_shorted_full_binary_closed_form():
     for n in (1, 2, 5, 8):
         assert shorted_resistance(FiniteTree.full(2, n)) == F(n, 2)
