@@ -216,16 +216,9 @@ class DirectionCurve:
         return out
 
 
-def affine_curve(
-    d: int,
-    slopes: Sequence[Fraction | int] | None = None,
-    intercepts: Sequence[Fraction | int] | None = None,
-) -> DirectionCurve:
-    """Curve (1, a_1 t + b_1, ..., a_d t + b_d); defaults to a_i=1, b_i=0."""
-    a = [Fraction(x) for x in (slopes if slopes is not None else [1] * d)]
-    b = [Fraction(x) for x in (intercepts if intercepts is not None else [0] * d)]
-    rows = tuple((b[i], a[i]) for i in range(d))
-    return DirectionCurve(d=d, rows=rows, name="affine")
+def affine_curve(d: int) -> DirectionCurve:
+    """Curve (1, t, ..., t)."""
+    return DirectionCurve(d=d, rows=((Fraction(0), Fraction(1)),) * d, name="affine")
 
 
 def moment_curve(d: int) -> DirectionCurve:

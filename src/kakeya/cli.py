@@ -76,6 +76,14 @@ _positive_int = _int_from(1)  # every count, depth and dimension
 _M_TYPE = _int_from(3)  # the middle-digit Cantor construction needs M >= 3
 
 
+def _point(text: str) -> tuple[float, ...]:
+    """argparse type of --point: comma-separated floats."""
+    try:
+        return tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not comma-separated numbers") from None
+
+
 def _n_range(text: str) -> tuple[int, ...]:
     """argparse type of --N-range: lo:hi inclusive, not empty, lo >= 1."""
     lo, hi = map(int, text.split(":"))
@@ -311,6 +319,8 @@ def cmd_prob_oracle(args) -> int:
     N = cfg.N
     cfg.guard(N)
     B = cfg.M**cfg.d
+    if B**N < 4:
+        args.error(f"4-tuples need at least 4 leaves, but M^(N*d) = {B**N}")
     leaves = [leaf_from_index(i, B, N) for i in range(B**N)]
     if args.tuples == "exhaustive":
         _refuse(args, "is not read with --tuples exhaustive", "seed")
@@ -345,9 +355,10 @@ def _tree_from_args(args, cfg: ExperimentConfig) -> FiniteTree:
     if args.point is None:
         _refuse(args, "is read only with --point", *_GEOMETRY)
         return FiniteTree.full(2, args.height or 4)
-    dirset = build_dirset(cfg, cfg.N)
-    point = tuple(float(x) for x in args.point.split(","))
-    poss = poss_set(point, dirset)
+    if len(args.point) != 1 + cfg.d:
+        args.error(f"argument --point: needs 1 + d = {1 + cfg.d} coordinates, "
+                   f"got {len(args.point)}")
+    poss = poss_set(args.point, build_dirset(cfg, cfg.N))
     if len(poss) == 0:
         raise SystemExit("point is reachable from no root cube")
     return FiniteTree.from_leaves(poss.roots())
@@ -480,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("percolate", help="survival probability of a tree")
     _add_config(p, "seed", *_GEOMETRY)
     tree = p.add_mutually_exclusive_group()
-    tree.add_argument("--point", help="comma-separated far point: its Poss tree")
+    tree.add_argument("--point", type=_point, help="comma-separated far point: its Poss tree")
     tree.add_argument("--height", type=_positive_int, help="full binary tree (default 4)")
     p.add_argument("--mc-samples", type=_positive_int, default=100_000)
     p.set_defaults(fn=cmd_percolate)
@@ -488,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resist", help="resistance of a tree network")
     _add_config(p, *_GEOMETRY)
     tree = p.add_mutually_exclusive_group()
-    tree.add_argument("--point", help="comma-separated far point: its Poss tree")
+    tree.add_argument("--point", type=_point, help="comma-separated far point: its Poss tree")
     tree.add_argument("--height", type=_positive_int, help="full binary tree (default 4)")
     p.set_defaults(fn=cmd_resist)
 

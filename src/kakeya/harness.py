@@ -452,9 +452,10 @@ def percolation_iid_audit(cfg: ExperimentConfig, N: int, fields: int = 10_000) -
     For a far point, the first of the reachable strip's draws with 4 or
     more possible roots, every possible root carries a unique binary
     address; an edge bit is "agree" when the field bit matches the address
-    bit at that level.  Computed independently through every leaf under
-    the edge, the values must coincide (consistency), and across fields
-    each edge bit must look like an independent fair coin.
+    bit at that level.  Computed through every leaf under the edge, the
+    values must coincide (consistency: the leaves' address bits there
+    agree, so every field passes or none does), and across fields each
+    edge bit must look like an independent fair coin.
     """
     from scipy.stats import chi2
 
@@ -466,43 +467,28 @@ def percolation_iid_audit(cfg: ExperimentConfig, N: int, fields: int = 10_000) -
             f"draws (M={cfg.M}, N={N}, d={cfg.d}); raise N"
         )
     witnesses = unique_far_slope(point, build_dirset(cfg, N))
-    roots = sorted(witnesses)
-    beta = {t: bits for t, (_, bits) in witnesses.items()}
-    tree = FiniteTree.from_leaves(roots)
-    edges = tree.edges()
-    edge_index = {e: i for i, e in enumerate(edges)}
-    base = cfg.M**cfg.d
-
-    # (leaf, level) incidence lists: route r computes Y at edge edge_of[r]
-    leaf_node_ids = []
-    route_edge = []
-    route_beta = []
-    for t in roots:
+    # every leaf under an edge reads the edge's one field bit, so Y agrees
+    # through all of them exactly when their address bits at that level
+    # agree; where they disagree, the sentinel 2 matches no bit and Y = 0
+    level_bits = {}
+    for t, (_, bits) in witnesses.items():
         for lvl in range(1, N + 1):
-            e = t[:lvl]
-            leaf_node_ids.append(node_id(e, base))
-            route_edge.append(edge_index[e])
-            route_beta.append(beta[t][lvl - 1])
-    ids = np.array(leaf_node_ids, dtype=np.uint64)
-    route_edge = np.array(route_edge)
-    route_beta = np.array(route_beta, dtype=np.uint8)
+            level_bits.setdefault(t[:lvl], set()).add(bits[lvl - 1])
+    edges = sorted(level_bits)
+    edge_beta = np.array(
+        [b.pop() if len(b) == 1 else 2 for b in map(level_bits.get, edges)], dtype=np.uint8
+    )
+    base = cfg.M**cfg.d
+    ids = np.array([node_id(e, base) for e in edges], dtype=np.uint64)
     E = len(edges)
     ones = np.zeros(E, dtype=np.int64)
-    consistency_violations = 0
+    consistency_violations = fields if np.any(edge_beta == 2) else 0
     pair_cells = np.zeros((min(64, E // 2), 4), dtype=np.int64)
     pair_a = np.arange(pair_cells.shape[0]) * 2
     pair_b = pair_a + 1
     for f in range(fields):
         fld = StickyField(seed=derive_seed(cfg.seed, 40_000_007 + f), base=base)
-        bits = kernels.node_bits(fld.key, ids)
-        y = (bits == route_beta).astype(np.int8)
-        mins = np.full(E, 2, dtype=np.int8)
-        maxs = np.full(E, -1, dtype=np.int8)
-        np.minimum.at(mins, route_edge, y)
-        np.maximum.at(maxs, route_edge, y)
-        if np.any(mins != maxs):
-            consistency_violations += 1
-        ye = mins
+        ye = (kernels.node_bits(fld.key, ids) == edge_beta).astype(np.int8)
         ones += ye
         cell = 2 * ye[pair_a] + ye[pair_b]
         for c in range(4):

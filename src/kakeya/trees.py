@@ -86,28 +86,12 @@ def ray_addresses(leaves: Sequence[Vertex], budget: int) -> Iterator[np.ndarray]
 # ---------------------------------------------------------------------------
 
 
-def pack_axes(axes: Sequence[int], M: int) -> int:
-    """Lexicographic rank of a d-tuple of per-axis digits."""
-    out = 0
-    for a in axes:
-        out = out * M + a
-    return out
-
-
-def unpack_axes(digit: int, M: int, d: int) -> tuple[int, ...]:
-    axes = []
-    for _ in range(d):
-        axes.append(digit % M)
-        digit //= M
-    return tuple(reversed(axes))
-
-
 def decode_cube(v: Vertex, M: int, d: int) -> tuple[tuple[Fraction, ...], Fraction]:
     """Lower corner and side length of the cube a vertex represents."""
     k = len(v)
     corner = [Fraction(0)] * d
     for lvl, digit in enumerate(v, start=1):
-        axes = unpack_axes(digit, M, d)
+        axes = leaf_from_index(digit, M, d)
         for a in range(d):
             corner[a] += Fraction(axes[a], M**lvl)
     return tuple(corner), Fraction(1, M**k)
@@ -118,7 +102,7 @@ def cube_from_axis_indices(axis_indices: Sequence[int], k: int, M: int) -> Verte
     digs = []
     for lvl in range(k):
         axes = [i // M ** (k - 1 - lvl) % M for i in axis_indices]
-        digs.append(pack_axes(axes, M))
+        digs.append(index_from_leaf(axes, M))
     return tuple(digs)
 
 

@@ -72,8 +72,8 @@ def intersection_necessary(
     each coordinate of the centre offset must admit |a_i + x1*b_i| <=
     threshold somewhere in the range.  Equal axis-aligned cross-sections
     of side s meet only where every offset is at most s, so with
-    threshold = s, as ``pair_sum_over_range`` passes, a False here
-    guarantees empty intersection.
+    threshold = s a False here guarantees empty intersection.  The scalar
+    oracle of the overlap range that ``pair_measure`` narrows to.
     """
     xlo, xhi = float(lo), float(hi)
     for ai, bi in zip(
@@ -108,47 +108,48 @@ def pair_measure(
     lo: float,
     hi: float,
     side: float,
-) -> float:
+) -> float | np.ndarray:
     """Exact Lebesgue measure of the intersection of two tubes over
-    x1 in [lo, hi].
+    x1 in [lo, hi]: a float for one pair of (d,) vectors, an (n,) array
+    for (n, d) arrays of n pairs.
 
-    The integrand is the product over coordinates of
-    max(0, side - |a_i + b_i*x1|); between breakpoints (where a factor
-    kinks or vanishes) it is a polynomial of degree <= d, integrated
-    exactly by Gauss-Legendre quadrature of sufficient order.
+    With a = c2 - c1 and b = v2 - v1, [lo, hi] first narrows to the
+    overlap range, where |a_i + b_i*x1| <= side on every axis (an axis
+    with b_i = 0 keeps or drops the pair by |a_i| <= side), in the float
+    operations of ``intersection_necessary``.  There every factor
+    side - |a_i + b_i*x1| is non-negative and linear but at its zero, so
+    the range ends and the at most d kinks cut the integrand into d + 1
+    polynomials of degree <= d, each integrated exactly by Gauss-Legendre
+    quadrature of sufficient order.
     """
-    a = np.array([float(y) - float(x) for x, y in zip(c1, c2)])
-    b = np.array([float(y) - float(x) for x, y in zip(v1, v2)])
-    d = a.shape[0]
-    lo = float(lo)
-    hi = float(hi)
-    if hi <= lo:
-        return 0.0
-    cuts = [lo, hi]
-    for i in range(d):
-        if b[i] != 0.0:
-            for target in (-side, 0.0, side):
-                x = (target - a[i]) / b[i]
-                if lo < x < hi:
-                    cuts.append(x)
-        else:
-            if abs(a[i]) >= side:
-                return 0.0  # this factor vanishes identically
-    cuts = sorted(set(cuts))
-    nodes, weights = _gl_nodes(max(1, (d + 2) // 2))
-    total = 0.0
-    for x0, x1 in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (x0 + x1)
-        f_mid = side - np.abs(a + b * mid)
-        if np.any(f_mid <= 0.0):
-            continue
-        halfw = 0.5 * (x1 - x0)
-        xs = mid + halfw * nodes
-        vals = np.prod(
-            np.maximum(side - np.abs(a[None, :] + np.outer(xs, b)), 0.0), axis=1
-        )
-        total += halfw * float(np.dot(weights, vals))
-    return total
+    a = np.asarray(c2, dtype=np.float64) - np.asarray(c1, dtype=np.float64)
+    b = np.asarray(v2, dtype=np.float64) - np.asarray(v1, dtype=np.float64)
+    single = a.ndim == 1
+    a, b = np.atleast_2d(a), np.atleast_2d(b)
+    lo, hi, side = float(lo), float(hi), float(side)
+    flat = b == 0.0
+    b_div = np.where(flat, 1.0, b)
+    r0 = (-side - a) / b_div
+    r1 = (side - a) / b_div
+    xlo = np.where(flat, lo, np.minimum(r0, r1)).max(axis=1, initial=lo)
+    xhi = np.where(flat, hi, np.maximum(r0, r1)).min(axis=1, initial=hi)
+    inside = (xlo < xhi) & np.all(~flat | (np.abs(a) <= side), axis=1)
+    a, b, flat, xlo, xhi = a[inside], b[inside], flat[inside], xlo[inside, None], xhi[inside, None]
+    kinks = (0.0 - a) / b_div[inside]
+    kinks = np.where(~flat & (xlo < kinks) & (kinks < xhi), kinks, xlo)
+    cuts = np.sort(np.hstack([xlo, kinks, xhi]), axis=1)
+    mid = 0.5 * (cuts[:, :-1] + cuts[:, 1:])
+    halfw = 0.5 * (cuts[:, 1:] - cuts[:, :-1])
+    nodes, weights = _gl_nodes(max(1, (a.shape[1] + 2) // 2))
+    xs = (mid[..., None] + halfw[..., None] * nodes)[..., None]  # pair, piece, node, axis
+    factors = side - np.abs(a[:, None, None] + xs * b[:, None, None])
+    vals = np.maximum(factors, 0.0).prod(axis=-1)
+    total = np.zeros(a.shape[0])
+    for piece in (halfw * (vals @ weights)).T:  # the pieces in x1 order
+        total += piece
+    measure = np.zeros(inside.size)
+    measure[inside] = total
+    return float(measure[0]) if single else measure
 
 
 def pair_sum_over_range(
@@ -161,19 +162,14 @@ def pair_sum_over_range(
     """Sum over ordered pairs of pairwise intersection measures.
 
     d = 1 goes through the kernels.  Higher dimensions take the candidate
-    pairs of the first axis from the same enumerator and sort them into
-    (i < j) order.  The prefilter of ``intersection_necessary`` then runs
-    on all of them at once: on each axis, with a = c_j - c_i and
-    b = v_j - v_i, [lo, hi] shrinks to where |a + b*x| <= side (with
-    b = 0 the pair stays or goes by |a| <= side), in the same float
-    operations as the scalar test.  Equal axis-aligned cubes overlap only
-    where every offset is at most side, so the pairs left out measure
-    exactly 0; the exact scalar ``pair_measure`` of the survivors, added in
-    key order, gives the full pair loop's sum bit for bit."""
+    pairs of the first axis from the same enumerator, sort them into
+    (i < j) order and measure them with ``pair_measure``, ``_PAIR_CHUNK``
+    pairs a call; it integrates only the pairs whose overlap range is not
+    empty.  The non-zero measures, added in key order, give the full i < j
+    loop's sum bit for bit."""
     d = centers.shape[1]
     if d == 1:
         return kernels.pair_sum_1d(centers[:, 0], slopes[:, 0], lo, hi, side)
-    lo, hi, side = float(lo), float(hi), float(side)
     n = centers.shape[0]
     chunks = [
         np.minimum(i, j) * n + np.maximum(i, j)
@@ -183,24 +179,9 @@ def pair_sum_over_range(
     total = 0.0
     for s in range(0, keys.size, kernels._PAIR_CHUNK):
         i, j = np.divmod(keys[s : s + kernels._PAIR_CHUNK], n)
-        a = centers[j] - centers[i]
-        b = slopes[j] - slopes[i]
-        xlo = np.full(i.size, lo)
-        xhi = np.full(i.size, hi)
-        keep = np.ones(i.size, dtype=bool)
-        for k in range(d):
-            flat = b[:, k] == 0.0
-            keep &= ~flat | (np.abs(a[:, k]) <= side)
-            bk = np.where(flat, 1.0, b[:, k])
-            r0 = (-side - a[:, k]) / bk
-            r1 = (side - a[:, k]) / bk
-            xlo = np.where(flat, xlo, np.maximum(xlo, np.minimum(r0, r1)))
-            xhi = np.where(flat, xhi, np.minimum(xhi, np.maximum(r0, r1)))
-        keep &= xlo <= xhi
-        for ii, jj in zip(i[keep].tolist(), j[keep].tolist()):
-            total += pair_measure(
-                centers[ii], slopes[ii], centers[jj], slopes[jj], lo, hi, side
-            )
+        measure = pair_measure(centers[i], slopes[i], centers[j], slopes[j], lo, hi, side)
+        for m in measure[measure > 0.0].tolist():
+            total += m
     return 2.0 * total
 
 

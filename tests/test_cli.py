@@ -567,6 +567,12 @@ def test_volume_reads_config_quadrature(tmp_path, capsys):
         (["percolate", "--point", "2.5,0.5"], {"n_values": [2]}, "n_values is read only by a subcommand with --N-range"),
         (["resist", "--point", "2.5,0.5"], {"n_values": [2]}, "n_values is read only by a subcommand with --N-range"),
         (["simulate", "--N", "2", "--samples", "1"], {"curve": "foo"}, "curve must be one of ['affine', 'moment'], got 'foo'"),
+        (["prob-oracle", "--N", "1"], None, "4-tuples need at least 4 leaves, but M^(N*d) = 3"),
+        (["prob-oracle", "--N", "1", "--tuples", "exhaustive"], None, "4-tuples need at least 4 leaves, but M^(N*d) = 3"),
+        (["percolate", "--point", "2.5"], None, "argument --point: needs 1 + d = 2 coordinates, got 1"),
+        (["resist", "--point", "2.5,0.5,0.5"], None, "argument --point: needs 1 + d = 2 coordinates, got 3"),
+        (["resist", "--point", "2.5,0.5", "--d", "2"], None, "argument --point: needs 1 + d = 3 coordinates, got 2"),
+        (["percolate", "--point", "2.5,x"], None, "argument --point: '2.5,x' is not comma-separated numbers"),
     ],
 )
 def test_count_below_one_rejected(tmp_path, capsys, argv, config, message):

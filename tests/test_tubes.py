@@ -1,14 +1,13 @@
 import math
 import random
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from kakeya import kernels, tubes
+from kakeya import kernels
 from kakeya.cantor import affine_curve, direction_set, middle_spec
 from kakeya.sticky import SlopeAssignment, StickyField, assignment_from_dirset, sticky_admissible
 from kakeya.trees import cube_from_axis_indices, decode_cube, height, leaf_from_index, yca
@@ -189,21 +188,18 @@ def test_pair_sum_d2_equals_pair_loop_exactly():
 
 
 def _pair_loop_oracle(centers, slopes, lo, hi, side):
-    """The scalar i < j loop: prefilter, then exact measure.  Returns the
-    pair sum and the number of pairs measured."""
+    """The scalar i < j loop: prefilter, then exact measure."""
     total = 0.0
-    kept = 0
     n = centers.shape[0]
     for i in range(n):
         for j in range(i + 1, n):
             if intersection_necessary(
                 centers[i], slopes[i], centers[j], slopes[j], lo, hi, side
             ):
-                kept += 1
                 total += pair_measure(
                     centers[i], slopes[i], centers[j], slopes[j], lo, hi, side
                 )
-    return 2.0 * total, kept
+    return 2.0 * total
 
 
 def _grid_tubes(d, n):
@@ -245,10 +241,48 @@ def test_pair_sum_equals_scalar_pair_loop(family, lo, span, side):
     centers = np.array([t[0] for t in family], dtype=np.float64)
     slopes = np.array([t[1] for t in family], dtype=np.float64)
     hi = lo + span
-    expect, kept = _pair_loop_oracle(centers, slopes, lo, hi, side)
-    with mock.patch.object(tubes, "pair_measure", wraps=pair_measure) as measured:
-        assert pair_sum_over_range(centers, slopes, lo, hi, side) == expect
-    assert measured.call_count == kept
+    expect = _pair_loop_oracle(centers, slopes, lo, hi, side)
+    assert pair_sum_over_range(centers, slopes, lo, hi, side) == expect
+
+
+@settings(max_examples=60, deadline=None)
+@example(
+    # b = 0 with an offset of exactly side (pair 0), and a pair whose
+    # overlap range [0.5, 1.5] meets [lo, hi] = [0, 0.5] only at hi (pair 1)
+    family=[
+        ([0.0, 0.5], [0.25, 0.5]),
+        ([0.125, 0.5], [0.25, 0.0]),
+        ([0.0, 0.5], [0.25, 0.5]),
+        ([0.25, 0.5], [0.0, 0.5]),
+    ],
+    lo=0.0,
+    span=0.5,
+    side=0.125,
+)
+@example(family=[([0.5], [0.25]), ([0.5], [0.25])], lo=0.25, span=0.0, side=0.25)
+@example(family=[([0.5], [0.25]), ([0.5], [0.25])], lo=0.25, span=-0.25, side=0.25)
+@given(
+    family=st.sampled_from([1, 2, 3]).flatmap(
+        lambda d: st.integers(1, 8).flatmap(lambda n: _grid_tubes(d, 2 * n))
+    ),
+    lo=st.integers(-4, 4).map(lambda k: k / 4),
+    span=st.integers(-1, 4).map(lambda k: k / 4),
+    side=st.sampled_from([0.125, 0.25, 0.3]),
+)
+def test_pair_measure_of_a_batch_equals_single_pairs(family, lo, span, side):
+    """d = 1, 2 and 3: on (n, d) arrays of n pairs (tubes 2k and 2k + 1),
+    the measures are == to n single-pair calls, each a Python float; the
+    range may be empty or a single point."""
+    c1, v1, c2, v2 = (
+        np.array([t[part] for t in family[first::2]], dtype=np.float64)
+        for first, part in ((0, 0), (0, 1), (1, 0), (1, 1))
+    )
+    hi = lo + span
+    singles = [pair_measure(c1[k], v1[k], c2[k], v2[k], lo, hi, side) for k in range(len(c1))]
+    assert all(type(m) is float for m in singles)
+    batch = pair_measure(c1, v1, c2, v2, lo, hi, side)
+    assert batch.shape == (len(c1),)
+    assert batch.tolist() == singles
 
 
 # ---------------------------------------------------------------------------
