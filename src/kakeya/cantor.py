@@ -12,6 +12,8 @@ denominator M^k, so tree/digit conversions never drift.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -109,10 +111,10 @@ class BasicInterval:
 
     @property
     def left(self) -> Fraction:
-        x = Fraction(0)
-        for j, dig in enumerate(self.digits, start=1):
-            x += Fraction(dig, self.M**j)
-        return x
+        num = 0
+        for dig in self.digits:
+            num = num * self.M + dig
+        return Fraction(num, self.M**self.level)
 
     @property
     def right(self) -> Fraction:
@@ -235,13 +237,112 @@ def curve_from_rows(rows: Sequence[Sequence[Fraction | int | str]]) -> Direction
     return DirectionCurve(d=len(frac_rows), rows=frac_rows)
 
 
+# ---------------------------------------------------------------------------
+# certified bi-Lipschitz constants
+#
+# For a polynomial curve, q(s, t) = |(gamma(s) - gamma(t)) / (s - t)|^2 is a
+# polynomial with rational coefficients: coordinate i adds the square of its
+# divided difference sum_k c_ik h_{k-1}(s, t), where h_j is the complete
+# homogeneous polynomial of degree j.  On a box, q lies between the least
+# and the greatest of its tensor Bernstein coefficients, and the four corner
+# coefficients are values of q (Garloff 1986; Ray and Nataraj 2009).
+# Splitting the box of the lowest bound at 1/2 by de Casteljau closes the
+# bracket of min q; the same on -q brackets max q.
+# ---------------------------------------------------------------------------
+
+_BOX_BUDGET = 512  # boxes split per bracket, at most
+_BRACKET_TOL = Fraction(1, 10**6)  # relative width at which a bracket closes
+
+
+def _transpose(box):
+    return [list(col) for col in zip(*box)]
+
+
+def _bernstein(power):
+    """Bernstein coefficients on [0, 1] of the polynomial sum_a power[a] x^a."""
+    n = len(power) - 1
+    return [
+        sum(Fraction(math.comb(i, a), math.comb(n, a)) * power[a] for a in range(i + 1))
+        for i in range(n + 1)
+    ]
+
+
+def _halves(row):
+    """de Casteljau at 1/2: the Bernstein coefficients of each half."""
+    left, right = [row[0]], [row[-1]]
+    while len(row) > 1:
+        row = [(x + y) / 2 for x, y in zip(row, row[1:])]
+        left.append(row[0])
+        right.append(row[-1])
+    return left, right[::-1]
+
+
+def _quarters(box):
+    """The Bernstein coefficients of the four quarters of ``box``."""
+    for half in zip(*map(_halves, box)):
+        for quarter in zip(*map(_halves, _transpose(half))):
+            yield _transpose(quarter)
+
+
+def _corners(box):
+    return (box[0][0], box[0][-1], box[-1][0], box[-1][-1])
+
+
+def _min_bracket(box):
+    """(lower, attained) with lower <= min q <= attained on [0, 1]^2, from
+    the Bernstein coefficients ``box`` of q.  The box of the lowest bound is
+    split first, at most ``_BOX_BUDGET`` times, until the bracket closes."""
+    attained = min(_corners(box))
+    heap = [(min(map(min, box)), 0, box)]
+    tie = itertools.count(1)
+    for _ in range(_BOX_BUDGET):
+        if attained - heap[0][0] <= _BRACKET_TOL * abs(attained):
+            break
+        for part in _quarters(heapq.heappop(heap)[2]):
+            attained = min(attained, *_corners(part))
+            heapq.heappush(heap, (min(map(min, part)), next(tie), part))
+    return heap[0][0], attained
+
+
+def bilipschitz_bracket(curve: DirectionCurve) -> tuple[Fraction, Fraction]:
+    """Certified (lo, hi) with lo <= q <= hi on [0, 1]^2, for
+    q(s, t) = |(gamma(s) - gamma(t)) / (s - t)|^2: lo bounds the squared
+    lower Lipschitz constant from below and hi the squared upper one from
+    above, both exact when their brackets close within the box budget.
+    Fails if lo is not positive."""
+    m = max(1, max(len(row) for row in curve.rows) - 1)  # powers per axis of each difference
+    power = [[Fraction(0)] * (2 * m - 1) for _ in range(2 * m - 1)]
+    # the coefficient of s^a t^b in sum_k c_k h_{k-1}(s, t) is c_{a+b+1}
+    for row in curve.rows:
+        for a1, b1, a2, b2 in itertools.product(range(m), repeat=4):
+            if max(a1 + b1, a2 + b2) + 1 < len(row):
+                power[a1 + a2][b1 + b2] += row[a1 + b1 + 1] * row[a2 + b2 + 1]
+    box = _transpose([_bernstein(col) for col in _transpose([_bernstein(r) for r in power])])
+    lo, _ = _min_bracket(box)
+    neg_hi, _ = _min_bracket([[-c for c in r] for r in box])
+    if lo <= 0:
+        raise CurveDomainError(f"curve is not bi-Lipschitz: certified lower constant^2 is {lo}")
+    return lo, -neg_hi
+
+
+def _sqrt_outward(q: Fraction, up: bool) -> float:
+    """A float x with x^2 <= q, or x^2 >= q with ``up``, within an ulp or
+    two of sqrt(q)."""
+    x = math.sqrt(q)
+    toward = math.inf if up else 0.0
+    while (Fraction(x) ** 2 < q) if up else (Fraction(x) ** 2 > q):
+        x = math.nextafter(x, toward)
+    return x
+
+
 def estimate_bilipschitz(
     curve: DirectionCurve,
     params: Sequence[Fraction],
     grid: int = 4096,
     chunk: int = 256,
 ) -> tuple[float, float]:
-    """Numerical lower/upper Lipschitz constants of the curve on [0,1].
+    """Numerical lower/upper Lipschitz constants of the curve on [0,1], the
+    sampled oracle of ``bilipschitz_bracket``.
 
     Scans all pairs of the given parameters plus all pairs of a uniform
     ``grid``-point sample.  Fails if the lower constant vanishes (the curve
@@ -281,8 +382,8 @@ class DirectionSet:
     curve: DirectionCurve
     params: tuple[Fraction, ...]
     slopes: tuple[tuple[Fraction, ...], ...]
-    lip_lo: float
-    lip_hi: float
+    lip2_lo: Fraction
+    lip2_hi: Fraction
     _slope_floats: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -299,10 +400,23 @@ class DirectionSet:
         return len(self.params)
 
     @property
+    def lip_lo(self) -> float:
+        """Lower Lipschitz constant, rounded down from ``lip2_lo``."""
+        return _sqrt_outward(self.lip2_lo, up=False)
+
+    @property
+    def lip_hi(self) -> float:
+        """Upper Lipschitz constant, rounded up from ``lip2_hi``."""
+        return _sqrt_outward(self.lip2_hi, up=True)
+
+    @property
     def c0(self) -> int:
-        """Far-window offset, beyond which a root cube sees one direction at most."""
+        """Far-window offset, beyond which a root cube sees one direction at
+        most: the least integer C with C^2 * lip2_lo >= max(d^(2d), 4d),
+        that is C >= max(d^d, 2 sqrt(d)) / lip_lo, in integer arithmetic."""
         d = self.d
-        return math.ceil(max(d**d / self.lip_lo, 2 * math.sqrt(d) / self.lip_lo))
+        need = max(d ** (2 * d), 4 * d) / self.lip2_lo
+        return math.isqrt(math.ceil(need) - 1) + 1
 
     def slope_floats(self) -> np.ndarray:
         """(n, d) read-only array of the last d slope coordinates, built once."""
@@ -324,14 +438,14 @@ def direction_set(spec: CantorSpec, curve: DirectionCurve) -> DirectionSet:
     # injectivity on the sampled set
     if len(set(slopes)) != len(slopes):
         raise CurveDomainError("curve is not injective on the representatives")
-    c_lo, c_hi = estimate_bilipschitz(curve, params)
+    lip2_lo, lip2_hi = bilipschitz_bracket(curve)
     return DirectionSet(
         spec=spec,
         curve=curve,
         params=params,
         slopes=tuple(slopes),
-        lip_lo=c_lo,
-        lip_hi=c_hi,
+        lip2_lo=lip2_lo,
+        lip2_hi=lip2_hi,
     )
 
 

@@ -59,7 +59,7 @@ from .percolation import (
     survival_mc,
 )
 from .sticky import assignment_from_dirset
-from .trees import FiniteTree, leaf_from_index
+from .trees import EdgeBudgetError, FiniteTree, leaf_from_index
 from .tubes import assignment_arrays, poss_set, slab_indices, union_volume
 
 
@@ -221,7 +221,11 @@ def cmd_cantor(args) -> int:
             {"exact": [str(c) for c in s], "float": [float(c) for c in s]}
             for s in ds.slopes
         ],
-        "bilipschitz": {"lower": ds.lip_lo, "upper": ds.lip_hi},
+        "bilipschitz": {
+            "lower": ds.lip_lo,
+            "upper": ds.lip_hi,
+            "squared": [str(ds.lip2_lo), str(ds.lip2_hi)],
+        },
     }
     _write_json(args.out, payload)
     return 0
@@ -522,7 +526,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ResourceWarning as err:  # ExperimentConfig.guard: over the leaf budget
+    except (ResourceWarning, EdgeBudgetError) as err:  # over the leaf or the edge budget
         print(f"kakeya {args.command}: {err}", file=sys.stderr)
         return 2
 

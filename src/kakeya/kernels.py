@@ -74,15 +74,17 @@ def leaf_slope_indices(key: int, base: int, depth: int) -> np.ndarray:
 # O(n log n + K') for the K' candidate pairs.
 # ---------------------------------------------------------------------------
 
-_PAIR_CHUNK = 1 << 18  # candidate pairs handed out at once
+_PAIR_CHUNK = 1 << 12  # candidate pairs handed out at once: 32 KiB per float array
 _HULL_SLACK = 1e-9  # relative widening of the reach, above float rounding
 
 
-def _candidate_pairs(centers, slopes, lo, hi, side):
-    """Yield (i, j) index arrays, at most ``_PAIR_CHUNK`` pairs at a time,
-    covering every unordered pair of tubes whose centre hulls over
-    [lo, hi] come within ``side`` of each other (each pair once, i != j).
-    Every pair left out is further than ``side`` apart on all of [lo, hi]."""
+def _candidate_pairs(centers, slopes, lo, hi, side, chunk=None):
+    """Yield (i, j) index arrays, at most ``chunk`` (by default
+    ``_PAIR_CHUNK``) pairs at a time, covering every unordered pair of
+    tubes whose centre hulls over [lo, hi] come within ``side`` of each
+    other (each pair once, i != j).  Every pair left out is further than
+    ``side`` apart on all of [lo, hi]."""
+    chunk = chunk or _PAIR_CHUNK
     c = np.asarray(centers, dtype=np.float64)
     v = np.asarray(slopes, dtype=np.float64)
     n = c.shape[0]
@@ -102,8 +104,8 @@ def _candidate_pairs(centers, slopes, lo, hi, side):
     ends = np.cumsum(counts)
     starts = ends - counts
     total = int(ends[-1])
-    for s in range(0, total, _PAIR_CHUNK):
-        e = min(s + _PAIR_CHUNK, total)
+    for s in range(0, total, chunk):
+        e = min(s + chunk, total)
         k0 = int(np.searchsorted(ends, s, side="right"))
         k1 = int(np.searchsorted(ends, e - 1, side="right")) + 1
         rows = ks[k0:k1]
@@ -159,8 +161,13 @@ def pair_sum_1d(
 #
 # For each abscissa in `xs` the cross-sections are n equal-width intervals
 # centred at centers + x*slopes; the union length is width + sum of
-# min(width, gap) over consecutive sorted centres.
+# min(width, gap) over consecutive sorted centres.  The position and gap
+# buffers are allocated once per call and filled in place, so a call costs
+# no allocation per chunk and its speed does not depend on the state of
+# the heap.
 # ---------------------------------------------------------------------------
+
+_UNION_ROWS = 64  # abscissae sorted at once
 
 
 def union_lengths_1d(
@@ -171,13 +178,18 @@ def union_lengths_1d(
     v = np.ascontiguousarray(slopes, dtype=np.float64)
     x = np.ascontiguousarray(xs, dtype=np.float64)
     width = float(width)
+    n = c.shape[0]
     out = np.empty(x.shape[0], dtype=np.float64)
-    chunk = 64
-    for start in range(0, x.shape[0], chunk):
-        stop = min(start + chunk, x.shape[0])
-        pos = c[None, :] + x[start:stop, None] * v[None, :]
+    pos_buf = np.empty((_UNION_ROWS, n), dtype=np.float64)
+    gap_buf = np.empty((_UNION_ROWS, max(n - 1, 0)), dtype=np.float64)
+    for start in range(0, x.shape[0], _UNION_ROWS):
+        stop = min(start + _UNION_ROWS, x.shape[0])
+        pos, gaps = pos_buf[: stop - start], gap_buf[: stop - start]
+        np.multiply(x[start:stop, None], v[None, :], out=pos)
+        pos += c[None, :]
         pos.sort(axis=1)
-        gaps = np.minimum(np.diff(pos, axis=1), width)
+        np.subtract(pos[:, 1:], pos[:, :-1], out=gaps)
+        np.minimum(gaps, width, out=gaps)
         out[start:stop] = width + gaps.sum(axis=1)
     return out
 

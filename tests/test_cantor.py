@@ -3,18 +3,21 @@ import inspect
 import itertools
 import math
 import pkgutil
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import kakeya
+from kakeya import cantor
 from kakeya.cantor import (
     BUILTIN_CURVES,
     CantorSpec,
     CurveDomainError,
     SelectorError,
     affine_curve,
+    bilipschitz_bracket,
     build_level,
     builtin_curve,
     curve_from_rows,
@@ -230,3 +233,90 @@ def test_constant_curve_rejected():
     flat = curve_from_rows([[0, 0]])
     with pytest.raises(CurveDomainError):
         direction_set(middle_spec(3, 2), flat)
+    with pytest.raises(CurveDomainError, match="not bi-Lipschitz"):
+        bilipschitz_bracket(flat)
+
+
+# min and max of |gamma'|^2: d for the affine curves, and for the moment
+# curves 1 at t = 0 and 1 + 4 + ... + d^2 at t = 1
+EXACT_SQUARED = {
+    ("affine", 1): (1, 1), ("affine", 2): (2, 2), ("affine", 3): (3, 3),
+    ("moment", 1): (1, 1), ("moment", 2): (1, 5), ("moment", 3): (1, 14),
+}
+# mixed signs and an interior minimum of q; its maximum 13/36 = 1/4 + 1/9 is
+# |gamma'(0)|^2, on the diagonal, which no pair of samples reaches
+MIXED = curve_from_rows([[0, "1/2", "-1/4"], ["1/3", "-1/3", 0, "1/4"]])
+
+
+@pytest.mark.parametrize("name, d", list(EXACT_SQUARED))
+def test_builtin_squared_constants_are_exact(name, d):
+    ds = direction_set(middle_spec(3, 3), builtin_curve(name, d))
+    assert (ds.lip2_lo, ds.lip2_hi) == EXACT_SQUARED[name, d]
+    assert type(ds.lip2_lo) is type(ds.lip2_hi) is Fraction
+    # the float constants are rounded outward
+    assert F(ds.lip_lo) ** 2 <= ds.lip2_lo and ds.lip2_hi <= F(ds.lip_hi) ** 2
+    assert ds.lip_lo == pytest.approx(math.sqrt(ds.lip2_lo), rel=1e-15)
+    assert ds.lip_hi == pytest.approx(math.sqrt(ds.lip2_hi), rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [builtin_curve(name, d) for name, d in EXACT_SQUARED] + [MIXED],
+    ids=[f"{name}{d}" for name, d in EXACT_SQUARED] + ["mixed"],
+)
+def test_sampled_constants_lie_inside_certified_bracket(curve):
+    """Sampling sees values of q, so they lie inside [lo, hi] (up to float
+    rounding of the ratios)."""
+    lo, hi = bilipschitz_bracket(curve)
+    s_lo, s_hi = estimate_bilipschitz(curve, [], grid=1024)
+    assert float(lo) * (1 - 1e-12) <= s_lo**2 <= s_hi**2 <= float(hi) * (1 + 1e-12)
+
+
+def test_sampled_upper_constant_misses_the_maximum():
+    """The unsafe direction: the sampled upper constant of MIXED is below
+    the value its curve attains, while the bracket reaches it."""
+    lo, hi = bilipschitz_bracket(MIXED)
+    assert hi == F(13, 36)
+    _, s_hi = estimate_bilipschitz(MIXED, [])
+    assert s_hi**2 == pytest.approx(0.361050, abs=1e-6) and s_hi**2 < 13 / 36
+    assert 0 < lo < F(2261, 100000)  # the interior minimum, about 0.0226091
+
+
+def test_direction_set_never_samples(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("direction_set sampled the curve")
+
+    monkeypatch.setattr(cantor, "estimate_bilipschitz", refuse)
+    for name, d in EXACT_SQUARED:
+        direction_set(middle_spec(3, 2), builtin_curve(name, d))
+    direction_set(middle_spec(3, 2), MIXED)
+
+
+def test_unclosed_bracket_gives_a_safe_c0(monkeypatch):
+    """With too few boxes the lower end stays below min q, so C0 can only
+    grow.  MIXED's exact C0 is 27: with min q in [lo, lo (1 + 1e-6)],
+    16 / min q lies in (26^2, 27^2]."""
+    spec = middle_spec(3, 2)
+    exact = direction_set(spec, MIXED)
+    assert 26**2 < 16 / exact.lip2_lo / (1 + F(1, 10**6)) and 16 / exact.lip2_lo <= 27**2
+    assert exact.c0 == 27
+    for budget in (1, 2, 8):
+        monkeypatch.setattr(cantor, "_BOX_BUDGET", budget)
+        loose = direction_set(spec, MIXED)
+        assert loose.lip2_lo < exact.lip2_lo and loose.lip2_hi >= exact.lip2_hi
+        assert loose.c0 > exact.c0
+
+
+def test_c0_from_the_squared_constant_in_integers(monkeypatch):
+    """lip2_lo = 1 at d = 2 needs C^2 >= 16: C0 = 4 exactly, with no float
+    in the path; a float quotient could not tell 1 from 1 -/+ 10^-30."""
+    ds = direction_set(middle_spec(3, 2), moment_curve(2))
+    assert ds.lip2_lo == 1
+    above = replace(ds, lip2_lo=1 + F(1, 10**30))
+    below = replace(ds, lip2_lo=1 - F(1, 10**30))
+
+    def no_float(self):
+        raise AssertionError("C0 went through a float")
+
+    monkeypatch.setattr(F, "__float__", no_float)
+    assert (ds.c0, above.c0, below.c0) == (4, 4, 5)

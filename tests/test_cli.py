@@ -20,6 +20,7 @@ def test_cantor_dump(tmp_path, capsys):
     assert payload["representatives"] == ["0", "2/9", "2/3", "8/9"]
     assert payload["slopes"][1]["exact"] == ["1", "2/9", "4/81"]
     assert payload["intervals"][1]["digits"] == [0, 2]
+    assert payload["bilipschitz"] == {"lower": 1.0, "upper": 5**0.5, "squared": ["1", "5"]}
 
 
 def test_cantor_custom_selector(tmp_path):
@@ -600,6 +601,18 @@ def test_leaf_budget_guards_every_experiment(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"kakeya {argv[0]}: M^(N*d) = 27 exceeds the leaf budget 10"]
+
+
+@pytest.mark.parametrize(
+    "argv, edges", [(["--N", "4"], 120), (["--d", "2", "--curve", "moment", "--N", "2"], 90)]
+)
+def test_exhaustive_slab_moments_over_the_edge_budget(capsys, argv, edges):
+    """Over the edge budget: one line on stderr and exit code 2, not a
+    traceback."""
+    assert main(["slab-moments", "--exhaustive", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"kakeya slab-moments: {edges} edges exceeds the budget of 30"]
 
 
 def test_readme_command_lines_parse():

@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -119,7 +120,7 @@ def test_volume_sweep_offset_constant_per_n(monkeypatch):
 
     real = harness.build_dirset
     monkeypatch.setattr(
-        harness, "build_dirset", lambda cfg, N: replace(real(cfg, N), lip_lo=1.0 / N)
+        harness, "build_dirset", lambda cfg, N: replace(real(cfg, N), lip2_lo=Fraction(1, N * N))
     )
     cfg = ExperimentConfig(M=3, d=1, n_values=(2, 3, 4), samples=2, quadrature=1)
     rows = volume_sweep(cfg)["rows"]

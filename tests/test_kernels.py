@@ -88,6 +88,44 @@ def test_candidate_pairs_across_chunk_boundaries(family, monkeypatch):
     assert full == pytest.approx(_pair_sum_oracle(c, v, lo, hi, w), rel=1e-10)
 
 
+def test_pair_sum_across_default_chunks(family):
+    """With every pair a candidate, 130 tubes give 8,385 pairs: three
+    chunks of the default size, summed chunk by chunk."""
+    c, v, _ = family
+    c, v = c[:130], v[:130]
+    chunks = list(kernels._candidate_pairs(c, v, 0.1, 0.4, 10.0))
+    assert [len(i) for i, _ in chunks] == [kernels._PAIR_CHUNK] * 2 + [8385 - 2 * kernels._PAIR_CHUNK]
+    expect = _pair_sum_oracle(c, v, 0.1, 0.4, 10.0)
+    assert kernels.pair_sum_1d(c, v, 0.1, 0.4, 10.0) == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+
+def _union_lengths_per_chunk(centers, slopes, width, xs):
+    """The d = 1 union kernel with fresh arrays for every chunk of 64
+    abscissae, as it was before its buffers."""
+    out = np.empty(xs.shape[0], dtype=np.float64)
+    for start in range(0, xs.shape[0], 64):
+        stop = min(start + 64, xs.shape[0])
+        pos = centers[None, :] + xs[start:stop, None] * slopes[None, :]
+        pos.sort(axis=1)
+        gaps = np.minimum(np.diff(pos, axis=1), width)
+        out[start:stop] = width + gaps.sum(axis=1)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3**5])
+@pytest.mark.parametrize("nodes", [0, 1, 63, 64, 65, 129])
+def test_union_lengths_buffers_match_per_chunk_arrays(n, nodes):
+    """Filling the buffers in place changes no bit: same chunks, same
+    operations, same contiguous rows to sum."""
+    rng = np.random.default_rng(1000 * n + nodes)
+    c, v = rng.uniform(0.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+    xs = rng.uniform(0.0, 3.0, nodes)
+    width = 1.0 / (6.0 * n)
+    got = kernels.union_lengths_1d(c, v, width, xs)
+    expect = _union_lengths_per_chunk(c, v, width, xs)
+    assert got.shape == (nodes,) and np.array_equal(got, expect)
+
+
 def test_union_lengths_against_merge_oracle(family):
     c, v, w = family
     xs = np.array([0.0, 0.3, 1.7])

@@ -159,9 +159,10 @@ def test_pair_sum_matches_pairwise_loop_d2():
     assert got == pytest.approx(total, rel=1e-9)
 
 
-def test_pair_sum_d2_equals_pair_loop_exactly():
+def test_pair_sum_d2_equals_pair_loop_exactly(monkeypatch):
     """The candidate enumeration prunes pairs but adds the survivors in the
-    order of the full i < j loop, so the sum is bit-identical."""
+    order of the full i < j loop, so the sum is bit-identical, also when
+    the candidates come in many chunks of _PAIR_CHUNK // d pairs."""
     rng = np.random.default_rng(17)
     n = 120
     centers = rng.uniform(0.0, 1.0, (n, 2))
@@ -184,6 +185,9 @@ def test_pair_sum_d2_equals_pair_loop_exactly():
     )
     assert total > 0.0
     assert candidates < n * (n - 1) // 4  # most pairs are pruned
+    assert pair_sum_over_range(centers, slopes, lo, hi, side) == 2.0 * total
+    monkeypatch.setattr(kernels, "_PAIR_CHUNK", 64)  # 32 pairs a chunk at d = 2
+    assert candidates > 10 * 32
     assert pair_sum_over_range(centers, slopes, lo, hi, side) == 2.0 * total
 
 
