@@ -22,9 +22,9 @@ from .cantor import (
     moment_curve,
     phi_map,
 )
-from .configs import ConfigClass, classify3, classify4, cond_prob_general, cond_prob_pair
+from .configs import ConfigClass, classify3, classify4, cond_prob_pair
 from .percolation import lyons_bounds, resistance, shorted_resistance, survival_exact
-from .sticky import SlopeAssignment, StickyField, make_assignment, sticky_admissible
+from .sticky import SlopeAssignment, StickyField, sticky_admissible
 from .trees import FiniteTree, Vertex, yca
 from .tubes import kakeya_measures, kappa, pair_measure, poss_set, union_volume
 
@@ -42,14 +42,12 @@ __all__ = [
     "build_level",
     "classify3",
     "classify4",
-    "cond_prob_general",
     "cond_prob_pair",
     "direction_set",
     "interval_digits",
     "kakeya_measures",
     "kappa",
     "lyons_bounds",
-    "make_assignment",
     "middle_spec",
     "moment_curve",
     "pair_measure",

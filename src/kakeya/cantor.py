@@ -116,13 +116,6 @@ class BasicInterval:
             num = num * self.M + dig
         return Fraction(num, self.M**self.level)
 
-    @property
-    def right(self) -> Fraction:
-        return self.left + Fraction(1, self.M ** self.level)
-
-    def __contains__(self, x) -> bool:
-        return self.left <= x < self.right
-
 
 def build_level(spec: CantorSpec, k: int) -> list[BasicInterval]:
     """All kept intervals at stage k, in increasing order (2^k of them)."""
@@ -170,15 +163,6 @@ def phi_map(spec: CantorSpec, digits: Digits) -> Fraction:
         raise KeyError(f"vertex {digits} not in the kept-interval tree")
     bits = binary_address(spec, digits) + (0,) * (spec.N - len(digits))
     return BasicInterval(interval_digits(spec, bits), spec.M).left
-
-
-def representatives(spec: CantorSpec) -> list[BasicInterval]:
-    """The level-N intervals; their left endpoints are the representatives."""
-    return build_level(spec, spec.N)
-
-
-def representative_points(spec: CantorSpec) -> list[Fraction]:
-    return [iv.left for iv in representatives(spec)]
 
 
 @dataclass(frozen=True)
@@ -425,8 +409,7 @@ class DirectionSet:
 
 def direction_set(spec: CantorSpec, curve: DirectionCurve) -> DirectionSet:
     """Build the direction set and check the curve stays in {1} x [-1,1]^d."""
-    ivs = representatives(spec)
-    params = tuple(iv.left for iv in ivs)
+    params = tuple(iv.left for iv in build_level(spec, spec.N))
     slopes = []
     for t in params:
         p = curve.point(t)

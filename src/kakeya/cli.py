@@ -115,6 +115,19 @@ def _add_config(p: argparse.ArgumentParser, *names: str, sweep: bool = False) ->
         p.add_argument("--out-dir", dest="out_dir")
 
 
+def _read_json(path, want: type = dict):
+    """The JSON value in the file at ``path``, which must be a ``want``
+    (dict or list); an unreadable or malformed file is one error line."""
+    try:
+        value = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as err:
+        raise SystemExit(f"{path}: {err}") from None
+    if not isinstance(value, want):
+        expected = "an object" if want is dict else "an array"
+        raise SystemExit(f"{path}: expected {expected}, got {type(value).__name__}")
+    return value
+
+
 def _config_from_args(args) -> ExperimentConfig:
     """The config file's fields, overridden by the flags named by dest; an
     explicit --N drops the file's n_values, and --N-range its N.  The
@@ -123,7 +136,7 @@ def _config_from_args(args) -> ExperimentConfig:
     replays through --config."""
     base = {}
     if args.config:
-        base = json.loads(Path(args.config).read_text())
+        base = _read_json(args.config)
         base.pop("backend", None)  # saved records carry it; it is a constant
     for key in _RUN_COUNTS.keys() & vars(args).keys():
         count = base.pop(key, None)
@@ -184,7 +197,7 @@ def _write_csv(path, fieldnames, rows) -> None:
 def _build_spec(args) -> CantorSpec:
     if args.selector_file is None:
         return middle_spec(args.M, args.N)
-    table = json.loads(Path(args.selector_file).read_text())
+    table = _read_json(args.selector_file)
     prefixes = {
         tuple(int(x) for x in key.split(",") if x): val
         for key, val in table.get("prefixes", {}).items()
@@ -197,7 +210,7 @@ def _build_curve(args):
     if args.curve_file is None:
         return builtin_curve(args.curve or "affine", args.d or 1)
     _refuse(args, "the rows of --curve-file fix d", "d")
-    return curve_from_rows(json.loads(Path(args.curve_file).read_text()))
+    return curve_from_rows(_read_json(args.curve_file, list))
 
 
 def cmd_cantor(args) -> int:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .sticky import enumerate_conditional, sticky_admissible
-from .trees import Vertex, height, is_ancestor, ray_edges, yca
+from .trees import Vertex, height, is_ancestor, yca
 
 
 @dataclass(frozen=True)
@@ -44,13 +44,6 @@ class ConfigClass:
     @property
     def label(self) -> str:
         return f"{self.arity}pt-type{self.type_tag}{self.case}"
-
-
-def k_edges(A: Sequence[Vertex], B: Sequence[Vertex]) -> int:
-    """Number of distinct edges on B's rays that are not on A's rays."""
-    a_edges = {e for t in A for e in ray_edges(t)}
-    b_edges = {e for t in B for e in ray_edges(t)}
-    return len(b_edges - a_edges)
 
 
 def _check_leaves(leaves: Sequence[Vertex], distinct: bool = True):
@@ -204,22 +197,6 @@ def cond_prob_pair(t1: Vertex, t2: Vertex, b1: Vertex, b2: Vertex) -> Fraction:
     if hu <= halpha:
         return Fraction(1, 2 ** (N - hu))
     return Fraction(0)
-
-
-def cond_prob_general(
-    A: Sequence[tuple[Vertex, Vertex]], B: Sequence[tuple[Vertex, Vertex]]
-) -> Fraction:
-    """Pr(all of B's point-address assignments | all of A's):
-    (1/2)^(new edges of B) when the union is sticky-admissible, else 0."""
-    a_leaves = [t for t, _ in A]
-    b_leaves = [t for t, _ in B]
-    if set(a_leaves) & set(b_leaves):
-        raise ValueError("A and B must be disjoint leaf sets")
-    if not sticky_admissible(list(A) + list(B)):
-        return Fraction(0)
-    if not sticky_admissible(list(A)):
-        return Fraction(0)
-    return Fraction(1, 2 ** k_edges(a_leaves, b_leaves))
 
 
 def class_probability(

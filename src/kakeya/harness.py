@@ -75,12 +75,21 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        for name in ("M", "N", "d", "samples", "quadrature", "seed", "leaf_budget"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        lists = (("n_values", self.n_values or []), ("slab_offsets", self.slab_offsets))
+        for name, values in lists:
+            if not isinstance(values, (list, tuple)) or any(type(n) is not int for n in values):
+                raise ValueError(f"{name} must be a list of integers, got {getattr(self, name)!r}")
         for name, low in (("M", 3), ("N", 1), ("d", 1), ("samples", 1), ("quadrature", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
         if any(n < 1 for n in self.n_values or ()):
             raise ValueError(f"n_values must be at least 1, got {list(self.n_values)}")
-        if self.curve not in BUILTIN_CURVES:
+        if not isinstance(self.out_dir, (str, Path, type(None))):
+            raise ValueError(f"out_dir must be a path, got {self.out_dir!r}")
+        if type(self.curve) is not str or self.curve not in BUILTIN_CURVES:
             raise ValueError(f"curve must be one of {list(BUILTIN_CURVES)}, got {self.curve!r}")
 
     def ns(self) -> tuple[int, ...]:

@@ -20,9 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .cantor import CantorSpec, DirectionCurve, DirectionSet, direction_set
+from .cantor import DirectionSet
 from .kernels import _GOLDEN, _MIX1, _MIX2
-from .trees import EdgeBudgetError  # noqa: F401  (re-exported)
 from .trees import Vertex, height, index_from_leaf, leaf_from_index, ray_addresses, yca
 
 MASK64 = (1 << 64) - 1
@@ -76,10 +75,6 @@ class StickyField:
     def ray_bits(self, leaf: Vertex) -> Vertex:
         return tuple(self.bit(leaf[: k + 1]) for k in range(len(leaf)))
 
-    def bits_for(self, vertices: Sequence[Vertex]) -> np.ndarray:
-        ids = np.array([node_id(v, self.base) for v in vertices], dtype=np.uint64)
-        return kernels.node_bits(self.key, ids)
-
 
 @dataclass(frozen=True)
 class SlopeAssignment:
@@ -117,16 +112,9 @@ class SlopeAssignment:
     def sigma(self, t: Vertex) -> tuple[Fraction, ...]:
         return self.dirset.slopes[self.slope_index(t)]
 
-    def sigma_param(self, t: Vertex) -> Fraction:
-        return self.dirset.params[self.slope_index(t)]
-
     def all_slope_indices(self) -> np.ndarray:
         """Slope index of every leaf, leaves in lexicographic order."""
         return kernels.leaf_slope_indices(self.field.key, self.field.base, self.N)
-
-
-def make_assignment(spec: CantorSpec, curve: DirectionCurve, seed: int) -> SlopeAssignment:
-    return assignment_from_dirset(direction_set(spec, curve), seed)
 
 
 def assignment_from_dirset(dirset: DirectionSet, seed: int) -> SlopeAssignment:

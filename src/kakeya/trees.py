@@ -158,13 +158,6 @@ class FiniteTree:
         leaves = (leaf_from_index(i, base, depth) for i in range(base**depth))
         return cls.from_leaves(leaves)
 
-    @classmethod
-    def single_ray(cls, depth: int) -> "FiniteTree":
-        return cls.from_leaves([(0,) * depth])
-
-    def level(self, k: int) -> list[Vertex]:
-        return sorted(v for v in self.vertices if len(v) == k)
-
     def level_counts(self) -> list[int]:
         counts = [0] * (self.height + 1)
         for v in self.vertices:
@@ -177,6 +170,3 @@ class FiniteTree:
     def edges(self) -> list[Vertex]:
         """Every non-root vertex, i.e. the edge terminating there."""
         return sorted(v for v in self.vertices if v)
-
-    def is_prefix_closed(self) -> bool:
-        return all(v[:-1] in self.vertices for v in self.vertices if v)

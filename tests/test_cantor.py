@@ -1,15 +1,16 @@
+import ast
+import collections
 import importlib
 import inspect
 import itertools
 import math
-import pkgutil
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-import kakeya
 from kakeya import cantor
 from kakeya.cantor import (
     BUILTIN_CURVES,
@@ -26,15 +27,19 @@ from kakeya.cantor import (
     make_table_selector,
     middle_spec,
     moment_curve,
-    representative_points,
 )
 
 F = Fraction
 
 
+def _right(iv):
+    """Right end of a kept interval [left, left + M^-level)."""
+    return iv.left + F(1, iv.M**iv.level)
+
+
 def test_middle_thirds_level1():
     ivs = build_level(middle_spec(3, 2), 1)
-    assert [(iv.left, iv.right) for iv in ivs] == [(F(0), F(1, 3)), (F(2, 3), F(1))]
+    assert [(iv.left, _right(iv)) for iv in ivs] == [(F(0), F(1, 3)), (F(2, 3), F(1))]
 
 
 def test_middle_thirds_level2_digits():
@@ -45,12 +50,14 @@ def test_middle_thirds_level2_digits():
 
 def test_level_zero_is_unit_interval():
     (iv,) = build_level(middle_spec(5, 3), 0)
-    assert iv.left == 0 and iv.right == 1 and iv.digits == ()
+    assert iv.left == 0 and _right(iv) == 1 and iv.digits == ()
 
 
 def test_representatives_left_endpoints():
-    assert representative_points(middle_spec(3, 2)) == [F(0), F(2, 9), F(2, 3), F(8, 9)]
-    assert representative_points(middle_spec(3, 1)) == [F(0), F(2, 3)]
+    for N, reps in [(2, [F(0), F(2, 9), F(2, 3), F(8, 9)]), (1, [F(0), F(2, 3)])]:
+        spec = middle_spec(3, N)
+        assert [iv.left for iv in build_level(spec, N)] == reps
+        assert direction_set(spec, affine_curve(1)).params == tuple(reps)
 
 
 def _varying_selector(M):
@@ -65,13 +72,11 @@ def _varying_selector(M):
 
 def test_generic_selector_depth3_separation():
     spec = CantorSpec(M=5, N=3, selector=_varying_selector(5), name="varying")
-    reps = representative_points(spec)
+    reps = [iv.left for iv in build_level(spec, 3)]
     assert len(reps) == 8
-    # distinct level-3 intervals keep distance >= 5^-3 (oracle: the level list)
-    ivs = build_level(spec, 3)
+    # distinct level-3 intervals keep distance >= 5^-3
     for a, b in itertools.combinations(range(8), 2):
         assert abs(reps[a] - reps[b]) >= F(1, 125)
-        assert ivs[a].left == reps[a]
 
 
 @pytest.mark.parametrize("k", range(0, 7))
@@ -80,7 +85,7 @@ def test_level_counts_and_prefix_closure(k):
     ivs = build_level(spec, k)
     assert len(ivs) == 2**k
     for a, b in zip(ivs, ivs[1:]):
-        assert b.left - a.right >= 0
+        assert b.left - _right(a) >= 0
         assert b.left - a.left >= F(1, 3**k)
     if k:
         parents = {iv.digits for iv in build_level(spec, k - 1)}
@@ -92,7 +97,7 @@ def test_non_adjacency_gap():
     for k in range(1, 5):
         ivs = build_level(spec, k)
         for a, b in zip(ivs, ivs[1:]):
-            assert b.left - a.right >= 0
+            assert b.left - _right(a) >= 0
             assert b.left - a.left >= F(1, 5**k)
 
 
@@ -160,25 +165,37 @@ def test_direction_set_c0_of_every_builtin_curve():
     }
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _public_definitions():
+    """(module, qualified name, AST node) of every public function and class
+    of a kakeya module but __init__, and of every public method and
+    property in a class body."""
+    for path in sorted((ROOT / "src" / "kakeya").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            members = [node]
+            if isinstance(node, ast.ClassDef):
+                members += [m for m in node.body if isinstance(m, ast.FunctionDef)]
+            for member in members:
+                if not member.name.startswith("_"):
+                    qual = member.name if member is node else f"{node.name}.{member.name}"
+                    yield path.stem, qual, member
+
+
 def _public_signatures():
-    """(qualified name, parameter names) of every public function, class
-    and method defined in a kakeya module; exceptions are left out."""
-    for info in pkgutil.iter_modules(kakeya.__path__):
-        module = importlib.import_module(f"kakeya.{info.name}")
-        for name, obj in vars(module).items():
-            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
-                continue
-            if inspect.isclass(obj) and issubclass(obj, BaseException):
-                continue
-            members = [(name, obj)]
-            if inspect.isclass(obj):
-                members += [
-                    (f"{name}.{m}", f) for m, f in vars(obj).items()
-                    if not m.startswith("_") and inspect.isfunction(f)
-                ]
-            for qual, fn in members:
-                if callable(fn):
-                    yield f"{module.__name__}.{qual}", set(inspect.signature(fn).parameters)
+    """(qualified name, parameter names) of every public callable found by
+    _public_definitions; exceptions and properties are left out."""
+    for module, qual, _ in _public_definitions():
+        obj = importlib.import_module(f"kakeya.{module}")
+        for part in qual.split("."):
+            obj = getattr(obj, part)
+        if callable(obj) and not (inspect.isclass(obj) and issubclass(obj, BaseException)):
+            yield f"kakeya.{module}.{qual}", set(inspect.signature(obj).parameters)
 
 
 def test_direction_set_inputs_are_not_restated():
@@ -190,6 +207,53 @@ def test_direction_set_inputs_are_not_restated():
             checked.append(qual)
             assert not params & {"M", "N", "d"}, qual
     assert {"kakeya.tubes.poss_set", "kakeya.sticky.SlopeAssignment"} <= set(checked)
+
+
+# Public names that nothing in src/ or perfbench/ reads, kept on purpose:
+# oracles, which tests hold the construction against, and paper
+# identities, the paper's maps stated as code (phi, the three-point
+# classes of criterion 02, the cube decoding).
+ORACLES = (
+    "cantor.estimate_bilipschitz",
+    "tubes.intersection_necessary",
+    "tubes.poss_set_affine",
+    "harness.slab_sum_expectation_exact",
+    "percolation.survival_enumerate",
+    "sticky.enumerate_joint_addresses",
+)
+PAPER_IDENTITIES = ("cantor.phi_map", "configs.classify3", "trees.decode_cube")
+
+
+def test_every_public_name_has_a_reader():
+    """Every public name of a kakeya module is read, as a name or an
+    attribute, in src/ or perfbench/ (tests aside) outside its own
+    definition, or it is a named oracle or paper identity.  perfbench's
+    string constants count too: its tracer looks functions up by name."""
+    reads = collections.defaultdict(list)  # name -> [(path, line)]
+    for path in [*ROOT.glob("src/**/*.py"), *ROOT.glob("perfbench/*.py")]:
+        if path.name.startswith("test_"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Constant) and path.parent.name == "perfbench":
+                names = str(node.value).split(".")
+            else:
+                continue
+            for name in names:
+                reads[name].append((path, node.lineno))
+    public, unread = set(), set()
+    for module, qual, node in _public_definitions():
+        public.add(f"{module}.{qual}")
+        home = ROOT / "src" / "kakeya" / f"{module}.py"
+        own = range(node.lineno, node.end_lineno + 1)
+        name = qual.rsplit(".", 1)[-1]
+        if all(path == home and line in own for path, line in reads[name]):
+            unread.add(f"{module}.{qual}")
+    assert set(ORACLES) | set(PAPER_IDENTITIES) <= public
+    assert sorted(unread - set(ORACLES) - set(PAPER_IDENTITIES)) == []
 
 
 def test_affine_isometry_distances():

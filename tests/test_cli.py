@@ -574,6 +574,14 @@ def test_volume_reads_config_quadrature(tmp_path, capsys):
         (["resist", "--point", "2.5,0.5,0.5"], None, "argument --point: needs 1 + d = 2 coordinates, got 3"),
         (["resist", "--point", "2.5,0.5", "--d", "2"], None, "argument --point: needs 1 + d = 3 coordinates, got 2"),
         (["percolate", "--point", "2.5,x"], None, "argument --point: '2.5,x' is not comma-separated numbers"),
+        (["simulate", "--N", "2", "--samples", "1"], {"M": "3"}, "M must be an integer, got '3'"),
+        (["simulate", "--N", "2"], {"samples": 2.5}, "samples must be an integer, got 2.5"),
+        (["simulate", "--N", "2", "--samples", "1"], {"seed": 1.5}, "seed must be an integer, got 1.5"),
+        (["slab-moments", "--N", "2", "--samples", "1"], {"slab_offsets": [0.5]}, "slab_offsets must be a list of integers, got [0.5]"),
+        (["slab-moments", "--N", "2", "--samples", "1"], {"slab_offsets": None}, "slab_offsets must be a list of integers, got None"),
+        (["simulate", "--samples", "1"], {"n_values": 3}, "n_values must be a list of integers, got 3"),
+        (["simulate", "--N", "2", "--samples", "1"], {"curve": ["affine"]}, "curve must be one of ['affine', 'moment'], got ['affine']"),
+        (["simulate", "--N", "2", "--samples", "1"], {"out_dir": 5}, "out_dir must be a path, got 5"),
     ],
 )
 def test_count_below_one_rejected(tmp_path, capsys, argv, config, message):
@@ -586,6 +594,32 @@ def test_count_below_one_rejected(tmp_path, capsys, argv, config, message):
     assert message in f"{exc.value.code}\n{capsys.readouterr().err}"
     if config is None:  # a refused flag is a usage error
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, wrong_kind",
+    [
+        (["simulate", "--N", "2", "--samples", "1", "--config"], "[3]"),
+        (["cantor", "--selector-file"], "[0, 3]"),
+        (["cantor", "--curve-file"], '{"rows": [["0", "-1/2"]]}'),
+    ],
+    ids=["config", "selector-file", "curve-file"],
+)
+@pytest.mark.parametrize(
+    "fault, message",
+    [("missing", "No such file or directory"), ("malformed", "Expecting value"), ("wrong kind", "expected an ")],
+    ids=["missing", "malformed", "wrong-kind"],
+)
+def test_unreadable_input_file_is_one_line(tmp_path, argv, wrong_kind, fault, message):
+    """A missing, malformed or wrongly shaped input file stops the run with
+    one line naming the file, not a traceback."""
+    path = tmp_path / "in.json"
+    if fault != "missing":
+        path.write_text(wrong_kind if fault == "wrong kind" else "not json")
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [str(path)])
+    assert exc.value.code.startswith(f"{path}: ")
+    assert message in exc.value.code
 
 
 @pytest.mark.parametrize(

@@ -8,19 +8,24 @@ from kakeya.configs import (
     class_probability,
     classify3,
     classify4,
-    cond_prob_general,
     cond_prob_pair,
-    k_edges,
     oracle_check,
 )
 from kakeya.sticky import enumerate_joint_addresses
-from kakeya.trees import leaf_from_index
+from kakeya.trees import leaf_from_index, ray_edges
 
 F = Fraction
 
 
 def _addr(v: int, N: int):
     return tuple((v >> (N - 1 - j)) & 1 for j in range(N))
+
+
+def k_edges(A, B):
+    """Number of distinct edges on B's rays that are not on A's rays."""
+    a_edges = {e for t in A for e in ray_edges(t)}
+    b_edges = {e for t in B for e in ray_edges(t)}
+    return len(b_edges - a_edges)
 
 
 def _verify_tuple_against_enumeration(cc, N):
@@ -167,23 +172,6 @@ def test_pair_probability_exhaustive_n2():
             for b2 in range(4):
                 closed = cond_prob_pair(t1, t2, _addr(b1, 2), _addr(b2, 2))
                 assert closed == F(counts.get((b1, b2), 0), marg)
-
-
-def test_cond_prob_general_unconditional():
-    B = [((0, 0), _addr(0, 2)), ((1, 1), _addr(2, 2))]
-    # no conditioning: one edge shared at the root? none; 4 distinct edges
-    assert cond_prob_general([], B) == F(1, 2 ** k_edges([], [t for t, _ in B]))
-
-
-def test_cond_prob_general_overlap_rejected():
-    with pytest.raises(ValueError):
-        cond_prob_general([((0, 0), _addr(0, 2))], [((0, 0), _addr(0, 2))])
-
-
-def test_cond_prob_general_inadmissible_zero():
-    A = [((0, 0), _addr(0, 2))]
-    B = [((0, 1), _addr(3, 2))]  # sibling leaves, addresses split at root
-    assert cond_prob_general(A, B) == 0
 
 
 def test_oracle_check_on_admissible_assignment():

@@ -323,36 +323,3 @@ def test_iid_audit_point_search_is_bounded():
     # N=1 has only M^d = 3 root cubes, so no point has 4 possible roots
     with pytest.raises(ValueError, match="4 or more possible roots"):
         percolation_iid_audit(ExperimentConfig(M=3, N=1, d=1), N=1, fields=10)
-
-
-# oracles: public computations kept for the tests that pin the experiments
-HARNESS_ORACLES = ("slab_sum_expectation_exact",)
-
-
-def test_every_public_harness_function_has_a_reader():
-    """A public function of kakeya.harness is read somewhere in src/ or
-    perfbench/ (tests aside) other than at its own definition, or it is
-    a named oracle."""
-    import ast
-    from pathlib import Path
-
-    from kakeya import harness
-
-    root = Path(__file__).resolve().parents[1]
-    tree = ast.parse(Path(harness.__file__).read_text())
-    public = {
-        node.name
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-    }
-    read = set()
-    for path in [*root.glob("src/**/*.py"), *root.glob("perfbench/*.py")]:
-        if path.name.startswith("test_"):
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-    assert set(HARNESS_ORACLES) <= public
-    assert sorted(public - read - set(HARNESS_ORACLES)) == []

@@ -29,7 +29,7 @@ def test_full_binary_height2_resistance():
 def test_single_ray_resistance_series():
     # the edge into height h carries 2^(h-1): 1 + 2 + ... + 2^(k-1)
     for k in range(1, 9):
-        assert resistance(FiniteTree.single_ray(k)) == 2**k - 1
+        assert resistance(FiniteTree.from_leaves([(0,) * k])) == 2**k - 1
 
 
 def test_edge_resistance_fair_coins():
@@ -51,14 +51,14 @@ def test_shorted_equals_resistance_on_symmetric_tree():
 
 
 def test_shorted_single_ray_vacuous():
-    assert shorted_resistance(FiniteTree.single_ray(3)) == 7
+    assert shorted_resistance(FiniteTree.from_leaves([(0,) * 3])) == 7
 
 
 def test_survival_closed_forms():
     assert survival_exact(FiniteTree.full(2, 1)) == F(3, 4)
     assert survival_exact(FiniteTree.full(2, 2)) == F(39, 64)
     for k in (1, 2, 5):
-        assert survival_exact(FiniteTree.single_ray(k)) == F(1, 2**k)
+        assert survival_exact(FiniteTree.from_leaves([(0,) * k])) == F(1, 2**k)
 
 
 def test_survival_recursion_vs_enumeration():

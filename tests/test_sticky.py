@@ -8,21 +8,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kakeya import kernels
-from kakeya.cantor import affine_curve, middle_spec
+from kakeya.cantor import affine_curve, direction_set, middle_spec
 from kakeya.sticky import (
-    EdgeBudgetError,
     SlopeAssignment,
     StickyField,
     all_fields_exhaustive,
+    assignment_from_dirset,
     derive_seed,
     enumerate_conditional,
     enumerate_joint_addresses,
     enumerate_realizations,
-    make_assignment,
     node_id,
     sticky_admissible,
 )
-from kakeya.trees import height, leaf_from_index, yca
+from kakeya.trees import EdgeBudgetError, height, leaf_from_index, yca
 
 F = Fraction
 
@@ -52,7 +51,7 @@ def test_tau_stickiness_audit_10k_pairs():
 
 
 def test_sigma_depth1_composition():
-    a = make_assignment(middle_spec(3, 1), affine_curve(1), seed=3)
+    a = assignment_from_dirset(direction_set(middle_spec(3, 1), affine_curve(1)), 3)
     for j in range(3):
         bit = a.field.bit((j,))
         expected = (F(1), F(0)) if bit == 0 else (F(1), F(2, 3))
@@ -69,7 +68,7 @@ class _ZeroField(StickyField):
 
 def test_all_zero_field_maps_to_leftmost():
     ds_spec = middle_spec(3, 3)
-    a = make_assignment(ds_spec, affine_curve(1), seed=0)
+    a = assignment_from_dirset(direction_set(ds_spec, affine_curve(1)), 0)
     zero = SlopeAssignment(field=_ZeroField(seed=0, base=3), dirset=a.dirset)
     for i in range(27):
         leaf = leaf_from_index(i, 3, 3)
@@ -77,19 +76,20 @@ def test_all_zero_field_maps_to_leftmost():
 
 
 def test_sigma_lipschitz_audit():
-    a = make_assignment(middle_spec(3, 8), affine_curve(1), seed=7)
+    a = assignment_from_dirset(direction_set(middle_spec(3, 8), affine_curve(1)), 7)
     rng = random.Random(2)
     C = a.dirset.lip_hi
     for _ in range(10_000):
         t1 = tuple(rng.randrange(3) for _ in range(8))
         t2 = tuple(rng.randrange(3) for _ in range(8))
-        dv = abs(float(a.sigma_param(t1)) - float(a.sigma_param(t2)))
+        p1, p2 = (a.dirset.params[a.slope_index(t)] for t in (t1, t2))
+        dv = abs(float(p1) - float(p2))
         assert dv <= C * 3.0 ** -height(yca(a.tau(t1), a.tau(t2))) + 1e-12
 
 
 def test_sigma_deterministic():
-    a1 = make_assignment(middle_spec(3, 4), affine_curve(1), seed=99)
-    a2 = make_assignment(middle_spec(3, 4), affine_curve(1), seed=99)
+    a1 = assignment_from_dirset(direction_set(middle_spec(3, 4), affine_curve(1)), 99)
+    a2 = assignment_from_dirset(direction_set(middle_spec(3, 4), affine_curve(1)), 99)
     for i in range(0, 81, 7):
         leaf = leaf_from_index(i, 3, 4)
         assert a1.sigma(leaf) == a2.sigma(leaf)
@@ -97,7 +97,7 @@ def test_sigma_deterministic():
 
 
 def test_all_slope_indices_matches_scalar():
-    a = make_assignment(middle_spec(3, 5), affine_curve(1), seed=13)
+    a = assignment_from_dirset(direction_set(middle_spec(3, 5), affine_curve(1)), 13)
     idx = a.all_slope_indices()
     for i in range(0, 243, 11):
         leaf = leaf_from_index(i, 3, 5)
@@ -130,7 +130,7 @@ def test_mix64_matches_kernel():
     f = StickyField(seed=77, base=3)
     vs = [leaf_from_index(i, 3, 3) for i in range(27)]
     scalar = np.array([f.bit(v) for v in vs], dtype=np.uint8)
-    vector = f.bits_for(vs)
+    vector = kernels.node_bits(f.key, np.array([node_id(v, 3) for v in vs], dtype=np.uint64))
     assert np.array_equal(scalar, vector)
 
 

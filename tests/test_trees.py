@@ -139,9 +139,9 @@ def test_phi_left_endpoint():
 
 def test_phi_consistent_with_representatives():
     spec = middle_spec(3, 4)
-    from kakeya.cantor import representatives
+    from kakeya.cantor import build_level
 
-    for iv in representatives(spec):
+    for iv in build_level(spec, spec.N):
         assert phi_map(spec, iv.digits) == iv.left
 
 
@@ -165,9 +165,9 @@ def test_phi_rejects_unselected():
 
 def test_count_level_vertices_parameter_tree():
     spec = middle_spec(3, 6)
-    from kakeya.cantor import representative_points
+    from kakeya.cantor import build_level
 
-    pts = [[p] for p in representative_points(spec)]
+    pts = [[iv.left] for iv in build_level(spec, spec.N)]
     for k in range(0, 7):
         assert len(_level_cubes(pts, k, 3)) == 2**k
     assert len(_level_cubes(pts, 0, 3)) == 1
@@ -193,15 +193,19 @@ def test_count_level_vertices_affine_copies():
     assert 0 < worst <= 4.0  # fitted constant stays small
 
 
+def _prefix_closed(tree):
+    return all(v[:-1] in tree.vertices for v in tree.vertices if v)
+
+
 def test_finite_tree_structure():
     tree = FiniteTree.from_leaves([(0, 1), (0, 2), (1, 0)])
-    assert tree.is_prefix_closed()
+    assert _prefix_closed(tree)
     assert tree.level_counts() == [1, 2, 3]
     assert tree.leaves() == [(0, 1), (0, 2), (1, 0)]
     assert tree.edges() == [(0,), (0, 1), (0, 2), (1,), (1, 0)]
     rng = random.Random(4)
     leaves = [tuple(rng.randrange(3) for _ in range(5)) for _ in range(40)]
-    assert FiniteTree.from_leaves(leaves).is_prefix_closed()
+    assert _prefix_closed(FiniteTree.from_leaves(leaves))
 
 
 def test_full_tree_counts():
