@@ -17,85 +17,70 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 Digits = tuple[int, ...]
-Selector = Callable[[Digits], tuple[int, int]]
+Pair = tuple[int, int]
 
 
 class SelectorError(ValueError):
-    """Selector output violates the construction rules."""
+    """A child pair or table prefix violates the construction rules."""
 
 
 class CurveDomainError(ValueError):
-    """Curve image leaves the slab {1} x [-1,1]^d."""
-
-
-def make_middle_selector(M: int) -> Selector:
-    """Selector keeping the outermost children (0, M-1) at every interval;
-    with M = 3 this is the middle-thirds rule."""
-
-    def select(digits: Digits) -> tuple[int, int]:
-        return (0, M - 1)
-
-    return select
-
-
-def make_table_selector(
-    M: int, table: dict[Digits, tuple[int, int]], default: tuple[int, int] | None = None
-) -> Selector:
-    """Selector reading child digits from a prefix-keyed table.
-
-    Prefixes absent from the table fall back to ``default`` (or to the
-    outermost pair when ``default`` is None).
-    """
-    fallback = default if default is not None else (0, M - 1)
-
-    def select(digits: Digits) -> tuple[int, int]:
-        got = table.get(digits, fallback)
-        return (int(got[0]), int(got[1]))
-
-    return select
+    """Curve rows are malformed, or the image leaves the slab {1} x [-1,1]^d
+    or is not bi-Lipschitz."""
 
 
 @dataclass(frozen=True)
 class CantorSpec:
-    """Base M, truncation depth N, and the per-interval child selector."""
+    """Base M, truncation depth N, and the two kept children of each kept
+    interval: ``table[prefix]`` for the digit prefixes in the table and
+    ``default`` for the rest, by default (0, M-1), the middle-thirds rule at
+    M = 3.  Pairs (two digits in 0..M-1, at least 2 apart, kept ascending)
+    and prefixes (tuples of fewer than N digits) are checked when built."""
 
     M: int
     N: int
-    selector: Selector = field(compare=False)
-    name: str = "middle"
+    table: dict[Digits, Pair] = field(default_factory=dict, hash=False)
+    default: Pair | None = None
 
     def __post_init__(self):
         if self.M < 3:
             raise ValueError(f"base M must be >= 3, got {self.M}")
         if self.N < 1:
             raise ValueError(f"depth N must be >= 1, got {self.N}")
+        default = (0, self.M - 1) if self.default is None else self.default
+        object.__setattr__(self, "default", self._pair(default, "default"))
+        table = {}
+        for prefix, pair in self.table.items():
+            if not (type(prefix) is tuple and len(prefix) < self.N and self._digits(prefix)):
+                raise SelectorError(f"prefix {prefix!r} is not a tuple of fewer than "
+                                    f"{self.N} digits in 0..{self.M - 1}")
+            table[prefix] = self._pair(pair, f"prefix {prefix}")
+        object.__setattr__(self, "table", table)
 
-    def children(self, digits: Digits) -> tuple[int, int]:
-        """Validated child digits of the basic interval ``digits``."""
-        lo, hi = self.selector(digits)
-        if not (0 <= lo < self.M and 0 <= hi < self.M):
-            raise SelectorError(
-                f"selector returned digits {(lo, hi)} outside 0..{self.M - 1} "
-                f"at interval {digits}"
-            )
-        if lo > hi:
-            lo, hi = hi, lo
-        if lo == hi:
-            raise SelectorError(f"selector returned equal digits at interval {digits}")
+    def _digits(self, xs) -> bool:
+        return all(type(x) is int and 0 <= x < self.M for x in xs)
+
+    def _pair(self, pair, where) -> Pair:
+        """``pair`` in ascending order, or a SelectorError naming ``where``."""
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and self._digits(pair)):
+            raise SelectorError(f"children {pair!r} at {where} are not 2 digits in 0..{self.M - 1}")
+        lo, hi = sorted(pair)
         if hi - lo < 2:
-            raise SelectorError(
-                f"selector chose adjacent children {(lo, hi)} at interval {digits}"
-            )
+            raise SelectorError(f"children {(lo, hi)} at {where} are less than 2 apart")
         return (lo, hi)
+
+    def children(self, digits: Digits) -> Pair:
+        """The ascending child digits of the basic interval ``digits``."""
+        return self.table.get(digits, self.default)
 
 
 def middle_spec(M: int, N: int) -> CantorSpec:
-    return CantorSpec(M=M, N=N, selector=make_middle_selector(M), name="middle")
+    return CantorSpec(M, N)
 
 
 @dataclass(frozen=True)
@@ -169,18 +154,28 @@ def phi_map(spec: CantorSpec, digits: Digits) -> Fraction:
 class DirectionCurve:
     """Polynomial curve t -> (1, p_1(t), ..., p_d(t)) with rational coefficients.
 
-    ``rows[i]`` holds the ascending-power coefficients of coordinate i+1.
+    ``rows[i]`` holds the ascending-power coefficients of coordinate i+1, read
+    by ``Fraction`` from strings, ints or Fractions when built; d is their count.
     """
 
-    d: int
     rows: tuple[tuple[Fraction, ...], ...]
-    name: str = "poly"
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("curve dimension must be >= 1")
-        if len(self.rows) != self.d:
-            raise ValueError(f"need {self.d} coefficient rows, got {len(self.rows)}")
+        rows, seq = self.rows, (tuple, list)
+        if not (isinstance(rows, seq) and rows and all(
+            isinstance(row, seq) and row and {type(c) for c in row} <= {str, int, Fraction}
+            for row in rows
+        )):
+            raise CurveDomainError(f"rows must be a non-empty list of non-empty lists of "
+                                   f"strings, integers or fractions, got {rows!r}")
+        try:
+            object.__setattr__(self, "rows", tuple(tuple(map(Fraction, row)) for row in rows))
+        except (ValueError, ZeroDivisionError) as err:
+            raise CurveDomainError(f"bad curve coefficient: {err}") from None
+
+    @property
+    def d(self) -> int:
+        return len(self.rows)
 
     def point(self, t: Fraction) -> tuple[Fraction, ...]:
         coords = [Fraction(1)]
@@ -204,21 +199,12 @@ class DirectionCurve:
 
 def affine_curve(d: int) -> DirectionCurve:
     """Curve (1, t, ..., t)."""
-    return DirectionCurve(d=d, rows=((Fraction(0), Fraction(1)),) * d, name="affine")
+    return DirectionCurve(((0, 1),) * d)
 
 
 def moment_curve(d: int) -> DirectionCurve:
     """Curve (1, t, t^2, ..., t^d)."""
-    rows = []
-    for i in range(1, d + 1):
-        row = [Fraction(0)] * i + [Fraction(1)]
-        rows.append(tuple(row))
-    return DirectionCurve(d=d, rows=tuple(rows), name="moment")
-
-
-def curve_from_rows(rows: Sequence[Sequence[Fraction | int | str]]) -> DirectionCurve:
-    frac_rows = tuple(tuple(Fraction(c) for c in row) for row in rows)
-    return DirectionCurve(d=len(frac_rows), rows=frac_rows)
+    return DirectionCurve(tuple((0,) * i + (1,) for i in range(1, d + 1)))
 
 
 # ---------------------------------------------------------------------------

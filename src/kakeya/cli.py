@@ -27,18 +27,16 @@ from pathlib import Path
 from .cantor import (
     BUILTIN_CURVES,
     CantorSpec,
+    DirectionCurve,
     build_level,
     builtin_curve,
-    curve_from_rows,
     direction_set,
-    make_table_selector,
-    middle_spec,
 )
 from .configs import classify4, oracle_check
 from .harness import (
     LOWER_BOUND_MIN_SAMPLES,
-    AuditPointError,
     ExperimentConfig,
+    FarPointError,
     build_dirset,
     canonical_json,
     lower_bound_experiment,
@@ -115,16 +113,24 @@ def _add_config(p: argparse.ArgumentParser, *names: str, sweep: bool = False) ->
         p.add_argument("--out-dir", dest="out_dir")
 
 
+@contextlib.contextmanager
+def _file_fault(path, faults=(OSError, ValueError)):
+    """Stop the run with one line ``<path>: <error>`` when the block raises
+    one of ``faults``, which are then the fault of the file at ``path``."""
+    try:
+        yield
+    except faults as err:
+        raise SystemExit(f"{path}: {err}") from None
+
+
 def _read_json(path, want: type = dict):
     """The JSON value in the file at ``path``, which must be a ``want``
     (dict or list); an unreadable or malformed file is one error line."""
-    try:
+    with _file_fault(path):
         value = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as err:
-        raise SystemExit(f"{path}: {err}") from None
-    if not isinstance(value, want):
-        expected = "an object" if want is dict else "an array"
-        raise SystemExit(f"{path}: expected {expected}, got {type(value).__name__}")
+        if not isinstance(value, want):
+            expected = "an object" if want is dict else "an array"
+            raise ValueError(f"expected {expected}, got {type(value).__name__}")
     return value
 
 
@@ -154,10 +160,8 @@ def _config_from_args(args) -> ExperimentConfig:
         base.pop("n_values", None)
     if "n_values" in flags:
         base.pop("N", None)
-    try:
+    with _file_fault(args.config):  # flags are checked by argparse, so the file is at fault
         return ExperimentConfig(**{**base, **flags})
-    except ValueError as err:  # flags are checked by argparse, so the file is at fault
-        raise SystemExit(f"{args.config}: {err}") from None
 
 
 def _refuse(args, reason: str, *dests: str) -> None:
@@ -170,7 +174,9 @@ def _refuse(args, reason: str, *dests: str) -> None:
 def _emit(result: dict, out_dir: str | None) -> None:
     """Save the record under ``out_dir``, or print its canonical JSON."""
     if out_dir:
-        print(f"wrote {save_result(result, out_dir)}")
+        with _file_fault(out_dir, OSError):
+            saved = save_result(result, out_dir)
+        print(f"wrote {saved}")
     else:
         print(canonical_json(result))
 
@@ -180,7 +186,8 @@ def _write_json(path, payload) -> None:
     is given."""
     text = json.dumps(payload, indent=2)
     if path:
-        Path(path).write_text(text + "\n")
+        with _file_fault(path, OSError):
+            Path(path).write_text(text + "\n")
         print(f"wrote {path}")
     else:
         print(text)
@@ -188,7 +195,9 @@ def _write_json(path, payload) -> None:
 
 def _write_csv(path, fieldnames, rows) -> None:
     """Write rows as CSV to ``path``, or to stdout when no path is given."""
-    with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
+    with _file_fault(path, OSError):
+        out = open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
+    with out as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         writer.writerows(rows)
@@ -196,27 +205,29 @@ def _write_csv(path, fieldnames, rows) -> None:
 
 def _build_spec(args) -> CantorSpec:
     if args.selector_file is None:
-        return middle_spec(args.M, args.N)
-    table = _read_json(args.selector_file)
-    prefixes = {
-        tuple(int(x) for x in key.split(",") if x): val
-        for key, val in table.get("prefixes", {}).items()
-    }
-    sel = make_table_selector(args.M, prefixes, table.get("default"))
-    return CantorSpec(M=args.M, N=args.N, selector=sel, name="custom")
+        return CantorSpec(args.M, args.N)
+    selector = _read_json(args.selector_file)
+    prefixes = selector.get("prefixes", {})
+    if set(selector) - {"default", "prefixes"} or not isinstance(prefixes, dict):
+        raise ValueError('expected the keys "default" and "prefixes", the latter an object')
+    # "0,2" -> (0, 2); a key that is not comma-separated integers fails int()
+    table = {tuple(int(x) for x in key.split(",") if x): pair for key, pair in prefixes.items()}
+    return CantorSpec(args.M, args.N, table, selector.get("default"))
 
 
-def _build_curve(args):
+def _build_curve(args) -> DirectionCurve:
     if args.curve_file is None:
         return builtin_curve(args.curve or "affine", args.d or 1)
     _refuse(args, "the rows of --curve-file fix d", "d")
-    return curve_from_rows(_read_json(args.curve_file, list))
+    return DirectionCurve(_read_json(args.curve_file, list))
 
 
 def cmd_cantor(args) -> int:
-    spec = _build_spec(args)
-    curve = _build_curve(args)
-    ds = direction_set(spec, curve)
+    with _file_fault(args.selector_file):
+        spec = _build_spec(args)
+    with _file_fault(args.curve_file):  # only a curve file fails: a built-in one stays in the slab
+        curve = _build_curve(args)
+        ds = direction_set(spec, curve)
     payload = {
         "M": spec.M,
         "N": spec.N,
@@ -424,11 +435,7 @@ def cmd_resist(args) -> int:
 
 def cmd_iid_audit(args) -> int:
     cfg = _config_from_args(args)
-    try:
-        rows = [percolation_iid_audit(cfg, N, fields=args.fields) for N in cfg.ns()]
-    except AuditPointError as err:
-        print(f"kakeya iid-audit: {err}", file=sys.stderr)
-        return 2
+    rows = [percolation_iid_audit(cfg, N, fields=args.fields) for N in cfg.ns()]
     config = cfg.to_dict("seed", fields=args.fields)
     _emit({"experiment": "iid-audit", "config": config, "rows": rows}, cfg.out_dir)
     return 0 if all(row["pass"] for row in rows) else 1
@@ -539,7 +546,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ResourceWarning, EdgeBudgetError) as err:  # over the leaf or the edge budget
+    except (ResourceWarning, EdgeBudgetError, FarPointError) as err:  # a budget; no far point
         print(f"kakeya {args.command}: {err}", file=sys.stderr)
         return 2
 

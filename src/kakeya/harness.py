@@ -366,6 +366,10 @@ def upper_bound_experiment(cfg: ExperimentConfig, sweep: dict | None = None) -> 
     }
 
 
+class FarPointError(ValueError):
+    """No usable far point among an experiment's draws."""
+
+
 def _strip_draws(cfg: ExperimentConfig, N: int, key: int) -> Iterator[tuple[float, PossSet]]:
     """Endless far points x drawn from the reachable strip, as pairs (the
     strip's cross-section volume at x1, Poss(x)).  x1 is uniform on
@@ -425,7 +429,8 @@ def resistance_growth(cfg: ExperimentConfig, points: int = 100) -> dict:
                 r = resistance(FiniteTree.from_leaves(poss.roots()))
                 ratios.append(float(r) / N)
         if not ratios:
-            raise RuntimeError(f"no far point hit any tube at N={N}")
+            raise FarPointError(f"no far point hit any tube in {attempts} draws "
+                                f"(M={cfg.M}, N={N}, d={cfg.d})")
         rows.append(
             {
                 "N": N,
@@ -451,10 +456,6 @@ def resistance_growth(cfg: ExperimentConfig, points: int = 100) -> dict:
 AUDIT_POINT_DRAWS = 1000  # far points tried before the audit gives up
 
 
-class AuditPointError(ValueError):
-    """No far point with 4 or more possible roots in the audit's draws."""
-
-
 def percolation_iid_audit(cfg: ExperimentConfig, N: int, fields: int = 10_000) -> dict:
     """Consistency and uniformity checks for the induced edge bits.
 
@@ -471,7 +472,7 @@ def percolation_iid_audit(cfg: ExperimentConfig, N: int, fields: int = 10_000) -
     draws = itertools.islice(_strip_draws(cfg, N, 30_000_001), AUDIT_POINT_DRAWS)
     point = next((poss.point for _, poss in draws if len(poss) >= 4), None)
     if point is None:
-        raise AuditPointError(
+        raise FarPointError(
             f"no far point with 4 or more possible roots in {AUDIT_POINT_DRAWS} "
             f"draws (M={cfg.M}, N={N}, d={cfg.d}); raise N"
         )

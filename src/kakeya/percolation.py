@@ -20,6 +20,8 @@ import numpy as np
 
 from .trees import FiniteTree, Vertex, ray_addresses
 
+_MC_CELLS = 1 << 20  # random edge bits drawn per Monte Carlo batch, at most
+
 
 def resistance(tree: FiniteTree) -> Fraction:
     """Total network resistance by bottom-up series/parallel reduction.
@@ -101,7 +103,8 @@ def survival_mc(tree: FiniteTree, seed: int, samples: int) -> tuple[float, float
     rng = np.random.default_rng(seed)
     hits = 0
     done = 0
-    batch = max(1, min(samples, 1 << 16))
+    # Generator.random fills rows from one stream: the batch size never changes the draws
+    batch = max(1, min(samples, _MC_CELLS // (len(edges) or 1)))
     while done < samples:
         b = min(batch, samples - done)
         bits = rng.random((b, len(edges))) < 0.5

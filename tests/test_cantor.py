@@ -16,15 +16,14 @@ from kakeya.cantor import (
     BUILTIN_CURVES,
     CantorSpec,
     CurveDomainError,
+    DirectionCurve,
     SelectorError,
     affine_curve,
     bilipschitz_bracket,
     build_level,
     builtin_curve,
-    curve_from_rows,
     direction_set,
     estimate_bilipschitz,
-    make_table_selector,
     middle_spec,
     moment_curve,
 )
@@ -60,18 +59,17 @@ def test_representatives_left_endpoints():
         assert direction_set(spec, affine_curve(1)).params == tuple(reps)
 
 
-def _varying_selector(M):
-    # non-self-similar: choice depends on the prefix parity
-    def select(digits):
-        if sum(digits) % 2:
-            return (1, M - 1) if M >= 4 else (0, 2)
-        return (0, M - 2) if M >= 4 else (0, 2)
-
-    return select
+def _varying_table(M, N):
+    """Non-self-similar children, by the parity of every prefix shorter than N."""
+    return {
+        digits: (1, M - 1) if sum(digits) % 2 else (0, M - 2)
+        for k in range(N)
+        for digits in itertools.product(range(M), repeat=k)
+    }
 
 
 def test_generic_selector_depth3_separation():
-    spec = CantorSpec(M=5, N=3, selector=_varying_selector(5), name="varying")
+    spec = CantorSpec(M=5, N=3, table=_varying_table(5, 3))
     reps = [iv.left for iv in build_level(spec, 3)]
     assert len(reps) == 8
     # distinct level-3 intervals keep distance >= 5^-3
@@ -93,7 +91,7 @@ def test_level_counts_and_prefix_closure(k):
 
 
 def test_non_adjacency_gap():
-    spec = CantorSpec(M=5, N=4, selector=_varying_selector(5), name="varying")
+    spec = CantorSpec(M=5, N=4, table=_varying_table(5, 4))
     for k in range(1, 5):
         ivs = build_level(spec, k)
         for a, b in zip(ivs, ivs[1:]):
@@ -102,27 +100,48 @@ def test_non_adjacency_gap():
 
 
 def test_adjacent_selector_rejected():
-    bad = CantorSpec(M=3, N=2, selector=lambda digs: (0, 1), name="bad")
     with pytest.raises(SelectorError) as err:
-        build_level(bad, 1)
+        CantorSpec(M=3, N=2, table={(): (0, 1)})
     assert "()" in str(err.value)  # names the offending interval
 
 
 def test_equal_digits_rejected():
-    bad = CantorSpec(M=3, N=1, selector=lambda digs: (2, 2), name="bad")
-    with pytest.raises(SelectorError):
-        build_level(bad, 1)
+    with pytest.raises(SelectorError, match="default"):
+        CantorSpec(M=3, N=1, default=(2, 2))
 
 
 def test_table_selector():
-    sel = make_table_selector(5, {(): (0, 3), (0,): (1, 4)}, default=(0, 2))
-    spec = CantorSpec(M=5, N=2, selector=sel, name="table")
+    spec = CantorSpec(M=5, N=2, table={(): (0, 3), (0,): (1, 4)}, default=(0, 2))
     assert [iv.digits for iv in build_level(spec, 2)] == [
         (0, 1),
         (0, 4),
         (3, 0),
         (3, 2),
     ]
+
+
+def test_specs_compare_and_hash_by_their_children():
+    a, b = CantorSpec(5, 2, default=(0, 2)), CantorSpec(5, 2, default=(0, 4))
+    assert a != b and CantorSpec(5, 2, default=(2, 0)) == a  # pairs are stored ascending
+    assert CantorSpec(5, 2, table={(1,): (0, 2)}) != CantorSpec(5, 2)
+    assert CantorSpec(3, 2) == middle_spec(3, 2) and len({a, b, CantorSpec(5, 2, default=[0, 2])}) == 2
+
+
+@pytest.mark.parametrize(
+    "table", [{(9,): (0, 2)}, {(0, 0): (0, 2)}, {(True,): (0, 2)}, {"0": (0, 2)}, {(): (0, True)}]
+)
+def test_table_checked_at_construction(table):
+    """Out-of-range, too long, boolean or non-tuple prefixes, and pairs that
+    are not two digits, are refused when the spec is built."""
+    with pytest.raises(SelectorError):
+        CantorSpec(M=5, N=2, table=table)
+
+
+def test_curve_rows_are_fractions_and_fix_d():
+    curve = DirectionCurve([[0, "1/2"], (F(1, 3), 1, "-1/4")])
+    assert curve.rows == ((0, F(1, 2)), (F(1, 3), 1, F(-1, 4))) and curve.d == 2
+    assert all(type(c) is F for row in curve.rows for c in row)
+    assert curve == DirectionCurve(curve.rows) and hash(curve) == hash(DirectionCurve(curve.rows))
 
 
 def test_direction_set_affine_n1():
@@ -270,7 +289,7 @@ def test_first_coordinate_always_one():
 
 
 def test_curve_domain_error():
-    stretched = curve_from_rows([[0, 2]])  # 2t leaves [-1,1] at t = 8/9
+    stretched = DirectionCurve([[0, 2]])  # 2t leaves [-1,1] at t = 8/9
     with pytest.raises(CurveDomainError):
         direction_set(middle_spec(3, 2), stretched)
 
@@ -294,7 +313,7 @@ def test_bilipschitz_estimate_moment_curve():
 
 
 def test_constant_curve_rejected():
-    flat = curve_from_rows([[0, 0]])
+    flat = DirectionCurve([[0, 0]])
     with pytest.raises(CurveDomainError):
         direction_set(middle_spec(3, 2), flat)
     with pytest.raises(CurveDomainError, match="not bi-Lipschitz"):
@@ -309,7 +328,7 @@ EXACT_SQUARED = {
 }
 # mixed signs and an interior minimum of q; its maximum 13/36 = 1/4 + 1/9 is
 # |gamma'(0)|^2, on the diagonal, which no pair of samples reaches
-MIXED = curve_from_rows([[0, "1/2", "-1/4"], ["1/3", "-1/3", 0, "1/4"]])
+MIXED = DirectionCurve([[0, "1/2", "-1/4"], ["1/3", "-1/3", 0, "1/4"]])
 
 
 @pytest.mark.parametrize("name, d", list(EXACT_SQUARED))

@@ -1,5 +1,6 @@
 import csv
 import gc
+import itertools
 import json
 import shlex
 import warnings
@@ -10,6 +11,7 @@ import pytest
 from kakeya import harness
 from kakeya.cli import build_parser, main
 from kakeya.sticky import assignment_from_dirset
+from kakeya.trees import leaf_from_index
 from kakeya.tubes import kakeya_measures
 
 
@@ -52,6 +54,39 @@ def test_cantor_reads_curve_file(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["representatives"][1] == "2/9"
     assert payload["slopes"][1]["exact"] == ["1", "-1/9"]
+
+
+MALFORMED_SELECTORS = [
+    {"default": [0, 1]},
+    {"default": "x"},
+    {"default": [0]},
+    {"prefixes": {"a": [0, 2]}},
+    {"prefixes": {"0": 5}},
+    {"prefixes": []},
+    {"prefixes": {"": [0, 2, 4]}},
+    {"prefixes": {"9": [0, 2]}},
+    {"defaults": [0, 2]},
+]
+MALFORMED_CURVES = [
+    '[["a"]]', '[["0", "3"]]', "[]", "[[]]", "[[1, [2]]]", '[["1/0"]]', "[5]", "[[Infinity]]",
+    "[[null]]", "[[0, true]]",
+]
+
+
+@pytest.mark.parametrize(
+    "flag, text",
+    [("--selector-file", json.dumps(s)) for s in MALFORMED_SELECTORS]
+    + [("--curve-file", c) for c in MALFORMED_CURVES],
+)
+def test_malformed_cantor_input_is_one_line(tmp_path, capsys, flag, text):
+    """A readable selector or curve file with bad contents stops the run
+    with one line naming the file, not a traceback, and is never accepted."""
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["cantor", "--M", "5", "--N", "2", flag, str(path)])
+    assert exc.value.code.startswith(f"{path}: ") and "\n" not in exc.value.code
+    assert capsys.readouterr().out == ""
 
 
 def test_slopes_dump(tmp_path):
@@ -304,6 +339,20 @@ def test_prob_oracle_random(tmp_path, capsys):
     assert all(line.endswith("True") for line in lines[1:])
 
 
+def test_prob_oracle_exhaustive(tmp_path, capsys):
+    """--tuples exhaustive takes the 4-permutations of the leaves in order."""
+    out = tmp_path / "oracle.csv"
+    argv = ["prob-oracle", "--M", "3", "--N", "2", "--tuples", "exhaustive", "--count", "5"]
+    assert main(argv + ["--out", str(out)]) == 0
+    with out.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    leaves = [leaf_from_index(i, 3, 2) for i in range(9)]
+    combos = itertools.islice(itertools.permutations(range(9), 4), 5)
+    expected = [str([list(leaves[i]) for i in combo]) for combo in combos]
+    assert [row["tuple"] for row in rows] == expected
+    assert all(row["match"] == "True" for row in rows)
+
+
 def test_lower_bound_cli(capsys):
     rc = main(
         ["lower-bound", "--M", "3", "--N", "3", "--samples", "120", "--seed", "4"]
@@ -507,6 +556,17 @@ def test_iid_audit_without_a_point_is_a_one_line_error(capsys, argv):
     assert "4 or more possible roots" in captured.err
 
 
+def test_resistance_growth_without_a_point_is_a_one_line_error(capsys):
+    """No far point of the draws hits a tube: one line on stderr and exit
+    code 2, as for the audit."""
+    assert main(["resistance-growth", "--N", "3", "--d", "3", "--curve", "moment", "--points", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "kakeya resistance-growth: no far point hit any tube in 60 draws (M=3, N=3, d=3)"
+    ]
+
+
 def test_iid_audit_finds_its_point_in_the_reachable_strip(capsys):
     # drawn from [-0.5, 0.5] instead, seed 2 had no 4-root point at N=4
     assert main(["iid-audit", "--N-range", "4:4", "--seed", "2", "--fields", "2000"]) == 0
@@ -620,6 +680,29 @@ def test_unreadable_input_file_is_one_line(tmp_path, argv, wrong_kind, fault, me
         main(argv + [str(path)])
     assert exc.value.code.startswith(f"{path}: ")
     assert message in exc.value.code
+
+
+@pytest.mark.parametrize(
+    "argv, parent_kind",
+    [
+        (["cantor", "--out"], "missing"),
+        (["slopes", "--N", "2", "--out"], "missing"),
+        (["volume", "--N", "2", "--out"], "missing"),
+        (["prob-oracle", "--N", "2", "--count", "1", "--out"], "missing"),
+        (["simulate", "--N", "2", "--samples", "1", "--out-dir"], "file"),
+    ],
+)
+def test_unwritable_output_is_one_line(tmp_path, capsys, argv, parent_kind):
+    """An output path whose parent is missing, or a regular file, stops the
+    run with one line naming the path, not a traceback."""
+    parent = tmp_path / "parent"
+    if parent_kind == "file":
+        parent.write_text("")
+    path = parent / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [str(path)])
+    assert exc.value.code.startswith(f"{path}: ") and "\n" not in exc.value.code
+    assert not path.exists()
 
 
 @pytest.mark.parametrize(

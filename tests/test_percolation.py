@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from kakeya import percolation
 from kakeya.percolation import (
     lyons_bounds,
     resistance,
@@ -81,6 +82,29 @@ def test_survival_mc_within_ci():
     est, half = survival_mc(tree, seed=7, samples=1_000_000)
     assert half < 0.002
     assert abs(est - 39 / 64) <= half
+
+
+def test_survival_mc_memory_is_bounded_and_draws_unchanged(monkeypatch):
+    """Each batch draws at most _MC_CELLS edge bits, however large the tree,
+    and the estimate equals the one drawn in a single batch."""
+    tree = FiniteTree.full(2, 8)  # 510 edges
+    shapes = []
+
+    class Recording:
+        def __init__(self, seed):
+            self.rng = np.random.Generator(np.random.PCG64(seed))
+
+        def random(self, shape):
+            shapes.append(shape)
+            return self.rng.random(shape)
+
+    monkeypatch.setattr(percolation.np.random, "default_rng", Recording)
+    capped = survival_mc(tree, seed=5, samples=20_000)
+    assert len(shapes) > 1 and all(b * e <= 1 << 20 for b, e in shapes)
+    monkeypatch.setattr(percolation, "_MC_CELLS", 1 << 40)
+    shapes.clear()
+    assert survival_mc(tree, seed=5, samples=20_000) == capped
+    assert shapes == [(20_000, 510)]
 
 
 def test_mc_within_ci_for_random_trees():
