@@ -159,6 +159,10 @@ class DirectionCurve:
     """
 
     rows: tuple[tuple[Fraction, ...], ...]
+    # per row: the lcm of its denominators and its coefficients times that lcm
+    _scaled: tuple[tuple[int, tuple[int, ...]], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         rows, seq = self.rows, (tuple, list)
@@ -172,18 +176,28 @@ class DirectionCurve:
             object.__setattr__(self, "rows", tuple(tuple(map(Fraction, row)) for row in rows))
         except (ValueError, ZeroDivisionError) as err:
             raise CurveDomainError(f"bad curve coefficient: {err}") from None
+        scaled = []
+        for row in self.rows:
+            lcm = math.lcm(*(c.denominator for c in row))
+            scaled.append((lcm, tuple(c.numerator * (lcm // c.denominator) for c in row)))
+        object.__setattr__(self, "_scaled", tuple(scaled))
 
     @property
     def d(self) -> int:
         return len(self.rows)
 
     def point(self, t: Fraction) -> tuple[Fraction, ...]:
+        """gamma(t), by Horner's rule in integers: for t = p/q a row of
+        degree D with scaled coefficients n_k gives sum n_k p^k q^(D-k),
+        over lcm * q^D."""
+        p, q = t.numerator, t.denominator
         coords = [Fraction(1)]
-        for row in self.rows:
-            acc = Fraction(0)
-            for c in reversed(row):
-                acc = acc * t + c
-            coords.append(acc)
+        for lcm, ints in self._scaled:
+            acc, q_pow = ints[-1], 1
+            for c in reversed(ints[:-1]):
+                q_pow *= q
+                acc = acc * p + c * q_pow
+            coords.append(Fraction(acc, lcm * q_pow))
         return tuple(coords)
 
     def point_float(self, t: float) -> np.ndarray:

@@ -7,8 +7,10 @@ endpoints; the edge into a vertex at height h carries resistance
 (1 - 1/2) / 2^(-h) = 2^(h-1): its chance of being cut over the chance that
 the ray up to it survives (Lyons, Random walks and percolation on trees,
 Ann. Probab. 1990).  Survival and resistance are evaluated with exact
-rational arithmetic; the Monte Carlo estimator is a cross-check, not the
-source of truth.
+rational arithmetic; resistance is reduced in integers, each subtree a
+numerator and denominator normalised at branching vertices and turned
+into one ``Fraction`` at the root.  The Monte Carlo estimator is a
+cross-check, not the source of truth.
 """
 
 from __future__ import annotations
@@ -28,18 +30,33 @@ def resistance(tree: FiniteTree) -> Fraction:
 
     Subtree resistance at w is the parallel combination over children c of
     2^(h(c)-1) + (subtree resistance at c); childless vertices contribute
-    zero.
+    zero.  Each subtree's resistance is a pair of ints (p, q) meaning p/q:
+    the series step keeps q, and the parallel sum adds the conductances
+    q/p by cross-multiplication and divides by their gcd at every vertex
+    with two or more children, so the pair stays in lowest terms, as
+    ``Fraction`` would keep it; one ``Fraction`` is built at the root.
     """
     if tree.height < 1:
         raise ValueError("tree must have height >= 1")
+    children = tree.children
 
-    def sub(v: Vertex) -> Fraction:
-        kids = tree.children[v]
+    def sub(v: Vertex) -> tuple[int, int]:
+        kids = children[v]
         if not kids:
-            return Fraction(0)
-        return 1 / sum(1 / (2 ** (len(c) - 1) + sub(c)) for c in kids)
+            return 0, 1
+        edge = 1 << len(v)  # 2^(h-1) into a child at height h = len(v) + 1
+        if len(kids) == 1:
+            p, q = sub(kids[0])
+            return p + q * edge, q
+        num, den = 0, 1  # conductance num/den of the branches so far
+        for c in kids:
+            p, q = sub(c)
+            p += q * edge
+            num, den = num * p + q * den, den * p
+        g = math.gcd(num, den)
+        return den // g, num // g
 
-    return sub(())
+    return Fraction(*sub(()))
 
 
 def shorted_resistance(tree: FiniteTree) -> Fraction:

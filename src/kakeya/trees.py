@@ -144,13 +144,13 @@ class FiniteTree:
         for leaf in leaves:
             for k in range(1, len(leaf) + 1):
                 vertices.add(leaf[:k])
-        children: dict[Vertex, list[Vertex]] = {v: [] for v in vertices}
-        for v in vertices:
+        # a parent sorts before its children, so each child list fills in order
+        children: dict[Vertex, list[Vertex]] = {}
+        for v in sorted(vertices):
+            children[v] = []
             if v:
                 children[v[:-1]].append(v)
-        for v in children:
-            children[v].sort()
-        h = max((len(v) for v in vertices), default=0)
+        h = max(map(len, vertices))
         return cls(vertices=vertices, children=children, height=h)
 
     @classmethod

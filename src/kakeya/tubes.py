@@ -299,10 +299,13 @@ def poss_set(p: Sequence[float], dirset: DirectionSet) -> PossSet:
     idx = np.floor(base * M**N)
     center = (idx + 0.5) / M**N
     keep = np.all((base >= 0.0) & (base < 1.0) & (np.abs(base - center) <= half), axis=1)
+    rows = np.flatnonzero(keep)
+    # level digits idx // M^(N-1-lvl) % M per axis, packed as index_from_leaf packs them
+    cells = idx[rows].astype(np.int64)[:, None, :] // M ** np.arange(N - 1, -1, -1)[:, None] % M
+    packed = (cells * M ** np.arange(d - 1, -1, -1)).sum(axis=2)
     witnesses: dict[Vertex, list[int]] = {}
-    for k in np.flatnonzero(keep):
-        t = cube_from_axis_indices(idx[k].astype(np.int64).tolist(), N, M)
-        witnesses.setdefault(t, []).append(int(k))
+    for k, t in zip(rows.tolist(), map(tuple, packed.tolist())):
+        witnesses.setdefault(t, []).append(k)
     return PossSet(point=tuple(float(x) for x in p), witnesses=witnesses)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kakeya import percolation
+from kakeya.cantor import affine_curve, direction_set, middle_spec
 from kakeya.percolation import (
     lyons_bounds,
     resistance,
@@ -13,6 +14,8 @@ from kakeya.percolation import (
     survival_mc,
 )
 from kakeya.trees import FiniteTree
+from kakeya.tubes import poss_set
+from far_points import aimed_point
 from random_trees import random_leaf_subtree
 
 F = Fraction
@@ -40,6 +43,72 @@ def test_edge_resistance_fair_coins():
         ray = resistance(FiniteTree.from_leaves([v]))
         parent_ray = resistance(FiniteTree.from_leaves([v[:-1]])) if len(v) > 1 else 0
         assert ray - parent_ray == 2 ** (len(v) - 1)
+
+
+def _kirchhoff_resistance(tree: FiniteTree) -> Fraction:
+    """Resistance by nodal analysis, independent of the series/parallel
+    reduction: the root held at potential 1 and every childless vertex at
+    0, the edge into a vertex at height h a conductance 2^-(h-1).  The
+    interior potentials solve the grounded tree Laplacian by Gaussian
+    elimination in Fractions (deepest vertices first, which only keeps the
+    rows sparse), and the resistance is 1 over the current out of the root."""
+    cond = {v: F(1, 2 ** (len(v) - 1)) for v in tree.vertices if v}
+    inner = sorted((v for v in tree.vertices if v and tree.children[v]), key=len, reverse=True)
+    pos = {v: i for i, v in enumerate(inner)}
+    rows = []  # Kirchhoff's current law at each interior vertex: {column: coefficient}, rhs
+    for v in inner:
+        row, rhs = {}, F(0)
+        for u, g in [(v[:-1], cond[v])] + [(c, cond[c]) for c in tree.children[v]]:
+            row[pos[v]] = row.get(pos[v], 0) + g
+            if u in pos:
+                row[pos[u]] = row.get(pos[u], 0) - g
+            elif u == ():
+                rhs += g  # the root's potential 1; childless vertices add 0
+        rows.append((row, rhs))
+    for i, (pivot, pivot_rhs) in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            row, rhs = rows[j]
+            if row.get(i):
+                m = row[i] / pivot[i]
+                for col, val in pivot.items():
+                    row[col] = row.get(col, 0) - m * val
+                rows[j] = (row, rhs - m * pivot_rhs)
+    potential = [F(0)] * len(rows)
+    for i in reversed(range(len(rows))):
+        row, rhs = rows[i]
+        rest = sum((val * potential[col] for col, val in row.items() if col > i), F(0))
+        potential[i] = (rhs - rest) / row[i]
+    current = sum(
+        (cond[c] * (1 - (potential[pos[c]] if c in pos else 0)) for c in tree.children[()]), F(0)
+    )
+    return 1 / current
+
+
+def test_resistance_equals_kirchhoff_solve():
+    """The exact series/parallel reduction equals the nodal solve on random
+    subtrees of full trees, leaf sets of mixed depth and Poss trees of far
+    points at d=1, N=9."""
+    trees = [FiniteTree.full(2, 5), FiniteTree.full(3, 3)]
+    rng = np.random.default_rng(17)
+    for base, keep in ((2, 0.5), (3, 0.5), (9, 0.2)):
+        for depth in range(1, 7):
+            trees += [random_leaf_subtree(rng, base, depth, keep) for _ in range(3)]
+    for _ in range(20):
+        leaves = [
+            tuple(rng.integers(0, 3, size=rng.integers(1, 7)).tolist())
+            for _ in range(rng.integers(1, 9))
+        ]
+        trees.append(FiniteTree.from_leaves(leaves))
+    ds = direction_set(middle_spec(3, 9), affine_curve(1))
+    sizes = []
+    for _ in range(40):
+        roots = poss_set(aimed_point(rng, ds), ds).roots()
+        sizes.append(len(roots))
+        trees.append(FiniteTree.from_leaves(roots))
+    assert min(sizes) >= 1 and sum(s >= 10 for s in sizes) >= 10
+    for tree in trees:
+        r = resistance(tree)
+        assert type(r) is Fraction and r == _kirchhoff_resistance(tree)
 
 
 def test_shorted_full_binary_closed_form():

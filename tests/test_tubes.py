@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from kakeya import kernels
-from kakeya.cantor import affine_curve, direction_set, middle_spec
+from kakeya.cantor import affine_curve, direction_set, middle_spec, moment_curve
 from kakeya.sticky import SlopeAssignment, StickyField, assignment_from_dirset, sticky_admissible
 from kakeya.trees import cube_from_axis_indices, decode_cube, height, leaf_from_index, yca
 from kakeya.tubes import (
@@ -25,6 +25,7 @@ from kakeya.tubes import (
     union_volume,
     unique_far_slope,
 )
+from far_points import aimed_point
 
 F = Fraction
 
@@ -388,26 +389,51 @@ def test_poss_refuses_wrong_point_dimension(ds_affine_n5, possible_roots):
         possible_roots((2.5, 0.5, 0.5), ds_affine_n5)
 
 
+def _dual_sizes(ds, points) -> list[int]:
+    """Poss-set sizes of ``points``, after checking that the integer-grid
+    scan and the affine-copy enumeration find the same witnesses."""
+    sizes = []
+    for p in points:
+        a = poss_set(p, ds)
+        assert a.witnesses == poss_set_affine(p, ds).witnesses
+        sizes.append(len(a))
+    return sizes
+
+
 def test_poss_dual_computation_agrees(ds_affine_n5):
     rng = random.Random(11)
-    for _ in range(100):
-        p = (rng.uniform(2.0, 3.0), rng.uniform(-2.0, 3.5))
-        a = poss_set(p, ds_affine_n5)
-        b = poss_set_affine(p, ds_affine_n5)
-        assert a.witnesses == b.witnesses
+    box = [(rng.uniform(2.0, 3.0), rng.uniform(-2.0, 3.5)) for _ in range(100)]
+    aim = np.random.default_rng(11)
+    aimed = [aimed_point(aim, ds_affine_n5) for _ in range(100)]
+    sizes = _dual_sizes(ds_affine_n5, box + aimed)
+    assert min(sizes[100:]) >= 1
+    assert sum(s >= 2 for s in sizes) >= 100
 
 
 def test_poss_dual_computation_agrees_d2(ds_moment_n4_d2):
+    """Box draws at N=4 all miss every tube, and few aimed ones meet two:
+    besides 20 aimed draws, those of 1,480 more to which the exact floor
+    gives two or more roots."""
     rng = random.Random(12)
-    for _ in range(50):
-        p = (
-            rng.uniform(4.0, 5.0),
-            rng.uniform(-1.0, 4.0),
-            rng.uniform(-1.0, 4.0),
-        )
-        a = poss_set(p, ds_moment_n4_d2)
-        b = poss_set_affine(p, ds_moment_n4_d2)
-        assert a.witnesses == b.witnesses
+    box = [
+        (rng.uniform(4.0, 5.0), rng.uniform(-1.0, 4.0), rng.uniform(-1.0, 4.0))
+        for _ in range(50)
+    ]
+    aim = np.random.default_rng(12)
+    aimed = [aimed_point(aim, ds_moment_n4_d2) for _ in range(1500)]
+    multi = [p for p in aimed[20:] if len(_poss_by_exact_floor(p, ds_moment_n4_d2, 4, 2)) >= 2]
+    sizes = _dual_sizes(ds_moment_n4_d2, box + aimed[:20] + multi)
+    assert min(sizes[50:]) >= 1
+    assert sum(s >= 2 for s in sizes) >= 25
+
+
+def test_poss_dual_computation_agrees_d3():
+    """d=3 moment curve, N=3: every aimed draw meets its one tube, and at
+    C0 = 27 no other root's shrunk cube catches a pull-back."""
+    ds = direction_set(middle_spec(3, 3), moment_curve(3))
+    aim = np.random.default_rng(13)
+    sizes = _dual_sizes(ds, [aimed_point(aim, ds) for _ in range(12)])
+    assert min(sizes) >= 1
 
 
 def _poss_by_exact_floor(p, dirset, N, d):
