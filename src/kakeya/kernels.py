@@ -4,16 +4,22 @@ Pair sums and union lengths for d = 1, exact union measures of equal
 cubes for every d >= 2, and bulk edge bits of the sticky fields.  Pair
 sums score only the candidate pairs, whose centre hulls over the slab
 come within one cross-section width, found by one sort: O(n log n + K')
-for K' candidates, not O(n^2).  Cube unions slice along the first axes
-and measure the last two as arrays: every slab's active cubes form one
-contiguous slice of the sorted cubes, gathered into padded rows and
-measured by sorted gaps, a chunk of rows at a time.
+for K' candidates, not O(n^2).  The d = 1 union sorts one row of centres
+per quadrature node and splits the nodes across CPU threads, one
+contiguous block each; every row is measured on its own, so the lengths
+are byte-identical whatever the split.  Cube unions slice along the
+first axes and measure the last two as arrays: every slab's active cubes
+form one contiguous slice of the sorted cubes, gathered into padded rows
+and measured by sorted gaps, a chunk of rows at a time.
 Every kernel has an oracle test in ``tests/test_kernels.py``;
 ``python3 perfbench/run.py`` times them inside the experiments that use
 them.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -161,29 +167,28 @@ def pair_sum_1d(
 #
 # For each abscissa in `xs` the cross-sections are n equal-width intervals
 # centred at centers + x*slopes; the union length is width + sum of
-# min(width, gap) over consecutive sorted centres.  The position and gap
-# buffers are allocated once per call and filled in place, so a call costs
-# no allocation per chunk and its speed does not depend on the state of
-# the heap.
+# min(width, gap) over consecutive sorted centres.  Each node's row is
+# sorted, differenced and summed on its own, so the nodes are split into
+# one contiguous block per CPU, each measured in its own thread (numpy
+# releases the GIL in sort and in the ufuncs), and every output is
+# byte-identical whatever the split.  A block's position and gap buffers
+# are allocated once and filled in place, so its speed does not depend on
+# the state of the heap; the rows per thread are cut so that all blocks
+# together hold at most _UNION_ROWS rows at once.
 # ---------------------------------------------------------------------------
 
-_UNION_ROWS = 64  # abscissae sorted at once
+_UNION_ROWS = 64  # abscissae sorted at once, over all threads
+_UNION_THREAD_ROWS = 16  # abscissae sorted at once by one thread, at most
+_UNION_THREADS = len(os.sched_getaffinity(0))  # CPUs this process may run on
 
 
-def union_lengths_1d(
-    centers: np.ndarray, slopes: np.ndarray, width: float, xs: np.ndarray
-) -> np.ndarray:
-    """Length of the union of the n cross-section intervals at each x in xs."""
-    c = np.ascontiguousarray(centers, dtype=np.float64)
-    v = np.ascontiguousarray(slopes, dtype=np.float64)
-    x = np.ascontiguousarray(xs, dtype=np.float64)
-    width = float(width)
-    n = c.shape[0]
-    out = np.empty(x.shape[0], dtype=np.float64)
-    pos_buf = np.empty((_UNION_ROWS, n), dtype=np.float64)
-    gap_buf = np.empty((_UNION_ROWS, max(n - 1, 0)), dtype=np.float64)
-    for start in range(0, x.shape[0], _UNION_ROWS):
-        stop = min(start + _UNION_ROWS, x.shape[0])
+def _union_block(c, v, width, x, out, rows):
+    """Fill ``out`` with the union length at each abscissa of ``x``,
+    ``rows`` abscissae at a time."""
+    pos_buf = np.empty((rows, c.shape[0]), dtype=np.float64)
+    gap_buf = np.empty((rows, max(c.shape[0] - 1, 0)), dtype=np.float64)
+    for start in range(0, x.shape[0], rows):
+        stop = min(start + rows, x.shape[0])
         pos, gaps = pos_buf[: stop - start], gap_buf[: stop - start]
         np.multiply(x[start:stop, None], v[None, :], out=pos)
         pos += c[None, :]
@@ -191,6 +196,47 @@ def union_lengths_1d(
         np.subtract(pos[:, 1:], pos[:, :-1], out=gaps)
         np.minimum(gaps, width, out=gaps)
         out[start:stop] = width + gaps.sum(axis=1)
+
+
+def union_lengths_1d(
+    centers: np.ndarray, slopes: np.ndarray, width: float, xs: np.ndarray
+) -> np.ndarray:
+    """Length of the union of the n cross-section intervals at each x in xs.
+
+    The nodes are split into at most ``_UNION_THREADS`` contiguous blocks,
+    one per full chunk of rows; the caller's thread measures the first and
+    a helper thread each of the others.  An exception in a helper is
+    raised here once every block has ended."""
+    c = np.ascontiguousarray(centers, dtype=np.float64)
+    v = np.ascontiguousarray(slopes, dtype=np.float64)
+    x = np.ascontiguousarray(xs, dtype=np.float64)
+    width = float(width)
+    nodes = x.shape[0]
+    out = np.empty(nodes, dtype=np.float64)
+    rows = max(1, min(_UNION_THREAD_ROWS, _UNION_ROWS // _UNION_THREADS))
+    blocks = max(1, min(_UNION_THREADS, nodes // rows))
+    cuts = [nodes * k // blocks for k in range(blocks + 1)]
+    errors: list[BaseException] = []
+
+    def helper(lo: int, hi: int) -> None:
+        try:
+            _union_block(c, v, width, x[lo:hi], out[lo:hi], rows)
+        except BaseException as exc:  # re-raised in the caller's thread
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=helper, args=(cuts[k], cuts[k + 1]))
+        for k in range(1, blocks)
+    ]
+    for t in threads:
+        t.start()
+    try:
+        _union_block(c, v, width, x[: cuts[1]], out[: cuts[1]], rows)
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
     return out
 
 

@@ -10,7 +10,6 @@ and exactly integrable.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -309,10 +308,15 @@ def poss_set(p: Sequence[float], dirset: DirectionSet) -> PossSet:
     return PossSet(point=tuple(float(x) for x in p), witnesses=witnesses)
 
 
+_AFFINE_CELLS = 1 << 16  # cube-direction pairs compared at once
+
+
 def poss_set_affine(p: Sequence[float], dirset: DirectionSet) -> PossSet:
     """Same set computed through the affine copy of the direction set:
-    enumerate candidate cubes around the pulled-back copy and keep those
-    whose shrunk cube meets it.  Centres are those of ``poss_set``."""
+    enumerate candidate cubes around the pulled-back copy, in lexicographic
+    order of their axis indices, and keep those whose shrunk cube meets it.
+    Centres are those of ``poss_set``; each chunk of cubes is compared with
+    every direction at once."""
     M, N, d = dirset.spec.M, dirset.spec.N, dirset.d
     half = cross_section_side(M, N, d) / 2.0
     copy_pts = _pullback(p, dirset)  # the affine image of the directions
@@ -323,13 +327,17 @@ def poss_set_affine(p: Sequence[float], dirset: DirectionSet) -> PossSet:
     hi_idx = np.minimum(hi_idx, M**N - 1)
     if np.any(lo_idx > hi_idx):
         return PossSet(point=tuple(float(x) for x in p), witnesses={})
-    ranges = [range(lo_idx[a], hi_idx[a] + 1) for a in range(d)]
-    for axis_indices in itertools.product(*ranges):
-        center = (np.asarray(axis_indices) + 0.5) / M**N
-        inside = np.all(np.abs(copy_pts - center[None, :]) <= half, axis=1)
-        if np.any(inside):
-            t = cube_from_axis_indices(axis_indices, N, M)
-            witnesses[t] = [int(k) for k in np.nonzero(inside)[0]]
+    shape = tuple((hi_idx - lo_idx + 1).tolist())
+    total = math.prod(shape)
+    step = max(1, _AFFINE_CELLS // copy_pts.shape[0])
+    for s in range(0, total, step):
+        flat = np.arange(s, min(s + step, total))
+        cubes = np.stack(np.unravel_index(flat, shape), axis=1) + lo_idx
+        center = (cubes + 0.5) / M**N
+        inside = np.all(np.abs(copy_pts[None, :, :] - center[:, None, :]) <= half, axis=2)
+        for row in np.flatnonzero(inside.any(axis=1)).tolist():
+            t = cube_from_axis_indices(cubes[row].tolist(), N, M)
+            witnesses[t] = np.flatnonzero(inside[row]).tolist()
     return PossSet(point=tuple(float(x) for x in p), witnesses=witnesses)
 
 

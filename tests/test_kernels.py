@@ -1,3 +1,4 @@
+import threading
 import warnings
 
 import numpy as np
@@ -6,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from kakeya import kernels
 from kakeya.cantor import builtin_curve, direction_set, middle_spec
+from kakeya.harness import ExperimentConfig, canonical_json, volume_sweep
 from kakeya.sticky import MASK64, StickyField, assignment_from_dirset, mix64
 from kakeya.trees import leaf_from_index
-from kakeya.tubes import assignment_arrays, cross_section_side, pair_measure
+from kakeya.tubes import _slab_sample_points, assignment_arrays, cross_section_side, pair_measure
 
 
 @pytest.fixture(scope="module")
@@ -115,8 +117,8 @@ def _union_lengths_per_chunk(centers, slopes, width, xs):
 @pytest.mark.parametrize("n", [1, 2, 3**5])
 @pytest.mark.parametrize("nodes", [0, 1, 63, 64, 65, 129])
 def test_union_lengths_buffers_match_per_chunk_arrays(n, nodes):
-    """Filling the buffers in place changes no bit: same chunks, same
-    operations, same contiguous rows to sum."""
+    """Filling the buffers in place, in blocks of rows split across
+    threads, changes no bit: same operations, same contiguous rows to sum."""
     rng = np.random.default_rng(1000 * n + nodes)
     c, v = rng.uniform(0.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
     xs = rng.uniform(0.0, 3.0, nodes)
@@ -124,6 +126,75 @@ def test_union_lengths_buffers_match_per_chunk_arrays(n, nodes):
     got = kernels.union_lengths_1d(c, v, width, xs)
     expect = _union_lengths_per_chunk(c, v, width, xs)
     assert got.shape == (nodes,) and np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_union_lengths_split_equals_one_node_calls(monkeypatch, threads):
+    """A d=1 N=7 family, near and far windows: the whole array of nodes,
+    split into blocks across threads, gives byte for byte the lengths of
+    one-node calls, which start no thread."""
+    monkeypatch.setattr(kernels, "_UNION_THREADS", threads)
+    dirset = direction_set(middle_spec(3, 7), builtin_curve("affine", 1))
+    centers, slopes = assignment_arrays(assignment_from_dirset(dirset, 3))
+    c, v, side = centers[:, 0], slopes[:, 0], cross_section_side(3, 7, 1)
+    for lo in (0.0, float(dirset.c0)):
+        xs, _ = _slab_sample_points(3, 7, lo, lo + 1.0, 2)
+        whole = kernels.union_lengths_1d(c, v, side, xs)
+        single = [kernels.union_lengths_1d(c, v, side, xs[k : k + 1]) for k in range(xs.size)]
+        assert whole.tobytes() == np.concatenate(single).tobytes()
+
+
+def test_union_lengths_helper_threads_run(monkeypatch):
+    """Wrap ``threading.Thread`` so that every helper records the thread it
+    ran in."""
+    threads = max(kernels._UNION_THREADS, 2)
+    monkeypatch.setattr(kernels, "_UNION_THREADS", threads)
+    ran = []
+    plain = threading.Thread
+
+    def wrapped(target, args):
+        def record(*a):
+            ran.append(threading.current_thread())
+            target(*a)
+
+        return plain(target=record, args=args)
+
+    monkeypatch.setattr(threading, "Thread", wrapped)
+    rng = np.random.default_rng(5)
+    c, v = rng.uniform(0.0, 1.0, 50), rng.uniform(-1.0, 1.0, 50)
+    xs = rng.uniform(0.0, 3.0, 64 * threads)
+    got = kernels.union_lengths_1d(c, v, 0.01, xs)
+    assert len(ran) == threads - 1
+    assert threading.current_thread() not in ran and len(set(ran)) == threads - 1
+    assert np.array_equal(got, _union_lengths_per_chunk(c, v, 0.01, xs))
+    ran.clear()
+    kernels.union_lengths_1d(c, v, 0.01, xs[:1])
+    assert ran == []
+
+
+def test_union_lengths_helper_exception_reaches_caller(monkeypatch):
+    monkeypatch.setattr(kernels, "_UNION_THREADS", 2)
+    plain = kernels._union_block
+    caller = threading.get_ident()
+
+    def failing(*args):
+        if threading.get_ident() != caller:
+            raise FloatingPointError("helper block failed")
+        plain(*args)
+
+    monkeypatch.setattr(kernels, "_union_block", failing)
+    rng = np.random.default_rng(6)
+    with pytest.raises(FloatingPointError, match="helper block failed"):
+        kernels.union_lengths_1d(rng.uniform(size=20), rng.uniform(size=20), 0.01, rng.uniform(size=200))
+
+
+def test_volume_sweep_same_at_one_and_two_threads(monkeypatch):
+    cfg = ExperimentConfig(M=3, d=1, n_values=(6, 7), samples=2, quadrature=4, seed=0)
+    records = []
+    for threads in (1, 2):
+        monkeypatch.setattr(kernels, "_UNION_THREADS", threads)
+        records.append(canonical_json(volume_sweep(cfg)))
+    assert records[0] == records[1]
 
 
 def test_union_lengths_against_merge_oracle(family):
