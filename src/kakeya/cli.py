@@ -58,7 +58,7 @@ from .percolation import (
 )
 from .sticky import assignment_from_dirset
 from .trees import EdgeBudgetError, FiniteTree, leaf_from_index
-from .tubes import assignment_arrays, poss_set, slab_indices, union_volume
+from .tubes import assignment_arrays, poss_set, slab_volumes
 
 
 def _int_from(low: int):
@@ -286,16 +286,7 @@ def cmd_volume(args) -> int:
     width = float(cfg.M) ** (-cfg.N)
     rows = []
     total = 0.0
-    for k in slab_indices(cfg.M, cfg.N, lo, hi):
-        v = union_volume(
-            centers,
-            slopes,
-            k * width,
-            (k + 1) * width,
-            cfg.M,
-            cfg.N,
-            samples=cfg.quadrature,
-        )
+    for k, v in slab_volumes(centers, slopes, lo, hi, cfg.M, cfg.N, samples=cfg.quadrature):
         rows.append({"k": k, "x_lo": k * width, "volume": v})
         total += v
     _write_csv(args.out, ["k", "x_lo", "volume"], rows)

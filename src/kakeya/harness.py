@@ -52,7 +52,7 @@ from .tubes import (
     leaf_centers,
     pair_measure,
     pair_sum_over_range,
-    poss_set,
+    poss_sets,
     unique_far_slope,
 )
 
@@ -370,22 +370,37 @@ class FarPointError(ValueError):
     """No usable far point among an experiment's draws."""
 
 
+_STRIP_CELLS = 1 << 12  # point-direction pairs pulled back per batch of draws
+
+
 def _strip_draws(cfg: ExperimentConfig, N: int, key: int) -> Iterator[tuple[float, PossSet]]:
     """Endless far points x drawn from the reachable strip, as pairs (the
     strip's cross-section volume at x1, Poss(x)).  x1 is uniform on
     [c0, c0+1], then x-bar uniform on the far box [-2c0, 2c0]^d clipped to
     where tubes can be at x1.  The stream is seeded by
-    ``derive_seed(cfg.seed, key)``."""
+    ``derive_seed(cfg.seed, key)``.
+
+    Points come in batches of one ``rng.random`` call, 1 + d values per
+    point in draw order, mapped by ``Generator.uniform``'s own arithmetic,
+    low + (high - low) * u, so each point is the one a ``uniform`` call per
+    coordinate would draw; the batch is pulled back in one ``poss_sets``
+    call.  Draws past what the consumer takes are discarded."""
     dirset = build_dirset(cfg, N)
     c0 = dirset.c0
     slopes = dirset.slope_floats()
     low, high = slopes.min(axis=0), slopes.max(axis=0)
+    x1_low = float(c0)
+    x1_width = (c0 + 1.0) - x1_low
+    batch = max(1, _STRIP_CELLS // dirset.n)
     rng = np.random.default_rng(derive_seed(cfg.seed, key))
     while True:
-        x1 = rng.uniform(c0, c0 + 1.0)
+        u = rng.random((batch, 1 + dirset.d))
+        x1 = x1_low + x1_width * u[:, :1]
         lo = np.maximum(x1 * low, -2.0 * c0)
         hi = np.minimum(1.0 + x1 * high, 2.0 * c0)
-        yield float(np.prod(hi - lo)), poss_set((x1, *rng.uniform(lo, hi)), dirset)
+        points = np.hstack([x1, lo + (hi - lo) * u[:, 1:]])
+        sections = np.prod(hi - lo, axis=1)
+        yield from zip(sections.tolist(), poss_sets(points, dirset))
 
 
 def pointwise_percolation_bound(cfg: ExperimentConfig, N: int, grid: int = 200) -> dict:

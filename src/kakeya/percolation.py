@@ -25,38 +25,49 @@ from .trees import FiniteTree, Vertex, ray_addresses
 _MC_CELLS = 1 << 20  # random edge bits drawn per Monte Carlo batch, at most
 
 
+def _sub_resistance(leaves: tuple[Vertex, ...], lo: int, hi: int, depth: int) -> tuple[int, int]:
+    """Resistance (p, q), meaning p/q, from the vertex at ``depth`` that the
+    sorted, prefix-free leaves[lo:hi] share down to those leaves.
+
+    One leaf at height b is a chain whose edges into heights depth+1..b
+    sum to 2^b - 2^depth.  Several leaves first share a chain down to
+    their branching vertex, the longest common prefix c of the first and
+    last leaf, and then split into one branch per digit at c, combined in
+    parallel: the conductances q/p add by cross-multiplication and the
+    gcd divides out, so the pair stays in lowest terms."""
+    first = leaves[lo]
+    if hi - lo == 1:
+        return (1 << len(first)) - (1 << depth), 1
+    last = leaves[hi - 1]
+    c = depth
+    while first[c] == last[c]:
+        c += 1
+    num, den = 0, 1  # conductance num/den of the branches so far
+    start, digit = lo, first[c]
+    for k in range(lo + 1, hi + 1):  # a branch ends where the digit at c changes
+        if k == hi or leaves[k][c] != digit:
+            p, q = _sub_resistance(leaves, start, k, c)
+            num, den = num * p + q * den, den * p
+            if k < hi:
+                start, digit = k, leaves[k][c]
+    g = math.gcd(num, den)
+    p, q = den // g, num // g
+    return p + q * ((1 << c) - (1 << depth)), q
+
+
 def resistance(tree: FiniteTree) -> Fraction:
     """Total network resistance by bottom-up series/parallel reduction.
 
-    Subtree resistance at w is the parallel combination over children c of
-    2^(h(c)-1) + (subtree resistance at c); childless vertices contribute
-    zero.  Each subtree's resistance is a pair of ints (p, q) meaning p/q:
-    the series step keeps q, and the parallel sum adds the conductances
-    q/p by cross-multiplication and divides by their gcd at every vertex
-    with two or more children, so the pair stays in lowest terms, as
-    ``Fraction`` would keep it; one ``Fraction`` is built at the root.
+    The edge into a vertex at height h carries 2^(h-1); a subtree's
+    resistance is the parallel combination over its branches of each
+    branch's series chain plus the subtree below it.  Computed from the
+    sorted leaves in integers (``_sub_resistance``), with one ``Fraction``
+    built at the root.
     """
     if tree.height < 1:
         raise ValueError("tree must have height >= 1")
-    children = tree.children
-
-    def sub(v: Vertex) -> tuple[int, int]:
-        kids = children[v]
-        if not kids:
-            return 0, 1
-        edge = 1 << len(v)  # 2^(h-1) into a child at height h = len(v) + 1
-        if len(kids) == 1:
-            p, q = sub(kids[0])
-            return p + q * edge, q
-        num, den = 0, 1  # conductance num/den of the branches so far
-        for c in kids:
-            p, q = sub(c)
-            p += q * edge
-            num, den = num * p + q * den, den * p
-        g = math.gcd(num, den)
-        return den // g, num // g
-
-    return Fraction(*sub(()))
+    leaves = tree.sorted_leaves
+    return Fraction(*_sub_resistance(leaves, 0, len(leaves), 0))
 
 
 def shorted_resistance(tree: FiniteTree) -> Fraction:

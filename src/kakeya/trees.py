@@ -8,8 +8,8 @@ kept intervals of a Cantor construction, and binary addresses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -130,33 +130,47 @@ def address_bits(index: int, N: int) -> Vertex:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class FiniteTree:
-    """A finite prefix-closed vertex set with a child map."""
+    """A finite rooted tree, held as its sorted leaves, none a prefix of
+    another; the root alone is the one leaf of the one-vertex tree.  The
+    vertex set, child map and height are built on first use."""
 
-    vertices: set[Vertex]
-    children: dict[Vertex, list[Vertex]]
-    height: int
+    def __init__(self, sorted_leaves: tuple[Vertex, ...]):
+        self.sorted_leaves = sorted_leaves
 
     @classmethod
     def from_leaves(cls, leaves: Iterable[Vertex]) -> "FiniteTree":
-        vertices: set[Vertex] = {ROOT}
-        for leaf in leaves:
-            for k in range(1, len(leaf) + 1):
-                vertices.add(leaf[:k])
-        # a parent sorts before its children, so each child list fills in order
-        children: dict[Vertex, list[Vertex]] = {}
-        for v in sorted(vertices):
-            children[v] = []
-            if v:
-                children[v[:-1]].append(v)
-        h = max(map(len, vertices))
-        return cls(vertices=vertices, children=children, height=h)
+        """The tree spanned by the rays to ``leaves``: duplicates, and
+        leaves that are inner vertices of another's ray, are dropped."""
+        ordered = sorted({ROOT, *leaves})
+        # in sorted order a vertex is inner exactly when the next one extends it;
+        # the tuple is built from a list, which keeps it in CPython's tuple freelist
+        kept = [v for v, w in zip(ordered, ordered[1:]) if w[: len(v)] != v]
+        kept.append(ordered[-1])
+        return cls(tuple(kept))
 
     @classmethod
     def full(cls, base: int, depth: int) -> "FiniteTree":
         leaves = (leaf_from_index(i, base, depth) for i in range(base**depth))
         return cls.from_leaves(leaves)
+
+    @cached_property
+    def vertices(self) -> set[Vertex]:
+        return {leaf[:k] for leaf in self.sorted_leaves for k in range(len(leaf) + 1)}
+
+    @cached_property
+    def children(self) -> dict[Vertex, list[Vertex]]:
+        # a parent sorts before its children, so each child list fills in order
+        children: dict[Vertex, list[Vertex]] = {}
+        for v in sorted(self.vertices):
+            children[v] = []
+            if v:
+                children[v[:-1]].append(v)
+        return children
+
+    @cached_property
+    def height(self) -> int:
+        return max(map(len, self.sorted_leaves))
 
     def level_counts(self) -> list[int]:
         counts = [0] * (self.height + 1)
@@ -165,7 +179,7 @@ class FiniteTree:
         return counts
 
     def leaves(self) -> list[Vertex]:
-        return sorted(v for v in self.vertices if not self.children[v])
+        return list(self.sorted_leaves)
 
     def edges(self) -> list[Vertex]:
         """Every non-root vertex, i.e. the edge terminating there."""

@@ -212,6 +212,8 @@ def slab_indices(M: int, N: int, lo: float, hi: float) -> range:
 
 def _slab_sample_points(M: int, N: int, lo: float, hi: float, samples: int):
     """Midpoint quadrature nodes per M^-N slab of [lo, hi]: (xs, weight)."""
+    if samples < 1:
+        raise ValueError("need at least one quadrature sample per slab")
     width = float(M) ** (-N)
     xs = []
     weights = []
@@ -227,6 +229,17 @@ def _slab_sample_points(M: int, N: int, lo: float, hi: float, samples: int):
     return np.asarray(xs), np.asarray(weights)
 
 
+def _union_measures(
+    centers: np.ndarray, slopes: np.ndarray, side: float, xs: np.ndarray
+) -> np.ndarray:
+    """Exact measure of the union of the tubes' cross-sections at each node
+    of ``xs``, each node on its own: sorted gaps for d = 1, cube slicing
+    for d >= 2."""
+    if centers.shape[1] == 1:
+        return kernels.union_lengths_1d(centers[:, 0], slopes[:, 0], side, xs)
+    return kernels.union_areas_2d(centers - side / 2.0, slopes, side, xs)
+
+
 def union_volume(
     centers: np.ndarray,
     slopes: np.ndarray,
@@ -238,20 +251,39 @@ def union_volume(
 ) -> float:
     """Volume of the union of tubes over x1 in [lo, hi]: midpoint
     quadrature per slab of the cross-section union, which is exact at each
-    node in every dimension (sorted gaps for d = 1, cube slicing for
-    d >= 2)."""
-    if samples < 1:
-        raise ValueError("need at least one quadrature sample per slab")
-    d = centers.shape[1]
-    side = cross_section_side(M, N, d)
+    node in every dimension."""
+    side = cross_section_side(M, N, centers.shape[1])
     xs, weights = _slab_sample_points(M, N, lo, hi, samples)
     if xs.size == 0:
         return 0.0
-    if d == 1:
-        lengths = kernels.union_lengths_1d(centers[:, 0], slopes[:, 0], side, xs)
-        return float(np.dot(weights, lengths))
-    corners = centers - side / 2.0
-    return float(np.dot(weights, kernels.union_areas_2d(corners, slopes, side, xs)))
+    return float(np.dot(weights, _union_measures(centers, slopes, side, xs)))
+
+
+def slab_volumes(
+    centers: np.ndarray,
+    slopes: np.ndarray,
+    lo: float,
+    hi: float,
+    M: int,
+    N: int,
+    samples: int = 4,
+) -> list[tuple[int, float]]:
+    """(k, volume) of each M^-N slab [k*M^-N, (k+1)*M^-N] that overlaps
+    [lo, hi], each volume equal to ``union_volume`` over its slab: the
+    nodes of every slab are measured in one union call, and each slab
+    takes its own weighted sum of its own nodes."""
+    width = float(M) ** (-N)
+    ks = slab_indices(M, N, lo, hi)
+    nodes = [_slab_sample_points(M, N, k * width, (k + 1) * width, samples) for k in ks]
+    if not nodes:
+        return []
+    side = cross_section_side(M, N, centers.shape[1])
+    measures = _union_measures(centers, slopes, side, np.concatenate([xs for xs, _ in nodes]))
+    out, start = [], 0
+    for k, (xs, weights) in zip(ks, nodes):
+        out.append((k, float(np.dot(weights, measures[start : start + xs.size]))))
+        start += xs.size
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -273,19 +305,22 @@ class PossSet:
         return len(self.witnesses)
 
 
-def _pullback(p: Sequence[float], dirset: DirectionSet) -> np.ndarray:
-    """The point pulled back along every direction to the root hyperplane,
-    one row per direction: pbar - p1 * slopes."""
-    pbar = np.asarray(p[1:], dtype=np.float64)
-    if len(pbar) != dirset.d:
+def _pullbacks(points, dirset: DirectionSet) -> np.ndarray:
+    """Each point pulled back along every direction to the root hyperplane,
+    a (points, directions, d) array: pbar - p1 * slopes."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != dirset.d + 1:
         raise ValueError("point dimension mismatch")
-    return pbar - float(p[0]) * dirset.slope_floats()
+    return pts[:, None, 1:] - pts[:, :1, None] * dirset.slope_floats()
 
 
-def poss_set(p: Sequence[float], dirset: DirectionSet) -> PossSet:
-    """Pull the point back along every direction to the root hyperplane and
-    keep the root cubes whose shrunk cube contains the pullback; M, N and d
-    are the direction set's.
+def poss_sets(points, dirset: DirectionSet) -> list[PossSet]:
+    """Poss(p) of each row p of a (points, 1 + d) array, in one pass:
+    pull the points back along every direction to the root hyperplane and
+    keep the root cubes whose shrunk cube contains the pullback; M, N and
+    d are the direction set's.  Each witness list holds its directions in
+    increasing order, and the roots enter in the order of their first
+    witness.
 
     A pullback's cube comes from the integer grid, floor(base * M^N), and
     its centre is (index + 1/2) / M^N, dividing by the exact integer M^N.
@@ -294,18 +329,26 @@ def poss_set(p: Sequence[float], dirset: DirectionSet) -> PossSet:
     half-width kappa*M^-N/2, so the set is the exact floor's."""
     M, N, d = dirset.spec.M, dirset.spec.N, dirset.d
     half = cross_section_side(M, N, d) / 2.0
-    base = _pullback(p, dirset)
+    pts = np.asarray(points, dtype=np.float64)
+    base = _pullbacks(pts, dirset)
     idx = np.floor(base * M**N)
     center = (idx + 0.5) / M**N
-    keep = np.all((base >= 0.0) & (base < 1.0) & (np.abs(base - center) <= half), axis=1)
-    rows = np.flatnonzero(keep)
+    keep = np.all((base >= 0.0) & (base < 1.0) & (np.abs(base - center) <= half), axis=2)
+    which, dirs = np.nonzero(keep)  # by point, then by direction
     # level digits idx // M^(N-1-lvl) % M per axis, packed as index_from_leaf packs them
-    cells = idx[rows].astype(np.int64)[:, None, :] // M ** np.arange(N - 1, -1, -1)[:, None] % M
+    levels = M ** np.arange(N - 1, -1, -1)[:, None]
+    cells = idx[which, dirs].astype(np.int64)[:, None, :] // levels % M
     packed = (cells * M ** np.arange(d - 1, -1, -1)).sum(axis=2)
-    witnesses: dict[Vertex, list[int]] = {}
-    for k, t in zip(rows.tolist(), map(tuple, packed.tolist())):
-        witnesses.setdefault(t, []).append(k)
-    return PossSet(point=tuple(float(x) for x in p), witnesses=witnesses)
+    witnesses: list[dict[Vertex, list[int]]] = [{} for _ in range(keep.shape[0])]
+    for i, k, t in zip(which.tolist(), dirs.tolist(), map(tuple, packed.tolist())):
+        witnesses[i].setdefault(t, []).append(k)
+    return [PossSet(point=tuple(p), witnesses=w) for p, w in zip(pts.tolist(), witnesses)]
+
+
+def poss_set(p: Sequence[float], dirset: DirectionSet) -> PossSet:
+    """Poss(p): the root cubes from which some direction's tube can reach
+    the point, as ``poss_sets`` finds them for a batch of one."""
+    return poss_sets([p], dirset)[0]
 
 
 _AFFINE_CELLS = 1 << 16  # cube-direction pairs compared at once
@@ -315,11 +358,11 @@ def poss_set_affine(p: Sequence[float], dirset: DirectionSet) -> PossSet:
     """Same set computed through the affine copy of the direction set:
     enumerate candidate cubes around the pulled-back copy, in lexicographic
     order of their axis indices, and keep those whose shrunk cube meets it.
-    Centres are those of ``poss_set``; each chunk of cubes is compared with
+    Centres are those of ``poss_sets``; each chunk of cubes is compared with
     every direction at once."""
     M, N, d = dirset.spec.M, dirset.spec.N, dirset.d
     half = cross_section_side(M, N, d) / 2.0
-    copy_pts = _pullback(p, dirset)  # the affine image of the directions
+    copy_pts = _pullbacks([p], dirset)[0]  # the affine image of the directions
     witnesses: dict[Vertex, list[int]] = {}
     lo_idx = np.floor((copy_pts.min(axis=0) - half) * M**N).astype(int)
     hi_idx = np.floor((copy_pts.max(axis=0) + half) * M**N).astype(int)

@@ -12,7 +12,7 @@ from kakeya import harness
 from kakeya.cli import build_parser, main
 from kakeya.sticky import assignment_from_dirset
 from kakeya.trees import leaf_from_index
-from kakeya.tubes import kakeya_measures
+from kakeya.tubes import assignment_arrays, kakeya_measures, union_volume
 
 
 def test_cantor_dump(tmp_path, capsys):
@@ -130,7 +130,8 @@ def test_volume_csv(tmp_path, capsys):
 @pytest.mark.parametrize("window, k0", [("near", 0), ("far", 2 * 3**5)])  # c0 = 2
 def test_volume_csv_n5_slabs(tmp_path, window, k0):
     """At N=5 the float 1.0 / 3.0**-5 is just below 243; still every slab of
-    the window is written, and the slabs add up to the window's volume."""
+    the window is written, each the ``union_volume`` of its slab bit for
+    bit, and the slabs add up to the window's volume."""
     out = tmp_path / "vol.csv"
     argv = ["volume", "--seed", "7", "--N", "5", "--range", window, "--out", str(out)]
     assert main(argv) == 0
@@ -140,6 +141,11 @@ def test_volume_csv_n5_slabs(tmp_path, window, k0):
     dirset = harness.build_dirset(harness.ExperimentConfig(N=5), 5)
     expected = kakeya_measures(assignment_from_dirset(dirset, 7))[window]
     assert sum(float(r["volume"]) for r in rows) == pytest.approx(expected, rel=0, abs=1e-12)
+    centers, slopes = assignment_arrays(assignment_from_dirset(dirset, 7))
+    width = 3.0**-5
+    for r in rows:
+        k = int(r["k"])
+        assert float(r["volume"]) == union_volume(centers, slopes, k * width, (k + 1) * width, 3, 5)
 
 
 def test_volume_d3_far_window_is_exact(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -23,10 +24,12 @@ from kakeya.harness import (
     volume_sweep,
     _exhaustive_pair_sums,
     _sample_pair_sums,
+    _STRIP_CELLS,
+    _strip_draws,
 )
-from kakeya.sticky import sticky_admissible
+from kakeya.sticky import derive_seed, sticky_admissible
 from kakeya.trees import address_bits, height, index_from_leaf, leaf_from_index, yca
-from kakeya.tubes import cross_section_side, leaf_centers, pair_measure
+from kakeya.tubes import cross_section_side, leaf_centers, pair_measure, poss_set
 
 
 def test_exhaustive_slab_sum_equals_exact_expectation():
@@ -286,16 +289,21 @@ def test_config_hash_changes_with_seed():
     ],
 )
 def test_far_points_lie_in_reachable_strip(monkeypatch, d, curve, run):
-    """Every point that an experiment drawing far points hands to poss_set
-    has x1 in [c0, c0+1] and, on each axis, x-bar within [-2c0, 2c0] and
-    where some tube of the direction set it is pulled back along can be
-    at x1."""
+    """Every point that an experiment drawing far points hands to poss_sets,
+    each row of each batch, has x1 in [c0, c0+1] and, on each axis, x-bar
+    within [-2c0, 2c0] and where some tube of the direction set it is
+    pulled back along can be at x1."""
     from kakeya import harness
 
     cfg = ExperimentConfig(M=3, N=3 if d == 1 else 2, d=d, curve=curve, seed=1)
     calls = []
-    real = harness.poss_set
-    monkeypatch.setattr(harness, "poss_set", lambda x, ds: calls.append((x, ds)) or real(x, ds))
+    real = harness.poss_sets
+
+    def spy(points, ds):
+        calls.extend((tuple(x), ds) for x in points)
+        return real(points, ds)
+
+    monkeypatch.setattr(harness, "poss_sets", spy)
     run(cfg)
     assert calls
     for (x1, *xbar), dirset in calls:
@@ -305,6 +313,31 @@ def test_far_points_lie_in_reachable_strip(monkeypatch, d, curve, run):
         lo = np.maximum(x1 * slopes.min(axis=0), -2.0 * c0)
         hi = np.minimum(1.0 + x1 * slopes.max(axis=0), 2.0 * c0)
         assert np.all(lo <= xbar) and np.all(np.asarray(xbar) <= hi)
+
+
+@pytest.mark.parametrize("d, curve, N", [(1, "affine", 6), (2, "moment", 4), (3, "moment", 3)])
+def test_strip_draws_equal_the_per_draw_formula(d, curve, N):
+    """The batched far-point stream is the one a ``Generator.uniform`` call
+    per coordinate draws, point by point across batch boundaries: the same
+    point, the same strip section and the same Poss set, witness order
+    included."""
+    cfg = ExperimentConfig(M=3, N=N, d=d, curve=curve, seed=2)
+    ds = build_dirset(cfg, N)
+    draws = 800
+    assert draws > _STRIP_CELLS // ds.n  # the stream crosses a batch boundary
+    c0, slopes = ds.c0, ds.slope_floats()
+    rng = np.random.default_rng(derive_seed(cfg.seed, 7))
+    reached = 0
+    for section, poss in itertools.islice(_strip_draws(cfg, N, 7), draws):
+        x1 = rng.uniform(c0, c0 + 1.0)
+        lo = np.maximum(x1 * slopes.min(axis=0), -2.0 * c0)
+        hi = np.minimum(1.0 + x1 * slopes.max(axis=0), 2.0 * c0)
+        point = (x1, *rng.uniform(lo, hi))
+        assert section == float(np.prod(hi - lo))
+        assert poss.point == point
+        assert list(poss.witnesses.items()) == list(poss_set(point, ds).witnesses.items())
+        reached += len(poss) > 0
+    assert reached > 0 or d == 3  # d=3 draws meet no tube at N=3: points and sections are checked
 
 
 def test_result_identity_ignores_out_dir_and_leaf_budget(tmp_path):

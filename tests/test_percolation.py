@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from kakeya import percolation
 from kakeya.cantor import affine_curve, direction_set, middle_spec
+from kakeya.harness import ExperimentConfig, _strip_draws
 from kakeya.percolation import (
     lyons_bounds,
     resistance,
@@ -87,7 +89,8 @@ def _kirchhoff_resistance(tree: FiniteTree) -> Fraction:
 def test_resistance_equals_kirchhoff_solve():
     """The exact series/parallel reduction equals the nodal solve on random
     subtrees of full trees, leaf sets of mixed depth and Poss trees of far
-    points at d=1, N=9."""
+    points at d=1, N=9, both aimed and drawn from the reachable strip as
+    the experiments draw them."""
     trees = [FiniteTree.full(2, 5), FiniteTree.full(3, 3)]
     rng = np.random.default_rng(17)
     for base, keep in ((2, 0.5), (3, 0.5), (9, 0.2)):
@@ -106,6 +109,10 @@ def test_resistance_equals_kirchhoff_solve():
         sizes.append(len(roots))
         trees.append(FiniteTree.from_leaves(roots))
     assert min(sizes) >= 1 and sum(s >= 10 for s in sizes) >= 10
+    cfg = ExperimentConfig(M=3, N=9, d=1, seed=3)
+    drawn = [p.roots() for _, p in itertools.islice(_strip_draws(cfg, 9, 1), 200) if len(p)]
+    assert len(drawn) >= 40
+    trees += [FiniteTree.from_leaves(roots) for roots in drawn]
     for tree in trees:
         r = resistance(tree)
         assert type(r) is Fraction and r == _kirchhoff_resistance(tree)

@@ -208,6 +208,31 @@ def test_finite_tree_structure():
     assert _prefix_closed(FiniteTree.from_leaves(leaves))
 
 
+def test_from_leaves_drops_duplicates_and_inner_vertices():
+    """Duplicate leaves and leaves on another leaf's ray (the root among
+    them) add nothing; the root-only tree is the tree of no leaves."""
+    tree = FiniteTree.from_leaves([(1, 0), (0,), (0, 2), (1, 0), (), (0, 2, 1), (0, 2)])
+    assert tree.sorted_leaves == ((0, 2, 1), (1, 0))
+    assert tree.vertices == {(), (0,), (0, 2), (0, 2, 1), (1,), (1, 0)}
+    assert tree.children == {
+        (): [(0,), (1,)],
+        (0,): [(0, 2)],
+        (0, 2): [(0, 2, 1)],
+        (0, 2, 1): [],
+        (1,): [(1, 0)],
+        (1, 0): [],
+    }
+    assert tree.height == 3
+    assert tree.leaves() == [(0, 2, 1), (1, 0)]
+    for leaves in ([], [()], [(), ()]):
+        root_only = FiniteTree.from_leaves(leaves)
+        assert root_only.sorted_leaves == ((),)
+        assert root_only.leaves() == [()]
+        assert root_only.vertices == {()}
+        assert root_only.children == {(): []}
+        assert root_only.height == 0
+
+
 def test_full_tree_counts():
     tree = FiniteTree.full(3, 3)
     assert tree.level_counts() == [1, 3, 9, 27]

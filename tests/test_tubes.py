@@ -22,6 +22,7 @@ from kakeya.tubes import (
     pair_sum_over_range,
     poss_set,
     poss_set_affine,
+    poss_sets,
     union_volume,
     unique_far_slope,
 )
@@ -458,7 +459,8 @@ def _poss_by_exact_floor(p, dirset, N, d):
 def test_poss_on_grid_lines_and_shrunk_faces(request, fixture, N, d):
     """Points whose pull-back along a chosen direction lies on an M^-N grid
     line or on a face of a shrunk root cube, and an ulp either side:
-    the integer-grid floor of ``poss_set`` gives the exact floor's set."""
+    the integer-grid floor of ``poss_set`` gives the exact floor's set,
+    and so does ``poss_sets`` for all of them in one batch."""
     ds = request.getfixturevalue(fixture)
     M = ds.spec.M
     half = float(kappa(d)) * float(M) ** (-N) / 2.0
@@ -474,6 +476,7 @@ def test_poss_on_grid_lines_and_shrunk_faces(request, fixture, N, d):
     mid = (M**N // 3 + 0.5) / M**N
     combos = sorted({(t,) + (mid,) * (d - 1) for t in targets} | {(t,) * d for t in targets})
     floor_differs = face_in = face_out = 0
+    points, wants = [], []
     for p1 in (0.0, 2.0 * d):  # the root hyperplane and the far window's C0
         for k in (0, ds.n - 1):
             for combo in combos:
@@ -485,6 +488,8 @@ def test_poss_on_grid_lines_and_shrunk_faces(request, fixture, N, d):
                     want = _poss_by_exact_floor(p, ds, N, d)
                     assert poss_set(p, ds).witnesses == want
                     assert poss_set_affine(p, ds).witnesses == want
+                    points.append(p)
+                    wants.append(want)
                     row = pbar - p1 * slopes[k]
                     exact_idx = [math.floor(Fraction(float(x)) * M**N) for x in row]
                     floor_differs += list(np.floor(row * M**N)) != exact_idx
@@ -493,6 +498,11 @@ def test_poss_on_grid_lines_and_shrunk_faces(request, fixture, N, d):
                     if np.any(np.abs(off) <= np.spacing(center)) and np.all(off <= np.spacing(center)):
                         face_in += bool(np.all(off <= 0.0))
                         face_out += bool(np.any(off > 0.0))
+    # one batch finds each point's witnesses, in the order of the per-point scan
+    for p, want, row in zip(points, wants, poss_sets(points, ds), strict=True):
+        single = poss_set(p, ds)
+        assert row.point == single.point
+        assert list(row.witnesses.items()) == list(single.witnesses.items()) == list(want.items())
     # the float floor does cross grid lines here, and pull-backs within an
     # ulp of a face fall on both sides of it
     assert floor_differs > 0
