@@ -57,7 +57,7 @@ from .percolation import (
     survival_mc,
 )
 from .sticky import assignment_from_dirset
-from .trees import EdgeBudgetError, FiniteTree, leaf_from_index
+from .trees import EdgeBudgetError, FiniteTree, index_from_leaf, leaf_from_index
 from .tubes import assignment_arrays, poss_set, slab_volumes
 
 
@@ -265,12 +265,13 @@ def cmd_slopes(args) -> int:
     for i in range(B**cfg.N):
         leaf = leaf_from_index(i, B, cfg.N)
         tau = assignment.tau(leaf)
+        slope = dirset.slopes[index_from_leaf(tau, 2)]
         rows.append(
             {
                 "t": list(leaf),
                 "tau": list(tau),
-                "sigma_exact": [str(c) for c in assignment.sigma(leaf)],
-                "sigma_float": [float(c) for c in assignment.sigma(leaf)],
+                "sigma_exact": [str(c) for c in slope],
+                "sigma_float": [float(c) for c in slope],
             }
         )
     _write_json(args.out, {"config": cfg.to_dict("seed", "N"), "rows": rows})

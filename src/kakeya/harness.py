@@ -85,8 +85,9 @@ class ExperimentConfig:
         for name, low in (("M", 3), ("N", 1), ("d", 1), ("samples", 1), ("quadrature", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
-        if any(n < 1 for n in self.n_values or ()):
-            raise ValueError(f"n_values must be at least 1, got {list(self.n_values)}")
+        for name, values in lists:  # an offset N - R of 0 or less is no slab of the near window
+            if any(n < 1 for n in values):
+                raise ValueError(f"{name} must be at least 1, got {list(values)}")
         if not isinstance(self.out_dir, (str, Path, type(None))):
             raise ValueError(f"out_dir must be a path, got {self.out_dir!r}")
         if type(self.curve) is not str or self.curve not in BUILTIN_CURVES:

@@ -6,11 +6,10 @@ edge field.  The battery sits between the root and all maximal-ray
 endpoints; the edge into a vertex at height h carries resistance
 (1 - 1/2) / 2^(-h) = 2^(h-1): its chance of being cut over the chance that
 the ray up to it survives (Lyons, Random walks and percolation on trees,
-Ann. Probab. 1990).  Survival and resistance are evaluated with exact
-rational arithmetic; resistance is reduced in integers, each subtree a
-numerator and denominator normalised at branching vertices and turned
-into one ``Fraction`` at the root.  The Monte Carlo estimator is a
-cross-check, not the source of truth.
+Ann. Probab. 1990).  Survival and resistance are exact: both walk the
+sorted leaves in integers, branching where a group's first and last leaf
+part, and turn into one ``Fraction`` at the root.  The Monte Carlo
+estimator is a cross-check, not the source of truth.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .trees import FiniteTree, Vertex, ray_addresses
+from .trees import FiniteTree, Vertex, ray_addresses, ray_positions
 
 _MC_CELLS = 1 << 20  # random edge bits drawn per Monte Carlo batch, at most
 
@@ -83,23 +82,36 @@ def shorted_resistance(tree: FiniteTree) -> Fraction:
     return total
 
 
+def _sub_survival(leaves: tuple[Vertex, ...], lo: int, hi: int, depth: int) -> tuple[int, int]:
+    """Survival (a, e), meaning a/2^e, from the vertex at ``depth`` down to
+    the sorted, prefix-free leaves[lo:hi], grouped as ``_sub_resistance``
+    groups them.  A chain of b edges survives with 1/2^b; the branches at
+    c all die with the product of their 1 - a/2^f."""
+    first = leaves[lo]
+    if hi - lo == 1:
+        return 1, len(first) - depth
+    last = leaves[hi - 1]
+    c = depth
+    while first[c] == last[c]:
+        c += 1
+    miss, e = 1, 0  # the branches so far all die with probability miss/2^e
+    start, digit = lo, first[c]
+    for k in range(lo + 1, hi + 1):
+        if k == hi or leaves[k][c] != digit:
+            a, f = _sub_survival(leaves, start, k, c)
+            miss, e = miss * ((1 << f) - a), e + f
+            if k < hi:
+                start, digit = k, leaves[k][c]
+    return (1 << e) - miss, e + c - depth
+
+
 def survival_exact(tree: FiniteTree) -> Fraction:
-    """Probability that some maximal ray is fully retained.
-
-    Recursion: Pr(w) = 1 - prod over children c of (1 - Pr(c)/2),
-    childless vertices surviving with probability 1.
-    """
-
-    def sub(v: Vertex) -> Fraction:
-        kids = tree.children[v]
-        if not kids:
-            return Fraction(1)
-        miss = Fraction(1)
-        for c in kids:
-            miss *= 1 - sub(c) / 2
-        return 1 - miss
-
-    return sub(())
+    """Probability that some maximal ray is fully retained: Pr(w) = 1 -
+    prod over children c of (1 - Pr(c)/2), a childless vertex surviving
+    with probability 1, taken in dyadic integers from the sorted leaves."""
+    leaves = tree.sorted_leaves
+    a, e = _sub_survival(leaves, 0, len(leaves), 0)
+    return Fraction(a, 1 << e)
 
 
 def survival_enumerate(tree: FiniteTree) -> Fraction:
@@ -108,7 +120,7 @@ def survival_enumerate(tree: FiniteTree) -> Fraction:
 
     Independent oracle for the recursion; edge count is capped at 20.
     """
-    leaves = tree.leaves()
+    leaves = tree.sorted_leaves
     all_ones = np.array([(1 << len(t)) - 1 for t in leaves], dtype=np.uint64)
     hits = total = 0
     for rows in ray_addresses(leaves, budget=20):
@@ -122,20 +134,16 @@ def survival_mc(tree: FiniteTree, seed: int, samples: int) -> tuple[float, float
     confidence half-width."""
     if samples < 1:
         raise ValueError("need at least one sample")
-    edges = tree.edges()
-    pos = {e: i for i, e in enumerate(edges)}
-    leaves = tree.leaves()
-    leaf_edges = [
-        np.array([pos[leaf[: k + 1]] for k in range(len(leaf))]) for leaf in leaves
-    ]
+    n_edges, rays = ray_positions(tree.sorted_leaves)
+    leaf_edges = [np.array(ray, dtype=np.intp) for ray in rays]
     rng = np.random.default_rng(seed)
     hits = 0
     done = 0
     # Generator.random fills rows from one stream: the batch size never changes the draws
-    batch = max(1, min(samples, _MC_CELLS // (len(edges) or 1)))
+    batch = max(1, min(samples, _MC_CELLS // (n_edges or 1)))
     while done < samples:
         b = min(batch, samples - done)
-        bits = rng.random((b, len(edges))) < 0.5
+        bits = rng.random((b, n_edges)) < 0.5
         alive = np.zeros(b, dtype=bool)
         for le in leaf_edges:
             alive |= bits[:, le].all(axis=1)

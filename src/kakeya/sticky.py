@@ -103,15 +103,6 @@ class SlopeAssignment:
     def tau(self, t: Vertex) -> Vertex:
         return self.field.ray_bits(t)
 
-    def slope_index(self, t: Vertex) -> int:
-        """Index into the sorted direction list (binary address as integer)."""
-        if height(t) != self.N:
-            raise ValueError(f"need a height-{self.N} leaf, got height {height(t)}")
-        return index_from_leaf(self.tau(t), 2)
-
-    def sigma(self, t: Vertex) -> tuple[Fraction, ...]:
-        return self.dirset.slopes[self.slope_index(t)]
-
     def all_slope_indices(self) -> np.ndarray:
         """Slope index of every leaf, leaves in lexicographic order."""
         return kernels.leaf_slope_indices(self.field.key, self.field.base, self.N)

@@ -56,27 +56,34 @@ class EdgeBudgetError(RuntimeError):
     """Enumeration would exceed the edge budget."""
 
 
+def ray_positions(leaves: Sequence[Vertex]) -> tuple[int, list[list[int]]]:
+    """The number of edges on the leaves' rays and, for each leaf, the
+    positions of its ray's edges (root edge first) in sorted edge order."""
+    edges = sorted({e for t in leaves for e in ray_edges(t)})
+    pos = {e: i for i, e in enumerate(edges)}
+    return len(edges), [[pos[e] for e in ray_edges(t)] for t in leaves]
+
+
 def ray_addresses(leaves: Sequence[Vertex], budget: int) -> Iterator[np.ndarray]:
     """Every 0/1 labelling of the edges on the leaves' rays, read as the
     binary address each leaf's ray carries (root edge most significant).
 
-    The sorted edges are the bits of a mask, the first edge bit 0; yields
+    Edge i of ``ray_positions`` is bit i of a mask; yields
     (labellings, len(leaves)) uint64 arrays in mask order, ``_CHUNK``
     labellings at a time.
     """
-    edges = sorted({e for t in leaves for e in ray_edges(t)})
-    if len(edges) > budget:
-        raise EdgeBudgetError(f"{len(edges)} edges exceeds the budget of {budget}")
-    bit = {e: np.uint64(i) for i, e in enumerate(edges)}
+    n_edges, rays = ray_positions(leaves)
+    if n_edges > budget:
+        raise EdgeBudgetError(f"{n_edges} edges exceeds the budget of {budget}")
     one = np.uint64(1)
-    total = 1 << len(edges)
+    total = 1 << n_edges
     for start in range(0, total, _CHUNK):
         masks = np.arange(start, min(start + _CHUNK, total), dtype=np.uint64)
         rows = np.empty((masks.size, len(leaves)), dtype=np.uint64)
-        for j, t in enumerate(leaves):
+        for j, ray in enumerate(rays):
             addr = np.zeros_like(masks)
-            for e in ray_edges(t):
-                addr = (addr << one) | ((masks >> bit[e]) & one)
+            for i in ray:
+                addr = (addr << one) | ((masks >> np.uint64(i)) & one)
             rows[:, j] = addr
         yield rows
 
@@ -133,7 +140,7 @@ def address_bits(index: int, N: int) -> Vertex:
 class FiniteTree:
     """A finite rooted tree, held as its sorted leaves, none a prefix of
     another; the root alone is the one leaf of the one-vertex tree.  The
-    vertex set, child map and height are built on first use."""
+    vertex set and height are built on first use."""
 
     def __init__(self, sorted_leaves: tuple[Vertex, ...]):
         self.sorted_leaves = sorted_leaves
@@ -159,16 +166,6 @@ class FiniteTree:
         return {leaf[:k] for leaf in self.sorted_leaves for k in range(len(leaf) + 1)}
 
     @cached_property
-    def children(self) -> dict[Vertex, list[Vertex]]:
-        # a parent sorts before its children, so each child list fills in order
-        children: dict[Vertex, list[Vertex]] = {}
-        for v in sorted(self.vertices):
-            children[v] = []
-            if v:
-                children[v[:-1]].append(v)
-        return children
-
-    @cached_property
     def height(self) -> int:
         return max(map(len, self.sorted_leaves))
 
@@ -177,10 +174,3 @@ class FiniteTree:
         for v in self.vertices:
             counts[len(v)] += 1
         return counts
-
-    def leaves(self) -> list[Vertex]:
-        return list(self.sorted_leaves)
-
-    def edges(self) -> list[Vertex]:
-        """Every non-root vertex, i.e. the edge terminating there."""
-        return sorted(v for v in self.vertices if v)

@@ -11,7 +11,7 @@ import pytest
 from kakeya import harness
 from kakeya.cli import build_parser, main
 from kakeya.sticky import assignment_from_dirset
-from kakeya.trees import leaf_from_index
+from kakeya.trees import index_from_leaf, leaf_from_index
 from kakeya.tubes import assignment_arrays, kakeya_measures, union_volume
 
 
@@ -98,6 +98,14 @@ def test_slopes_dump(tmp_path):
     assert len(row["tau"]) == 2
     assert row["sigma_float"][0] == 1.0
     assert sorted(payload["config"]) == ["M", "N", "backend", "curve", "d", "seed"]
+    # each row's tau addresses the slope the vectorised kernel assigns its leaf
+    dirset = harness.build_dirset(harness.ExperimentConfig(M=3, N=2, d=1), 2)
+    indices = assignment_from_dirset(dirset, 5).all_slope_indices()
+    for i, row in enumerate(payload["rows"]):
+        assert row["t"] == list(leaf_from_index(i, 3, 2))
+        assert index_from_leaf(row["tau"], 2) == indices[i]
+        assert row["sigma_exact"] == [str(c) for c in dirset.slopes[indices[i]]]
+        assert row["sigma_float"] == [float(c) for c in dirset.slopes[indices[i]]]
 
 
 def test_volume_csv(tmp_path, capsys):
@@ -648,6 +656,7 @@ def test_volume_reads_config_quadrature(tmp_path, capsys):
         (["simulate", "--samples", "1"], {"n_values": 3}, "n_values must be a list of integers, got 3"),
         (["simulate", "--N", "2", "--samples", "1"], {"curve": ["affine"]}, "curve must be one of ['affine', 'moment'], got ['affine']"),
         (["simulate", "--N", "2", "--samples", "1"], {"out_dir": 5}, "out_dir must be a path, got 5"),
+        (["slab-moments", "--N", "3", "--samples", "2"], {"slab_offsets": [0, -1]}, "slab_offsets must be at least 1, got [0, -1]"),
     ],
 )
 def test_count_below_one_rejected(tmp_path, capsys, argv, config, message):

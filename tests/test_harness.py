@@ -66,6 +66,20 @@ def test_slab_first_moment_rows():
         assert math.isfinite(row["ratio"]) and row["ratio"] >= 0
 
 
+@pytest.mark.parametrize("offsets", [(0,), (2, 0, -1), (-3,)])
+def test_slab_offsets_below_one_refused(offsets):
+    """S_R lives for R = 0..N-1, so an offset N - R below 1 is no slab of
+    the near window and is refused, as an N below 1 is."""
+    with pytest.raises(ValueError) as exc:
+        ExperimentConfig(slab_offsets=offsets)
+    assert str(exc.value) == f"slab_offsets must be at least 1, got {list(offsets)}"
+
+
+def test_slab_offsets_above_n_skipped_per_n():
+    cfg = ExperimentConfig(M=3, d=1, n_values=(2, 3), samples=2, slab_offsets=(3, 9), seed=2)
+    assert [(r["N"], r["R"]) for r in slab_first_moment(cfg)["rows"]] == [(3, 0)]
+
+
 def test_slab_second_moment_scales_like_square():
     cfg = ExperimentConfig(M=3, N=4, d=1, samples=30, slab_offsets=(2,), seed=3)
     first = slab_first_moment(cfg)["rows"][0]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kakeya import percolation
-from kakeya.cantor import affine_curve, direction_set, middle_spec
+from kakeya.cantor import affine_curve, direction_set, middle_spec, moment_curve
 from kakeya.harness import ExperimentConfig, _strip_draws
 from kakeya.percolation import (
     lyons_bounds,
@@ -41,10 +41,33 @@ def test_single_ray_resistance_series():
 def test_edge_resistance_fair_coins():
     # the ray to v is the ray to its parent plus the edge into v, in series
     tree = FiniteTree.full(2, 3)
-    for v in tree.edges():
+    for v in tree.vertices - {()}:
         ray = resistance(FiniteTree.from_leaves([v]))
         parent_ray = resistance(FiniteTree.from_leaves([v[:-1]])) if len(v) > 1 else 0
         assert ray - parent_ray == 2 ** (len(v) - 1)
+
+
+def _children(tree: FiniteTree) -> dict:
+    """Each vertex's children, in sorted order, built from the vertex set."""
+    children = {v: [] for v in tree.vertices}
+    for v in sorted(tree.vertices - {()}):
+        children[v[:-1]].append(v)
+    return children
+
+
+def _survival_by_children(tree: FiniteTree) -> Fraction:
+    """Survival by the vertex recursion Pr(w) = 1 - prod over children c of
+    (1 - Pr(c)/2), childless vertices surviving with probability 1, in
+    Fractions over a child map: an oracle independent of the leaf walk."""
+    children = _children(tree)
+
+    def sub(v):
+        miss = F(1)
+        for c in children[v]:
+            miss *= 1 - sub(c) / 2
+        return 1 - miss if children[v] else F(1)
+
+    return sub(())
 
 
 def _kirchhoff_resistance(tree: FiniteTree) -> Fraction:
@@ -54,13 +77,14 @@ def _kirchhoff_resistance(tree: FiniteTree) -> Fraction:
     interior potentials solve the grounded tree Laplacian by Gaussian
     elimination in Fractions (deepest vertices first, which only keeps the
     rows sparse), and the resistance is 1 over the current out of the root."""
+    children = _children(tree)
     cond = {v: F(1, 2 ** (len(v) - 1)) for v in tree.vertices if v}
-    inner = sorted((v for v in tree.vertices if v and tree.children[v]), key=len, reverse=True)
+    inner = sorted((v for v in tree.vertices if v and children[v]), key=len, reverse=True)
     pos = {v: i for i, v in enumerate(inner)}
     rows = []  # Kirchhoff's current law at each interior vertex: {column: coefficient}, rhs
     for v in inner:
         row, rhs = {}, F(0)
-        for u, g in [(v[:-1], cond[v])] + [(c, cond[c]) for c in tree.children[v]]:
+        for u, g in [(v[:-1], cond[v])] + [(c, cond[c]) for c in children[v]]:
             row[pos[v]] = row.get(pos[v], 0) + g
             if u in pos:
                 row[pos[u]] = row.get(pos[u], 0) - g
@@ -81,7 +105,7 @@ def _kirchhoff_resistance(tree: FiniteTree) -> Fraction:
         rest = sum((val * potential[col] for col, val in row.items() if col > i), F(0))
         potential[i] = (rhs - rest) / row[i]
     current = sum(
-        (cond[c] * (1 - (potential[pos[c]] if c in pos else 0)) for c in tree.children[()]), F(0)
+        (cond[c] * (1 - (potential[pos[c]] if c in pos else 0)) for c in children[()]), F(0)
     )
     return 1 / current
 
@@ -138,18 +162,58 @@ def test_survival_closed_forms():
         assert survival_exact(FiniteTree.from_leaves([(0,) * k])) == F(1, 2**k)
 
 
+def test_survival_equals_child_map_recursion():
+    """The leaf walk equals the vertex recursion over a child map on Poss
+    trees of aimed far points (d=1 N=4..12, d=2 moment N=3..8), on random
+    subtrees of full trees, on leaf sets of mixed depth and on the root
+    alone."""
+    rng = np.random.default_rng(23)
+    trees = [FiniteTree.from_leaves([]), FiniteTree.full(2, 6), FiniteTree.full(3, 4)]
+    sets = [(1, affine_curve(1), N, 20) for N in range(4, 13)]
+    sets += [(2, moment_curve(2), N, 40) for N in range(3, 9)]
+    big = 0
+    for d, curve, N, points in sets:
+        ds = direction_set(middle_spec(3, N), curve)
+        for _ in range(points):
+            roots = poss_set(aimed_point(rng, ds), ds).roots()
+            big += len(roots) >= 100
+            trees.append(FiniteTree.from_leaves(roots))
+    assert big >= 10
+    for base, keep in ((2, 0.5), (3, 0.5), (9, 0.2)):
+        for depth in range(1, 7):
+            trees += [random_leaf_subtree(rng, base, depth, keep) for _ in range(3)]
+    for _ in range(40):
+        leaves = [
+            tuple(rng.integers(0, 3, size=rng.integers(0, 8)).tolist())
+            for _ in range(rng.integers(1, 12))
+        ]
+        trees.append(FiniteTree.from_leaves(leaves))
+    for tree in trees:
+        s = survival_exact(tree)
+        assert type(s) is Fraction and s == _survival_by_children(tree)
+
+
+def test_survival_mc_on_root_only_tree():
+    """The root alone has no edge to cut, so every sample survives, as in
+    the exact and enumerated survival."""
+    tree = FiniteTree.from_leaves([])
+    assert survival_exact(tree) == survival_enumerate(tree) == 1
+    est, half = survival_mc(tree, 0, 10)
+    assert est == 1.0 and half < 1e-6
+
+
 def test_survival_recursion_vs_enumeration():
     rng = np.random.default_rng(1)
     for _ in range(30):
         tree = random_leaf_subtree(rng, 3, int(rng.integers(1, 4)))
-        if len(tree.edges()) > 18:
+        if len(tree.vertices) - 1 > 18:
             continue
         assert survival_enumerate(tree) == survival_exact(tree)
     # a 2^20-outcome instance, at the enumeration's edge cap
     big = FiniteTree.from_leaves(
         [(0, 0, 0, 0, 0), (0, 0, 1, 1, 0), (0, 1, 0, 1, 1), (1, 0, 0, 0, 1), (1, 0, 1, 0, 0)]
     )
-    assert len(big.edges()) == 20
+    assert len(big.vertices) - 1 == 20
     assert survival_enumerate(big) == survival_exact(big)
 
 
@@ -221,7 +285,7 @@ def test_random_subtrees_lyons_and_shorting():
 
 def test_monotonicity_under_subtree_removal():
     full = FiniteTree.full(2, 3)
-    pruned = FiniteTree.from_leaves([l for l in full.leaves() if l[:1] == (0,)])
+    pruned = FiniteTree.from_leaves([l for l in full.sorted_leaves if l[:1] == (0,)])
     assert survival_exact(pruned) <= survival_exact(full)
-    more = FiniteTree.from_leaves(full.leaves() + [(0, 0, 0)])
+    more = FiniteTree.from_leaves([*full.sorted_leaves, (0, 0, 0)])
     assert survival_exact(more) == survival_exact(full)

@@ -19,6 +19,7 @@ from kakeya.trees import (
     height,
     leaf_from_index,
     ray_addresses,
+    ray_positions,
     yca,
 )
 
@@ -201,8 +202,8 @@ def test_finite_tree_structure():
     tree = FiniteTree.from_leaves([(0, 1), (0, 2), (1, 0)])
     assert _prefix_closed(tree)
     assert tree.level_counts() == [1, 2, 3]
-    assert tree.leaves() == [(0, 1), (0, 2), (1, 0)]
-    assert tree.edges() == [(0,), (0, 1), (0, 2), (1,), (1, 0)]
+    assert tree.sorted_leaves == ((0, 1), (0, 2), (1, 0))
+    assert tree.vertices == {(), (0,), (0, 1), (0, 2), (1,), (1, 0)}
     rng = random.Random(4)
     leaves = [tuple(rng.randrange(3) for _ in range(5)) for _ in range(40)]
     assert _prefix_closed(FiniteTree.from_leaves(leaves))
@@ -214,29 +215,18 @@ def test_from_leaves_drops_duplicates_and_inner_vertices():
     tree = FiniteTree.from_leaves([(1, 0), (0,), (0, 2), (1, 0), (), (0, 2, 1), (0, 2)])
     assert tree.sorted_leaves == ((0, 2, 1), (1, 0))
     assert tree.vertices == {(), (0,), (0, 2), (0, 2, 1), (1,), (1, 0)}
-    assert tree.children == {
-        (): [(0,), (1,)],
-        (0,): [(0, 2)],
-        (0, 2): [(0, 2, 1)],
-        (0, 2, 1): [],
-        (1,): [(1, 0)],
-        (1, 0): [],
-    }
     assert tree.height == 3
-    assert tree.leaves() == [(0, 2, 1), (1, 0)]
     for leaves in ([], [()], [(), ()]):
         root_only = FiniteTree.from_leaves(leaves)
         assert root_only.sorted_leaves == ((),)
-        assert root_only.leaves() == [()]
         assert root_only.vertices == {()}
-        assert root_only.children == {(): []}
         assert root_only.height == 0
 
 
 def test_full_tree_counts():
     tree = FiniteTree.full(3, 3)
     assert tree.level_counts() == [1, 3, 9, 27]
-    assert len(tree.leaves()) == 27
+    assert len(tree.sorted_leaves) == 27
 
 
 def test_leaf_from_index_lexicographic():
@@ -305,6 +295,19 @@ def test_ray_addresses_rows_cross_chunk_boundaries(monkeypatch):
     assert [len(c) for c in chunks] == [5] * 12 + [4]
     rows = np.concatenate(chunks).tolist()
     assert rows == _decode_oracle(RAGGED, range(1 << 6))
+
+
+def test_ray_positions_index_sorted_edges():
+    """Each leaf's ray, root edge first, as positions among the sorted
+    non-root vertices of the rays; duplicates, inner leaves and the root
+    (an empty ray) included."""
+    n_edges, rays = ray_positions(RAGGED)
+    edges = sorted({t[:k] for t in RAGGED for k in range(1, len(t) + 1)})
+    assert n_edges == len(edges) == 6
+    assert [[edges[i] for i in ray] for ray in rays] == [
+        [t[:k] for k in range(1, len(t) + 1)] for t in RAGGED
+    ]
+    assert rays == [[0], [1, 2], [3, 4, 5], [1, 2], [1], []]
 
 
 def test_ray_addresses_refuse_over_budget():
