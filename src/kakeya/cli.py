@@ -45,7 +45,6 @@ from .harness import (
     resistance_growth,
     sampled_measures,
     save_result,
-    slab_first_moment,
     slab_moments,
     upper_bound_experiment,
 )
@@ -57,7 +56,7 @@ from .percolation import (
     survival_mc,
 )
 from .sticky import assignment_from_dirset
-from .trees import EdgeBudgetError, FiniteTree, index_from_leaf, leaf_from_index
+from .trees import EdgeBudgetError, FiniteTree, address_bits, leaf_from_index
 from .tubes import assignment_arrays, poss_set, slab_volumes
 
 
@@ -181,23 +180,39 @@ def _emit(result: dict, out_dir: str | None) -> None:
         print(canonical_json(result))
 
 
-def _write_json(path, payload) -> None:
-    """Write payload as indented JSON to ``path``, or to stdout when no path
-    is given."""
-    text = json.dumps(payload, indent=2)
+@contextlib.contextmanager
+def _output(path):
+    """The file at ``path`` opened for writing, or stdout when no path is
+    given; a failure to open or write the file is one line naming it."""
+    if not path:
+        yield sys.stdout
+        return
+    with _file_fault(path, OSError), open(path, "w", newline="") as fh:
+        yield fh
+
+
+def _write_text(path, chunks) -> None:
+    """Write the text chunks to ``path`` and say so, or to stdout when no
+    path is given."""
+    with _output(path) as fh:
+        fh.writelines(chunks)
     if path:
-        with _file_fault(path, OSError):
-            Path(path).write_text(text + "\n")
         print(f"wrote {path}")
-    else:
-        print(text)
+
+
+def _json_rows(head: dict, rows):
+    """The text of ``json.dumps({**head, "rows": [*rows]}, indent=2)`` and a
+    newline, in chunks made one row at a time, so no two rows are held."""
+    start, end = json.dumps({**head, "rows": [0]}, indent=2).rsplit("0", 1)
+    for row in rows:
+        yield start + json.dumps(row, indent=2).replace("\n", "\n    ")
+        start = ",\n    "
+    yield end + "\n"
 
 
 def _write_csv(path, fieldnames, rows) -> None:
     """Write rows as CSV to ``path``, or to stdout when no path is given."""
-    with _file_fault(path, OSError):
-        out = open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
-    with out as fh:
+    with _output(path) as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         writer.writerows(rows)
@@ -251,7 +266,7 @@ def cmd_cantor(args) -> int:
             "squared": [str(ds.lip2_lo), str(ds.lip2_hi)],
         },
     }
-    _write_json(args.out, payload)
+    _write_text(args.out, [json.dumps(payload, indent=2), "\n"])
     return 0
 
 
@@ -259,22 +274,17 @@ def cmd_slopes(args) -> int:
     cfg = _config_from_args(args)
     cfg.guard(cfg.N)
     dirset = build_dirset(cfg, cfg.N)
-    assignment = assignment_from_dirset(dirset, cfg.seed)
-    B = cfg.M**cfg.d
-    rows = []
-    for i in range(B**cfg.N):
-        leaf = leaf_from_index(i, B, cfg.N)
-        tau = assignment.tau(leaf)
-        slope = dirset.slopes[index_from_leaf(tau, 2)]
-        rows.append(
-            {
-                "t": list(leaf),
-                "tau": list(tau),
-                "sigma_exact": [str(c) for c in slope],
-                "sigma_float": [float(c) for c in slope],
-            }
-        )
-    _write_json(args.out, {"config": cfg.to_dict("seed", "N"), "rows": rows})
+    indices = assignment_from_dirset(dirset, cfg.seed).all_slope_indices()
+    rows = (
+        {
+            "t": list(leaf_from_index(i, cfg.M**cfg.d, cfg.N)),
+            "tau": list(address_bits(k, cfg.N)),
+            "sigma_exact": [str(c) for c in dirset.slopes[k]],
+            "sigma_float": [float(c) for c in dirset.slopes[k]],
+        }
+        for i, k in enumerate(indices.tolist())
+    )
+    _write_text(args.out, _json_rows({"config": cfg.to_dict("seed", "N")}, rows))
     return 0
 
 
@@ -310,8 +320,7 @@ def cmd_slab_moments(args) -> int:
     if args.exhaustive:
         _refuse(args, "is not read with --exhaustive", "samples", "seed")
     cfg = _config_from_args(args)
-    moments = slab_moments if args.second else slab_first_moment
-    _emit(moments(cfg, exhaustive=args.exhaustive), cfg.out_dir)
+    _emit(slab_moments(cfg, exhaustive=args.exhaustive), cfg.out_dir)
     return 0
 
 
@@ -481,7 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("slab-moments", help="pairwise slab intersection moments")
     _add_config(p, "seed", *_GEOMETRY, "samples", sweep=True)
-    p.add_argument("--second", action="store_true", help="also the second moment")
     p.add_argument("--exhaustive", action="store_true", help="enumerate all fields")
     p.set_defaults(fn=cmd_slab_moments)
 

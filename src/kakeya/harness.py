@@ -164,28 +164,21 @@ def _slab_range(M: int, N: int, R: int) -> tuple[float, float]:
     return float(M) ** (R - N), float(M) ** (R + 1 - N)
 
 
-def _pair_sums(cfg: ExperimentConfig, N: int, R: int, slope_indices) -> np.ndarray:
-    """Slab pair sum of the family each leaf slope-index array realizes."""
+def _pair_sums(cfg: ExperimentConfig, N: int, Rs, exhaustive: bool) -> np.ndarray:
+    """Slab pair sums of depth N, one row per field and one column per R
+    in ``Rs``: the config's samples or, with ``exhaustive``, every edge
+    field.  Each field is realized once, for all its slabs."""
+    if exhaustive:
+        fields = all_fields_exhaustive(cfg.M**cfg.d, N)
+    else:
+        fields = (a.all_slope_indices() for a in sampled_assignments(cfg, N))
     centers = leaf_centers(cfg.M, N, cfg.d)
     slope_table = build_dirset(cfg, N).slope_floats()
     side = cross_section_side(cfg.M, N, cfg.d)
-    lo, hi = _slab_range(cfg.M, N, R)
-    return np.asarray(
-        [
-            pair_sum_over_range(centers, slope_table[idx], lo, hi, side)
-            for idx in slope_indices
-        ],
-        dtype=np.float64,
-    )
-
-
-def _sample_pair_sums(cfg: ExperimentConfig, N: int, R: int) -> np.ndarray:
-    samples = sampled_assignments(cfg, N)
-    return _pair_sums(cfg, N, R, (a.all_slope_indices() for a in samples))
-
-
-def _exhaustive_pair_sums(cfg: ExperimentConfig, N: int, R: int) -> np.ndarray:
-    return _pair_sums(cfg, N, R, all_fields_exhaustive(cfg.M**cfg.d, N))
+    slabs = [_slab_range(cfg.M, N, R) for R in Rs]
+    sums = [[pair_sum_over_range(centers, slope_table[idx], lo, hi, side) for lo, hi in slabs]
+            for idx in fields]
+    return np.asarray(sums, dtype=np.float64)
 
 
 def slab_sum_expectation_exact(cfg: ExperimentConfig, N: int, R: int) -> float:
@@ -252,15 +245,15 @@ def _moment_rows(
 def slab_moments(cfg: ExperimentConfig, exhaustive: bool = False) -> dict:
     """First- and second-moment rows from one pass over the pair sums of
     every swept N and slab offset."""
-    pair_sums = _exhaustive_pair_sums if exhaustive else _sample_pair_sums
     reads = ("slab_offsets",) if exhaustive else ("seed", "samples", "slab_offsets")
     rows, second_rows = [], []
     for N in cfg.ns():
-        for off in cfg.slab_offsets:
-            R = N - off
-            if R < 0:
-                continue
-            first, second = _moment_rows(cfg.M, N, R, pair_sums(cfg, N, R), exhaustive)
+        Rs = [N - off for off in cfg.slab_offsets if off <= N]
+        if not Rs:
+            continue
+        sums = _pair_sums(cfg, N, Rs, exhaustive)
+        for R, column in zip(Rs, sums.T):
+            first, second = _moment_rows(cfg.M, N, R, np.ascontiguousarray(column), exhaustive)
             rows.append(first)
             second_rows.append(second)
     return {

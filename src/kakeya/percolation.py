@@ -73,13 +73,7 @@ def shorted_resistance(tree: FiniteTree) -> Fraction:
     """Lower bound from shorting every level into a single node: the level
     resistors 2^(k-1)/N_k then sit in series."""
     counts = tree.level_counts()
-    total = Fraction(0)
-    for k in range(1, tree.height + 1):
-        n_k = counts[k] if k < len(counts) else 0
-        if n_k == 0:
-            continue
-        total += Fraction(2 ** (k - 1), n_k)
-    return total
+    return sum((Fraction(2 ** (k - 1), counts[k]) for k in range(1, tree.height + 1)), Fraction(0))
 
 
 def _sub_survival(leaves: tuple[Vertex, ...], lo: int, hi: int, depth: int) -> tuple[int, int]:

@@ -73,6 +73,8 @@ class StickyField:
         return mix64((self.key + node_id(digits, self.base) * _GOLDEN) & MASK64) & 1
 
     def ray_bits(self, leaf: Vertex) -> Vertex:
+        """The bits along the leaf's ray, one edge at a time: the oracle of
+        ``kernels.node_bits`` and ``kernels.leaf_slope_indices``."""
         return tuple(self.bit(leaf[: k + 1]) for k in range(len(leaf)))
 
 
@@ -99,9 +101,6 @@ class SlopeAssignment:
     @property
     def d(self) -> int:
         return self.dirset.d
-
-    def tau(self, t: Vertex) -> Vertex:
-        return self.field.ray_bits(t)
 
     def all_slope_indices(self) -> np.ndarray:
         """Slope index of every leaf, leaves in lexicographic order."""

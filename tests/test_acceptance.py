@@ -29,8 +29,7 @@ from kakeya.harness import (
     slab_moments,
     upper_bound_experiment,
     volume_sweep,
-    _exhaustive_pair_sums,
-    _sample_pair_sums,
+    _pair_sums,
 )
 from kakeya.percolation import (
     lyons_bounds,
@@ -274,8 +273,8 @@ def test_criterion_07_slab_moment_scaling():
     assert s1 <= 4.0 and s2 <= 4.0
     # exhaustive tiny scale pins the Monte Carlo statistic
     cfg2 = ExperimentConfig(M=3, N=2, d=1, samples=300, slab_offsets=(2,), seed=1)
-    exhaustive = _exhaustive_pair_sums(cfg2, 2, 0)
-    sampled = _sample_pair_sums(cfg2, 2, 0)
+    exhaustive = _pair_sums(cfg2, 2, [0], True)[:, 0]
+    sampled = _pair_sums(cfg2, 2, [0], False)[:, 0]
     half = 2.5758 * sampled.std(ddof=1) / math.sqrt(sampled.size)
     assert abs(sampled.mean() - exhaustive.mean()) <= half
     print(

@@ -239,6 +239,7 @@ ORACLES = (
     "harness.slab_sum_expectation_exact",
     "percolation.survival_enumerate",
     "sticky.enumerate_joint_addresses",
+    "sticky.StickyField.ray_bits",
 )
 PAPER_IDENTITIES = ("cantor.phi_map", "configs.classify3", "trees.decode_cube")
 

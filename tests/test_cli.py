@@ -89,6 +89,23 @@ def test_malformed_cantor_input_is_one_line(tmp_path, capsys, flag, text):
     assert capsys.readouterr().out == ""
 
 
+def _check_slopes_rows(payload, cfg):
+    """Each row's tau is the ray of the field's bits, walked one edge at a
+    time, and its sigma the slope that address names."""
+    dirset = harness.build_dirset(cfg, cfg.N)
+    field = assignment_from_dirset(dirset, cfg.seed).field
+    B = cfg.M**cfg.d
+    assert len(payload["rows"]) == B**cfg.N
+    for i, row in enumerate(payload["rows"]):
+        leaf = leaf_from_index(i, B, cfg.N)
+        tau = field.ray_bits(leaf)
+        slope = dirset.slopes[index_from_leaf(tau, 2)]
+        assert row["t"] == list(leaf)
+        assert row["tau"] == list(tau)
+        assert row["sigma_exact"] == [str(c) for c in slope]
+        assert row["sigma_float"] == [float(c) for c in slope]
+
+
 def test_slopes_dump(tmp_path):
     out = tmp_path / "slopes.json"
     assert main(["slopes", "--seed", "5", "--M", "3", "--N", "2", "--d", "1", "--out", str(out)]) == 0
@@ -98,14 +115,22 @@ def test_slopes_dump(tmp_path):
     assert len(row["tau"]) == 2
     assert row["sigma_float"][0] == 1.0
     assert sorted(payload["config"]) == ["M", "N", "backend", "curve", "d", "seed"]
-    # each row's tau addresses the slope the vectorised kernel assigns its leaf
-    dirset = harness.build_dirset(harness.ExperimentConfig(M=3, N=2, d=1), 2)
-    indices = assignment_from_dirset(dirset, 5).all_slope_indices()
-    for i, row in enumerate(payload["rows"]):
-        assert row["t"] == list(leaf_from_index(i, 3, 2))
-        assert index_from_leaf(row["tau"], 2) == indices[i]
-        assert row["sigma_exact"] == [str(c) for c in dirset.slopes[indices[i]]]
-        assert row["sigma_float"] == [float(c) for c in dirset.slopes[indices[i]]]
+    _check_slopes_rows(payload, harness.ExperimentConfig(M=3, N=2, d=1, seed=5))
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+def test_slopes_dump_d2_is_indented_json(tmp_path, capsys, to_file):
+    """Rows are written one at a time; the text is still exactly the
+    indented dump of the whole payload, to a file and to stdout."""
+    out = tmp_path / "slopes.json"
+    argv = ["slopes", "--seed", "3", "--N", "2", "--d", "2", "--curve", "moment"]
+    assert main(argv + (["--out", str(out)] if to_file else [])) == 0
+    text = capsys.readouterr().out
+    if to_file:
+        assert text == f"wrote {out}\n"
+        text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    _check_slopes_rows(json.loads(text), harness.ExperimentConfig(N=2, d=2, curve="moment", seed=3))
 
 
 def test_volume_csv(tmp_path, capsys):
@@ -214,7 +239,6 @@ def test_slab_moments_exhaustive(tmp_path, capsys):
             "--N",
             "2",
             "--exhaustive",
-            "--second",
         ]
     )
     assert rc == 0
@@ -240,7 +264,6 @@ RECORD_RUNS = [
     pytest.param(["simulate"], ["--N", "2", "--samples", "2"], {"slab_offsets": [3]}, ["N", *_SWEEP], id="simulate"),
     pytest.param(["simulate"], ["--N-range", "2:3", "--samples", "1"], {"N": 9}, ["n_values", *_SWEEP], id="simulate-swept"),
     pytest.param(["slab-moments"], ["--N", "2", "--samples", "2"], {"quadrature": 8}, ["N", *_SLAB], id="slab-moments"),
-    pytest.param(["slab-moments", "--second"], ["--N", "2", "--samples", "2"], {"quadrature": 8}, ["N", *_SLAB], id="slab-moments-second"),
     pytest.param(
         ["slab-moments", "--exhaustive"], ["--N", "2"], {"seed": 5, "samples": 7, "quadrature": 8},
         ["M", "N", "backend", "curve", "d", "slab_offsets"], id="slab-moments-exhaustive",
@@ -465,14 +488,19 @@ def test_ci99_of_one_value_is_zero(capsys, argv):
         assert payload["rows"][0]["far_ci99"] == 0.0
 
 
-def test_slab_moments_second_computes_each_sum_once(monkeypatch, capsys):
-    calls = []
-    pair_sum = harness.pair_sum_over_range
-    monkeypatch.setattr(
-        harness, "pair_sum_over_range", lambda *a: calls.append(a) or pair_sum(*a)
-    )
-    assert main(["slab-moments", "--N", "3", "--samples", "3", "--seed", "4", "--second"]) == 0
+def _count_calls(monkeypatch, owner, name) -> list:
+    """Record the arguments of every call of ``owner.name``, which still runs."""
+    calls, fn = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a: calls.append(a) or fn(*a))
+    return calls
+
+
+def test_slab_moments_computes_each_sum_once(monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, harness, "pair_sum_over_range")
+    fields = _count_calls(monkeypatch, harness.SlopeAssignment, "all_slope_indices")
+    assert main(["slab-moments", "--N", "3", "--samples", "3", "--seed", "4"]) == 0
     assert len(calls) == 2 * 3  # slabs N-R = 2, 3, three samples each
+    assert len(fields) == 3  # each sample realized once, for both slabs
     payload = json.loads(capsys.readouterr().out)
     cfg = harness.ExperimentConfig(N=3, samples=3, seed=4)
     assert payload["rows"] == harness.slab_first_moment(cfg)["rows"]
@@ -494,6 +522,28 @@ def test_out_file_closed(tmp_path, argv):
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
     assert len(out.read_text().splitlines()) > 1
+
+
+def test_exhaustive_slab_moments_enumerate_once_per_depth(tmp_path, monkeypatch, capsys):
+    """Every edge field is enumerated once per N, for all of its slabs."""
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"slab_offsets": [1, 2]}))
+    calls = _count_calls(monkeypatch, harness, "pair_sum_over_range")
+    enumerations = _count_calls(monkeypatch, harness, "all_fields_exhaustive")
+    argv = ["slab-moments", "--exhaustive", "--N-range", "1:2", "--config", str(cfg_file)]
+    assert main(argv) == 0
+    assert [a[1] for a in enumerations] == [1, 2]
+    assert len(calls) == 2**3 + 2 * 2**12  # N=1: one slab of 8 fields; N=2: two of 4,096
+    payload = json.loads(capsys.readouterr().out)
+    assert [(r["N"], r["R"], r["samples"]) for r in payload["rows"]] == [(1, 0, 8), (2, 1, 4096), (2, 0, 4096)]
+
+
+def test_second_flag_rejected(capsys):
+    """slab-moments always writes both moments, so there is no --second."""
+    with pytest.raises(SystemExit) as exc:
+        main(["slab-moments", "--N", "2", "--samples", "2", "--second"])
+    assert exc.value.code == 2
+    assert "--second" in capsys.readouterr().err
 
 
 def test_threads_flag_rejected(capsys):

@@ -22,8 +22,7 @@ from kakeya.harness import (
     slab_sum_expectation_exact,
     upper_bound_experiment,
     volume_sweep,
-    _exhaustive_pair_sums,
-    _sample_pair_sums,
+    _pair_sums,
     _STRIP_CELLS,
     _strip_draws,
 )
@@ -34,7 +33,7 @@ from kakeya.tubes import cross_section_side, leaf_centers, pair_measure, poss_se
 
 def test_exhaustive_slab_sum_equals_exact_expectation():
     cfg = ExperimentConfig(M=3, N=2, d=1, slab_offsets=(2,), seed=0)
-    sums = _exhaustive_pair_sums(cfg, 2, 0)
+    sums = _pair_sums(cfg, 2, [0], True)[:, 0]
     assert sums.size == 1 << 12
     exact = slab_sum_expectation_exact(cfg, 2, 0)
     assert sums.mean() == pytest.approx(exact, rel=1e-9)
@@ -42,8 +41,8 @@ def test_exhaustive_slab_sum_equals_exact_expectation():
 
 def test_sampled_slab_sum_within_ci_of_exhaustive():
     cfg = ExperimentConfig(M=3, N=2, d=1, samples=400, slab_offsets=(2,), seed=1)
-    sampled = _sample_pair_sums(cfg, 2, 0)
-    exhaustive = _exhaustive_pair_sums(cfg, 2, 0)
+    sampled = _pair_sums(cfg, 2, [0], False)[:, 0]
+    exhaustive = _pair_sums(cfg, 2, [0], True)[:, 0]
     half = 2.5758 * sampled.std(ddof=1) / math.sqrt(sampled.size)
     assert abs(sampled.mean() - exhaustive.mean()) <= half
 
@@ -91,7 +90,7 @@ def test_second_moment_controls_three_quarter_event():
     # the threshold 2*sqrt(mean square) is exceeded by at most 1/4 of the
     # realizations (Markov on the squared sums), checked empirically
     cfg = ExperimentConfig(M=3, N=6, d=1, samples=150, slab_offsets=(3,), seed=12)
-    sums = _sample_pair_sums(cfg, 6, 3)
+    sums = _pair_sums(cfg, 6, [3], False)[:, 0]
     threshold = 2.0 * math.sqrt((sums**2).mean())
     assert (sums < threshold).mean() >= 0.75
 

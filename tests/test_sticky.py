@@ -28,7 +28,7 @@ F = Fraction
 
 def _slope_index(a: SlopeAssignment, t) -> int:
     """The direction a leaf's ray addresses, tau(t) read as a binary index."""
-    return index_from_leaf(a.tau(t), 2)
+    return index_from_leaf(a.field.ray_bits(t), 2)
 
 
 def _sigma(a: SlopeAssignment, t):
@@ -94,7 +94,7 @@ def test_sigma_lipschitz_audit():
         t2 = tuple(rng.randrange(3) for _ in range(8))
         p1, p2 = (a.dirset.params[_slope_index(a, t)] for t in (t1, t2))
         dv = abs(float(p1) - float(p2))
-        assert dv <= C * 3.0 ** -height(yca(a.tau(t1), a.tau(t2))) + 1e-12
+        assert dv <= C * 3.0 ** -height(yca(a.field.ray_bits(t1), a.field.ray_bits(t2))) + 1e-12
 
 
 def test_sigma_deterministic():

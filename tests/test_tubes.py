@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 from kakeya import kernels
 from kakeya.cantor import affine_curve, direction_set, middle_spec, moment_curve
-from kakeya.sticky import SlopeAssignment, StickyField, assignment_from_dirset, sticky_admissible
+from kakeya.sticky import assignment_from_dirset, sticky_admissible
 from kakeya.trees import cube_from_axis_indices, decode_cube, height, leaf_from_index, yca
 from kakeya.tubes import (
     WitnessError,
@@ -575,14 +575,7 @@ def test_kakeya_measures_n1_against_direct_union():
 
 
 def test_all_zero_field_measures_exact():
-    ds = direction_set(middle_spec(3, 3), affine_curve(1))
-
-    class _Zero(StickyField):
-        def ray_bits(self, leaf):
-            return tuple(0 for _ in leaf)
-
     # kernels are bypassed: build arrays by hand for the constant field
-    assignment = SlopeAssignment(field=_Zero(seed=0, base=3), dirset=ds)
     centers = leaf_centers(3, 3, 1)
     slopes = np.zeros_like(centers)
     near = union_volume(centers, slopes, 0.0, 1.0, 3, 3, samples=2)
