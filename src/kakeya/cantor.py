@@ -319,11 +319,13 @@ def _sqrt_outward(q: Fraction, up: bool) -> float:
     return x
 
 
+_BILIPSCHITZ_ROWS = 256  # sample points paired with all others per array
+
+
 def estimate_bilipschitz(
     curve: DirectionCurve,
     params: Sequence[Fraction],
     grid: int = 4096,
-    chunk: int = 256,
 ) -> tuple[float, float]:
     """Numerical lower/upper Lipschitz constants of the curve on [0,1], the
     sampled oracle of ``bilipschitz_bracket``.
@@ -339,8 +341,8 @@ def estimate_bilipschitz(
     c_lo = math.inf
     c_hi = 0.0
     n = ts.shape[0]
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
+    for start in range(0, n, _BILIPSCHITZ_ROWS):
+        stop = min(start + _BILIPSCHITZ_ROWS, n)
         dt = np.abs(ts[start:stop, None] - ts[None, :])
         dv = np.linalg.norm(vals[start:stop, None, :] - vals[None, :, :], axis=2)
         mask = dt > 0

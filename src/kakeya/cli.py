@@ -19,6 +19,7 @@ import csv
 import functools
 import itertools
 import json
+import os
 import random
 import sys
 from dataclasses import fields as dc_fields
@@ -284,7 +285,7 @@ def cmd_slopes(args) -> int:
         }
         for i, k in enumerate(indices.tolist())
     )
-    _write_text(args.out, _json_rows({"config": cfg.to_dict("seed", "N")}, rows))
+    _write_text(args.out, _json_rows({"config": cfg.to_dict("seed")}, rows))
     return 0
 
 
@@ -545,10 +546,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except (ResourceWarning, EdgeBudgetError, FarPointError) as err:  # a budget; no far point
         print(f"kakeya {args.command}: {err}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader closed stdout: stop quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the exit flush
+        return 1
 
 
 if __name__ == "__main__":

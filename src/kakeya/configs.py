@@ -46,12 +46,12 @@ class ConfigClass:
         return f"{self.arity}pt-type{self.type_tag}{self.case}"
 
 
-def _check_leaves(leaves: Sequence[Vertex], distinct: bool = True):
+def _check_leaves(leaves: Sequence[Vertex]):
     n = height(leaves[0])
     for t in leaves:
         if height(t) != n:
             raise ValueError("all leaves must share one height")
-    if distinct and len(set(leaves)) != len(leaves):
+    if len(set(leaves)) != len(leaves):
         raise ValueError("leaves must be distinct")
     return n
 
@@ -210,13 +210,11 @@ def class_probability(
     return Fraction(1, 2**cc.exponent)
 
 
-def oracle_check(
-    cc: ConfigClass, assignments: dict[Vertex, Vertex], budget: int = 30
-) -> tuple[Fraction, Fraction]:
+def oracle_check(cc: ConfigClass, assignments: dict[Vertex, Vertex]) -> tuple[Fraction, Fraction]:
     """(closed form, exhaustive enumeration) of the same conditional
     probability; they must agree exactly."""
     closed = class_probability(cc, assignments)
     cond = [(t, assignments[t]) for t in cc.cond]
     query = [(t, assignments[t]) for t in cc.query]
-    enumerated = enumerate_conditional(cond, query, budget=budget)
+    enumerated = enumerate_conditional(cond, query)
     return closed, enumerated

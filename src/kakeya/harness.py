@@ -58,6 +58,7 @@ from .tubes import (
 
 SCHEMA_VERSION = 1
 BACKEND = "numpy"  # the kernel implementation, recorded with every result
+LEAF_BUDGET = 10**7  # root cubes M^(N*d) an experiment may build, at most
 
 
 @dataclass(frozen=True)
@@ -71,11 +72,10 @@ class ExperimentConfig:
     quadrature: int = 4  # midpoint samples per M^-N slab
     seed: int = 0
     n_values: tuple[int, ...] | None = None  # overrides N for sweeps
-    leaf_budget: int = 10**7
     out_dir: str | None = None
 
     def __post_init__(self):
-        for name in ("M", "N", "d", "samples", "quadrature", "seed", "leaf_budget"):
+        for name in ("M", "N", "d", "samples", "quadrature", "seed"):
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         lists = (("n_values", self.n_values or []), ("slab_offsets", self.slab_offsets))
@@ -98,21 +98,18 @@ class ExperimentConfig:
 
     def to_dict(self, *reads: str, **counts) -> dict:
         """The config block of a run, which names the result: the geometry,
-        the depth (``n_values`` for a sweep, else ``N``; naming ``"N"`` in
-        ``reads`` asks for N whatever is swept), the fields the run
+        the depth (``n_values`` for a sweep, else ``N``), the fields the run
         ``reads``, its own ``counts`` and the backend.  Nothing else enters,
         so a field the run does not read cannot change its identity."""
-        depth = "n_values" if self.n_values and "N" not in reads else "N"
+        depth = "n_values" if self.n_values else "N"
         block = {"M": self.M, "d": self.d, "curve": self.curve, depth: getattr(self, depth)}
         block.update((name, getattr(self, name)) for name in reads)
         return {**block, **counts, "backend": BACKEND}
 
     def guard(self, N: int) -> None:
         leaves = self.M ** (N * self.d)
-        if leaves > self.leaf_budget:
-            raise ResourceWarning(
-                f"M^(N*d) = {leaves} exceeds the leaf budget {self.leaf_budget}"
-            )
+        if leaves > LEAF_BUDGET:
+            raise ResourceWarning(f"M^(N*d) = {leaves} exceeds the leaf budget {LEAF_BUDGET}")
 
 
 def block_hash(config: dict) -> str:
@@ -264,14 +261,14 @@ def slab_moments(cfg: ExperimentConfig, exhaustive: bool = False) -> dict:
     }
 
 
-def slab_first_moment(cfg: ExperimentConfig, exhaustive: bool = False) -> dict:
-    moments = slab_moments(cfg, exhaustive)
+def slab_first_moment(cfg: ExperimentConfig) -> dict:
+    moments = slab_moments(cfg)
     rows = moments["rows"]
     return {"experiment": "slab-first-moment", "config": moments["config"], "rows": rows}
 
 
-def slab_second_moment(cfg: ExperimentConfig, exhaustive: bool = False) -> dict:
-    moments = slab_moments(cfg, exhaustive)
+def slab_second_moment(cfg: ExperimentConfig) -> dict:
+    moments = slab_moments(cfg)
     rows = moments["second_rows"]
     return {"experiment": "slab-second-moment", "config": moments["config"], "rows": rows}
 
@@ -397,7 +394,7 @@ def _strip_draws(cfg: ExperimentConfig, N: int, key: int) -> Iterator[tuple[floa
         yield from zip(sections.tolist(), poss_sets(points, dirset))
 
 
-def pointwise_percolation_bound(cfg: ExperimentConfig, N: int, grid: int = 200) -> dict:
+def pointwise_percolation_bound(cfg: ExperimentConfig, N: int, grid: int) -> dict:
     """Monte Carlo integral of min(1, 2/(1+R(Poss(x)))) over the far
     window, an upper bound for the expected far-window volume.  Points
     come from the reachable strip, outside which the integrand is 0, each
@@ -420,7 +417,7 @@ def pointwise_percolation_bound(cfg: ExperimentConfig, N: int, grid: int = 200) 
     }
 
 
-def resistance_growth(cfg: ExperimentConfig, points: int = 100) -> dict:
+def resistance_growth(cfg: ExperimentConfig, points: int) -> dict:
     """Fitted beta with R(Poss(x)) >= beta*N over random far points.
 
     Points are drawn from the reachable strip; points whose possible-root
@@ -465,7 +462,7 @@ def resistance_growth(cfg: ExperimentConfig, points: int = 100) -> dict:
 AUDIT_POINT_DRAWS = 1000  # far points tried before the audit gives up
 
 
-def percolation_iid_audit(cfg: ExperimentConfig, N: int, fields: int = 10_000) -> dict:
+def percolation_iid_audit(cfg: ExperimentConfig, N: int, fields: int) -> dict:
     """Consistency and uniformity checks for the induced edge bits.
 
     For a far point, the first of the reachable strip's draws with 4 or

@@ -143,9 +143,7 @@ def sticky_admissible(pairs: Sequence[tuple[Vertex, Vertex]]) -> bool:
     return True
 
 
-def enumerate_realizations(
-    pairs: Sequence[tuple[Vertex, Vertex]], budget: int = 30
-) -> Fraction:
+def enumerate_realizations(pairs: Sequence[tuple[Vertex, Vertex]]) -> Fraction:
     """Exact probability that a uniform edge field realizes all the given
     (leaf, binary address) pairs, by literal enumeration of all 2^E bit
     assignments on the union of the leaves' rays.
@@ -154,7 +152,7 @@ def enumerate_realizations(
         raise ValueError("leaf and address heights differ")
     targets = np.array([index_from_leaf(b, 2) for _, b in pairs], dtype=np.uint64)
     hits = total = 0
-    for rows in ray_addresses([t for t, _ in pairs], budget):
+    for rows in ray_addresses([t for t, _ in pairs]):
         hits += int((rows == targets).all(axis=1).sum())
         total += rows.shape[0]
     return Fraction(hits, total)
@@ -163,19 +161,16 @@ def enumerate_realizations(
 def enumerate_conditional(
     condition: Sequence[tuple[Vertex, Vertex]],
     query: Sequence[tuple[Vertex, Vertex]],
-    budget: int = 30,
 ) -> Fraction:
     """Exact conditional probability Pr(query | condition) by enumeration."""
-    joint = enumerate_realizations(list(condition) + list(query), budget=budget)
-    denom = enumerate_realizations(condition, budget=budget)
+    joint = enumerate_realizations(list(condition) + list(query))
+    denom = enumerate_realizations(condition)
     if denom == 0:
         raise ZeroDivisionError("conditioning event has probability zero")
     return joint / denom
 
 
-def enumerate_joint_addresses(
-    leaves: Sequence[Vertex], budget: int = 30
-) -> dict[tuple[int, ...], int]:
+def enumerate_joint_addresses(leaves: Sequence[Vertex]) -> dict[tuple[int, ...], int]:
     """Counts, over all edge-bit assignments on the union of rays, of every
     combination of binary addresses the given leaves can receive.
 
@@ -184,7 +179,7 @@ def enumerate_joint_addresses(
     distribution, from which any conditional probability is a ratio.
     """
     counts: dict[tuple[int, ...], int] = {}
-    for rows in ray_addresses(leaves, budget):
+    for rows in ray_addresses(leaves):
         keys, kcounts = np.unique(rows, axis=0, return_counts=True)
         for row, c in zip(keys, kcounts):
             key = tuple(int(x) for x in row)
@@ -192,13 +187,14 @@ def enumerate_joint_addresses(
     return counts
 
 
-def all_fields_exhaustive(base: int, depth: int, budget: int = 30):
+def all_fields_exhaustive(base: int, depth: int):
     """Iterate every sticky map on the full base-adic tree of the given
     depth, yielding the leaf slope-index array of each.
 
     The edge count is base + base^2 + ... + base^depth and must stay within
-    ``budget``; used by the tiny-scale exhaustive experiments.
+    the edge budget of ``ray_addresses``; used by the tiny-scale exhaustive
+    experiments.
     """
     leaves = [leaf_from_index(i, base, depth) for i in range(base**depth)]
-    for rows in ray_addresses(leaves, budget):
+    for rows in ray_addresses(leaves):
         yield from rows.astype(np.int64)

@@ -50,6 +50,7 @@ def ray_edges(v: Vertex) -> list[Vertex]:
 # ---------------------------------------------------------------------------
 
 _CHUNK = 1 << 20  # labellings decoded per array
+_EDGE_BUDGET = 30  # edges enumerated by default, at most: 2^30 labellings
 
 
 class EdgeBudgetError(RuntimeError):
@@ -64,7 +65,7 @@ def ray_positions(leaves: Sequence[Vertex]) -> tuple[int, list[list[int]]]:
     return len(edges), [[pos[e] for e in ray_edges(t)] for t in leaves]
 
 
-def ray_addresses(leaves: Sequence[Vertex], budget: int) -> Iterator[np.ndarray]:
+def ray_addresses(leaves: Sequence[Vertex], budget: int = _EDGE_BUDGET) -> Iterator[np.ndarray]:
     """Every 0/1 labelling of the edges on the leaves' rays, read as the
     binary address each leaf's ray carries (root edge most significant).
 

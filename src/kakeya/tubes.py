@@ -247,7 +247,7 @@ def union_volume(
     hi: float,
     M: int,
     N: int,
-    samples: int = 4,
+    samples: int,
 ) -> float:
     """Volume of the union of tubes over x1 in [lo, hi]: midpoint
     quadrature per slab of the cross-section union, which is exact at each
@@ -266,7 +266,7 @@ def slab_volumes(
     hi: float,
     M: int,
     N: int,
-    samples: int = 4,
+    samples: int,
 ) -> list[tuple[int, float]]:
     """(k, volume) of each M^-N slab [k*M^-N, (k+1)*M^-N] that overlaps
     [lo, hi], each volume equal to ``union_volume`` over its slab: the
@@ -422,7 +422,7 @@ def assignment_arrays(assignment: SlopeAssignment) -> tuple[np.ndarray, np.ndarr
     return centers, slopes
 
 
-def kakeya_measures(assignment: SlopeAssignment, samples: int = 4) -> dict:
+def kakeya_measures(assignment: SlopeAssignment, samples: int) -> dict:
     """Volume of the realized union near the root hyperplane ([0,1]) and in
     the far window ([C0, C0+1]), with the implied dilate-ratio bound.  Both
     volumes come from ``union_volume``, exact at every quadrature node in

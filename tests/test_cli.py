@@ -2,7 +2,10 @@ import csv
 import gc
 import itertools
 import json
+import os
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -172,13 +175,15 @@ def test_volume_csv_n5_slabs(tmp_path, window, k0):
         rows = list(csv.DictReader(fh))
     assert [int(r["k"]) for r in rows] == list(range(k0, k0 + 3**5))
     dirset = harness.build_dirset(harness.ExperimentConfig(N=5), 5)
-    expected = kakeya_measures(assignment_from_dirset(dirset, 7))[window]
+    expected = kakeya_measures(assignment_from_dirset(dirset, 7), samples=4)[window]
     assert sum(float(r["volume"]) for r in rows) == pytest.approx(expected, rel=0, abs=1e-12)
     centers, slopes = assignment_arrays(assignment_from_dirset(dirset, 7))
     width = 3.0**-5
     for r in rows:
         k = int(r["k"])
-        assert float(r["volume"]) == union_volume(centers, slopes, k * width, (k + 1) * width, 3, 5)
+        assert float(r["volume"]) == union_volume(
+            centers, slopes, k * width, (k + 1) * width, 3, 5, samples=4
+        )
 
 
 def test_volume_d3_far_window_is_exact(tmp_path, capsys):
@@ -187,7 +192,7 @@ def test_volume_d3_far_window_is_exact(tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "vol.csv")]) == 0
     total = float(capsys.readouterr().err.rsplit(":", 1)[1])
     dirset = harness.build_dirset(harness.ExperimentConfig(N=1, d=3), 1)
-    expected = kakeya_measures(assignment_from_dirset(dirset, 7))["far"]
+    expected = kakeya_measures(assignment_from_dirset(dirset, 7), samples=4)["far"]
     assert total > 0.0
     assert total == pytest.approx(expected, rel=0, abs=1e-12)
 
@@ -410,7 +415,8 @@ def test_config_file_roundtrip(tmp_path, capsys):
     assert payload["config"]["samples"] == 3
 
 
-@pytest.mark.parametrize("extra", [{"sample": 3}, {"selector": "middle"}])
+# leaf_budget is the harness constant LEAF_BUDGET, not a config field
+@pytest.mark.parametrize("extra", [{"sample": 3}, {"selector": "middle"}, {"leaf_budget": 10}])
 def test_config_file_rejects_unknown_keys(tmp_path, extra):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"M": 3, "N": 2, "samples": 3, **extra}))
@@ -774,12 +780,11 @@ def test_unwritable_output_is_one_line(tmp_path, capsys, argv, parent_kind):
     "argv",
     [["simulate", "--samples", "1"], ["volume"], ["slopes"], ["prob-oracle", "--count", "1"]],
 )
-def test_leaf_budget_guards_every_experiment(tmp_path, capsys, argv):
+def test_leaf_budget_guards_every_experiment(monkeypatch, capsys, argv):
     """Over the leaf budget: one line on stderr and exit code 2, not a
     traceback."""
-    cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"leaf_budget": 10}))
-    assert main(argv + ["--config", str(cfg_file), "--N", "3"]) == 2
+    monkeypatch.setattr(harness, "LEAF_BUDGET", 10)
+    assert main(argv + ["--N", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"kakeya {argv[0]}: M^(N*d) = 27 exceeds the leaf budget 10"]
@@ -795,6 +800,22 @@ def test_exhaustive_slab_moments_over_the_edge_budget(capsys, argv, edges):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"kakeya slab-moments: {edges} edges exceeds the budget of 30"]
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    """A reader that closes stdout early ends the run with exit code 1 and
+    nothing on stderr, not a BrokenPipeError traceback.  The dump is far
+    larger than a pipe's buffer, so the run writes after the close."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    argv = ["slopes", "--N", "4", "--d", "2", "--curve", "moment"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "kakeya.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=120) == 1
 
 
 def test_readme_command_lines_parse():

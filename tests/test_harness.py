@@ -281,7 +281,7 @@ def test_canonical_json_sorted():
 
 
 def test_guard_rejects_oversized():
-    cfg = ExperimentConfig(M=3, N=20, d=2, leaf_budget=10**6)
+    cfg = ExperimentConfig(M=3, N=20, d=2)
     with pytest.raises(ResourceWarning):
         cfg.guard(20)
 
@@ -353,9 +353,9 @@ def test_strip_draws_equal_the_per_draw_formula(d, curve, N):
     assert reached > 0 or d == 3  # d=3 draws meet no tube at N=3: points and sections are checked
 
 
-def test_result_identity_ignores_out_dir_and_leaf_budget(tmp_path):
+def test_result_identity_ignores_out_dir(tmp_path):
     cfg = ExperimentConfig(seed=5)
-    moved = replace(cfg, out_dir=str(tmp_path), leaf_budget=5)
+    moved = replace(cfg, out_dir=str(tmp_path))
     reads = ("seed", "samples", "quadrature")
     assert block_hash(moved.to_dict(*reads)) == block_hash(cfg.to_dict(*reads))
     rows = [{"x": 1.5}]

@@ -230,7 +230,7 @@ def test_budget_error():
     leaves = [(i % 3, (i // 3) % 3, i % 2, 0, 1, 2, 0, 1) for i in range(12)]
     pairs = [(t, tuple(0 for _ in t)) for t in leaves]
     with pytest.raises(EdgeBudgetError):
-        enumerate_realizations(pairs, budget=10)
+        enumerate_realizations(pairs)
 
 
 def test_exhaustive_fields_distinct_and_complete():
