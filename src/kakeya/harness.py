@@ -169,11 +169,9 @@ def _pair_sums(cfg: ExperimentConfig, N: int, Rs, exhaustive: bool) -> np.ndarra
         fields = all_fields_exhaustive(cfg.M**cfg.d, N)
     else:
         fields = (a.all_slope_indices() for a in sampled_assignments(cfg, N))
-    centers = leaf_centers(cfg.M, N, cfg.d)
     slope_table = build_dirset(cfg, N).slope_floats()
-    side = cross_section_side(cfg.M, N, cfg.d)
     slabs = [_slab_range(cfg.M, N, R) for R in Rs]
-    sums = [[pair_sum_over_range(centers, slope_table[idx], lo, hi, side) for lo, hi in slabs]
+    sums = [[pair_sum_over_range(cfg.M, N, idx, slope_table, lo, hi) for lo, hi in slabs]
             for idx in fields]
     return np.asarray(sums, dtype=np.float64)
 

@@ -1,16 +1,17 @@
 """Hot numeric kernels, vectorized in numpy.
 
 Pair sums and union lengths for d = 1, exact union measures of equal
-cubes for every d >= 2, and bulk edge bits of the sticky fields.  Pair
-sums score only the candidate pairs, whose centre hulls over the slab
-come within one cross-section width, found by one sort: O(n log n + K')
-for K' candidates, not O(n^2).  The d = 1 union sorts one row of centres
-per quadrature node and splits the nodes across CPU threads, one
-contiguous block each; every row is measured on its own, so the lengths
-are byte-identical whatever the split.  Cube unions slice along the
-first axes and measure the last two as arrays: every slab's active cubes
-form one contiguous slice of the sorted cubes, gathered into padded rows
-and measured by sorted gaps, a chunk of rows at a time.
+cubes for every d >= 2, and bulk edge bits of the sticky fields.  The
+d = 1 pair sum scores only the candidate pairs, whose centre hulls over
+the slab come within one cross-section width, found by one sort:
+O(n log n + K') for K' candidates, not O(n^2).  The d = 1 union sorts one
+row of centres per quadrature node and splits the nodes across CPU
+threads, one contiguous block each; every row is measured on its own, so
+the lengths are byte-identical whatever the split.  Cube unions slice
+along the first axes and measure the last two as arrays: every slab's
+active cubes form one contiguous slice of the sorted cubes, and one sort
+of (slab, corner rank) keys puts every slice's corners in order, with no
+padding, at most ``_SLICE_CELLS`` keys at a time.
 Every kernel has an oracle test in ``tests/test_kernels.py``;
 ``python3 perfbench/run.py`` times them inside the experiments that use
 them.
@@ -84,13 +85,13 @@ _PAIR_CHUNK = 1 << 12  # candidate pairs handed out at once: 32 KiB per float ar
 _HULL_SLACK = 1e-9  # relative widening of the reach, above float rounding
 
 
-def _candidate_pairs(centers, slopes, lo, hi, side, chunk=None):
-    """Yield (i, j) index arrays, at most ``chunk`` (by default
-    ``_PAIR_CHUNK``) pairs at a time, covering every unordered pair of
-    tubes whose centre hulls over [lo, hi] come within ``side`` of each
-    other (each pair once, i != j).  Every pair left out is further than
-    ``side`` apart on all of [lo, hi]."""
-    chunk = chunk or _PAIR_CHUNK
+def _candidate_pairs(centers, slopes, lo, hi, side):
+    """Yield (i, j) index arrays, at most ``_PAIR_CHUNK`` pairs at a time,
+    covering every unordered pair of tubes whose centre hulls over
+    [lo, hi] come within ``side`` of each other (each pair once, i != j).
+    Every pair left out is further than ``side`` apart on all of
+    [lo, hi]."""
+    chunk = _PAIR_CHUNK
     c = np.asarray(centers, dtype=np.float64)
     v = np.asarray(slopes, dtype=np.float64)
     n = c.shape[0]
@@ -246,43 +247,56 @@ def union_lengths_1d(
 # axis the active cubes are fixed, so the measure is the sum of each gap
 # times the (k-1)-dimensional union of the active cubes.  On the last two
 # axes every gap is measured at once: the active cubes of a gap are one
-# contiguous slice of the cubes sorted by corner, the slices are gathered
-# into rows padded with each row's own last corner (a padded gap is then
-# exactly 0), and each sorted row takes the d = 1 sorted-gap formula.
+# contiguous slice of the cubes sorted by corner, each slice's cubes are
+# keyed (gap, rank of the last corner) and all keys are sorted together,
+# so every gap's corners come out in order, and each gap takes the d = 1
+# sorted-gap formula over its own run of corners.
 # ---------------------------------------------------------------------------
 
-_SLICE_CELLS = 1 << 16  # gathered corners sorted at once
+_SLICE_CELLS = 1 << 16  # (gap, cube) keys sorted at once, unless one gap holds more
 
 
 def _union_measure_cubes(lo, side):
     """Exact measure of the union of equal axis-aligned cubes of side
-    ``side`` with (n, k) lower corners ``lo``, k >= 2."""
-    lo = lo[np.argsort(lo[:, 0], kind="stable")]
-    starts = lo[:, 0]
-    ends = starts + side
-    events = np.sort(np.concatenate([starts, ends]))
-    gaps = np.diff(events)
-    first = np.searchsorted(ends, events[:-1], side="right")
-    stop = np.searchsorted(starts, events[:-1], side="right")
-    live = (gaps > 0) & (first < stop)
-    gaps, first, stop = gaps[live], first[live], stop[live]
+    ``side`` with (n, k) lower corners ``lo``, k >= 2.  Small inputs are
+    the common case in the recursion, so array methods stand in for the
+    slower numpy functions of the same name."""
+    n = lo.shape[0]
+    lo = lo.take(lo[:, 0].argsort(), axis=0)  # ties leave the measure as it is
+    events = np.concatenate([lo[:, 0], lo[:, 0] + side])
+    order = events.argsort(kind="stable")  # a merge of two sorted runs
+    events = events.take(order)
+    gaps = events[1:] - events[:-1]
+    stop = (order < n).cumsum()[:-1]  # cubes started by each gap's left event
+    first = np.arange(1, 2 * n) - stop  # cubes ended by then
+    live = np.flatnonzero((gaps > 0) & (first < stop))
+    gaps, first, stop = gaps.take(live), first.take(live), stop.take(live)
     measure = 0.0
     if lo.shape[1] > 2:
         for g, i, j in zip(gaps.tolist(), first.tolist(), stop.tolist()):
             measure += _union_measure_cubes(lo[i:j, 1:], side) * g
         return measure
-    if gaps.size == 0:
-        return measure
-    corners = lo[:, 1]
-    last = stop - 1
-    rows = max(1, _SLICE_CELLS // int((stop - first).max()))  # per chunk
-    for s in range(0, gaps.size, rows):
-        f, t = first[s : s + rows], last[s : s + rows]
-        longest = int((t - f).max()) + 1
-        cols = np.minimum(f[:, None] + np.arange(longest), t[:, None])
-        z = np.sort(corners[cols], axis=1)
-        lengths = side + np.minimum(np.diff(z, axis=1), side).sum(axis=1)
-        measure += float(np.dot(gaps[s : s + rows], lengths))
+    by_corner = lo[:, 1].argsort()
+    corners = lo[:, 1].take(by_corner)
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_corner] = np.arange(n)
+    counts = stop - first
+    ends = counts.cumsum()
+    cut = 0
+    while cut < gaps.size:  # gaps [cut, nxt) hold at most _SLICE_CELLS cubes, or one gap
+        begin = ends[cut] - counts[cut]
+        nxt = max(cut + 1, int(ends.searchsorted(begin + _SLICE_CELLS, side="right")))
+        size = counts[cut:nxt]
+        starts = ends[cut:nxt] - size - begin  # of each gap's run of keys
+        base = (np.arange(nxt - cut) * n).repeat(size)
+        keys = base + rank.take(np.arange(base.size) + (first[cut:nxt] - starts).repeat(size))
+        keys.sort()
+        z = corners.take(keys - base)
+        steps = np.minimum(z[1:] - z[:-1], side)
+        steps[starts[1:] - 1] = 0.0  # no step across two gaps
+        lengths = side + np.add.reduceat(np.concatenate([[0.0], steps]), starts)
+        measure += float(np.dot(gaps[cut:nxt], lengths))
+        cut = nxt
     return measure
 
 
@@ -296,7 +310,9 @@ def union_areas_2d(
     along the first axis.  With one side for all, the upper corners
     lo + side keep the order of the lower ones, so the cubes active at an
     event y0 (lo <= y0 < lo + side) are one contiguous slice of the cubes
-    sorted by lo, found by two searchsorted calls.
+    sorted by lo.  Its ends are the counts of upper and lower corners
+    among the events up to y0, read from one stable argsort of the lower
+    corners followed by the upper ones: a merge of two sorted runs.
     """
     c = np.ascontiguousarray(centers, dtype=np.float64)
     v = np.ascontiguousarray(slopes, dtype=np.float64)

@@ -39,18 +39,21 @@ def cross_section_side(M: int, N: int, d: int) -> float:
     return float(kappa(d)) * float(M) ** (-N)
 
 
+def leaf_grid(M: int, N: int, d: int) -> np.ndarray:
+    """(M^(N*d), d) integer axis indices of the root cubes, leaves in
+    lexicographic order.  A leaf index has N*d base-M digits, level major
+    and axis minor, so axis a's index is the number formed by the digits
+    at positions a, d + a, ...: one broadcast of arange(M^N) per axis."""
+    out = np.empty((M ** (N * d), d), dtype=np.int64)
+    for a in range(d):
+        shape = [M if pos % d == a else 1 for pos in range(N * d)]
+        out[:, a] = np.broadcast_to(np.arange(M**N).reshape(shape), (M,) * (N * d)).reshape(-1)
+    return out
+
+
 def leaf_centers(M: int, N: int, d: int) -> np.ndarray:
     """(M^(N*d), d) array of root-cube centres, leaves in lexicographic order."""
-    B = M**d
-    n = B**N
-    idx = np.arange(n, dtype=np.int64)
-    axis_idx = np.zeros((n, d), dtype=np.int64)
-    for lvl in range(N):
-        packed = idx // B ** (N - 1 - lvl) % B
-        for a in range(d):
-            dig = packed // M ** (d - 1 - a) % M
-            axis_idx[:, a] = axis_idx[:, a] * M + dig
-    return (axis_idx + 0.5) / M**N
+    return (leaf_grid(M, N, d) + 0.5) / M**N
 
 
 # ---------------------------------------------------------------------------
@@ -161,40 +164,122 @@ def pair_measure(
     return float(measure[0]) if single else measure
 
 
+def grid_offsets(
+    slope_table: np.ndarray, lo: float, hi: float, M: int, N: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every (k, l, delta) for which a tube of slope class k and a tube of
+    class l whose root cube lies delta in Z^d grid steps further can meet
+    over x1 in [lo, hi]: some x in [lo, hi] has
+    |delta_a * M^-N + x * (v_l - v_k)_a| <= side on every axis a.  Three
+    arrays, k and l (m,) and delta (m, d), ordered by k, l and then delta.
+
+    The offsets of one class pair form a thin tube around a segment.  They
+    are walked one axis at a time for all class pairs at once: the x range
+    left by the earlier axes bounds the next axis's offsets, each of which
+    meets that range and narrows it in turn, so every offset returned has
+    a common x on every axis.  An axis with v_l = v_k admits only offset
+    0.  The side is widened by a relative ``kernels._HULL_SLACK``, far
+    above float rounding, so no pair whose float overlap range in
+    ``pair_measure`` is not empty is left out."""
+    table = np.asarray(slope_table, dtype=np.float64)
+    K, d = table.shape
+    step = float(M) ** (-N)
+    k, l = np.divmod(np.arange(K * K), K)
+    b = table[l] - table[k]
+    xlo, xhi = np.full(K * K, float(lo)), np.full(K * K, float(hi))
+    scale = 1.0 + max(abs(float(lo)), abs(float(hi))) * float(np.abs(b).max())
+    reach = cross_section_side(M, N, d) + kernels._HULL_SLACK * scale  # offsets <= 1 + |x b|
+    delta = np.empty((K * K, 0), dtype=np.int64)
+    for axis in range(d):
+        ba = b[:, axis]
+        first = np.ceil((-reach - np.maximum(xlo * ba, xhi * ba)) / step)
+        last = np.floor((reach - np.minimum(xlo * ba, xhi * ba)) / step)
+        counts = np.maximum(last - first + 1.0, 0.0).astype(np.int64)
+        rows = np.repeat(np.arange(counts.size), counts)
+        offset = first[rows] + np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+        ba = ba[rows]
+        flat = ba == 0.0
+        r0 = (-reach - offset * step) / np.where(flat, 1.0, ba)
+        r1 = (reach - offset * step) / np.where(flat, 1.0, ba)
+        xlo = np.where(flat, xlo[rows], np.maximum(xlo[rows], np.minimum(r0, r1)))
+        xhi = np.where(flat, xhi[rows], np.minimum(xhi[rows], np.maximum(r0, r1)))
+        k, l, b = k[rows], l[rows], b[rows]
+        delta = np.column_stack([delta[rows], offset.astype(np.int64)])
+    return k, l, delta
+
+
+_PROBE_CELLS = 1 << 16  # (tube, offset) probes looked up at once
+
+
+def _family_pairs(
+    M: int, N: int, slope_idx: np.ndarray, slope_table: np.ndarray, lo: float, hi: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) index arrays of the pairs i < j of the depth-N grid family
+    (tube i rooted at leaf i with slope ``slope_table[slope_idx[i]]``)
+    whose tubes can meet over [lo, hi], in key order i * n + j.  Each
+    ``grid_offsets`` triple (k, l, delta) pairs every tube of class k with
+    the tube delta further along the grid, kept when that tube has class
+    l; the probes go ``_PROBE_CELLS`` at a time."""
+    d = slope_table.shape[1]
+    axes = leaf_grid(M, N, d).T.copy()  # (d, n): one row of axis indices per axis
+    n, G = axes.shape[1], M**N
+    tube_at = np.empty(n, dtype=np.int64)
+    tube_at[(axes.T * G ** np.arange(d - 1, -1, -1)).sum(axis=1)] = np.arange(n)
+    members = np.argsort(slope_idx, kind="stable")
+    sizes = np.bincount(slope_idx, minlength=slope_table.shape[0])
+    starts = np.cumsum(sizes) - sizes
+    k, l, delta = grid_offsets(slope_table, lo, hi, M, N)
+    keys = [np.empty(0, dtype=np.int64)]
+    batch = max(1, _PROBE_CELLS // max(1, int(sizes.max())))  # triples probed at once
+    for s in range(0, k.size, batch):
+        counts = sizes[k[s : s + batch]]
+        rows = np.repeat(np.arange(counts.size), counts)
+        i = members.take((starts[k[s : s + batch]] - np.cumsum(counts) + counts)[rows] + np.arange(rows.size))
+        cell, on_grid = np.zeros(rows.size, dtype=np.int64), np.ones(rows.size, dtype=bool)
+        for a in range(d):
+            g = axes[a].take(i) + delta[s : s + batch, a].take(rows)
+            on_grid &= g.view(np.uint64) < G  # a negative index wraps far above G
+            cell = cell * G + g
+        i, rows, j = i[on_grid], rows[on_grid], tube_at.take(cell[on_grid])
+        kept = (slope_idx.take(j) == l[s : s + batch].take(rows)) & (i < j)
+        keys.append(i[kept] * n + j[kept])
+    return np.divmod(np.sort(np.concatenate(keys)), n)
+
+
 def pair_sum_over_range(
-    centers: np.ndarray,
-    slopes: np.ndarray,
+    M: int,
+    N: int,
+    slope_idx: np.ndarray,
+    slope_table: np.ndarray,
     lo: float,
     hi: float,
-    side: float,
 ) -> float:
-    """Sum over ordered pairs of pairwise intersection measures.
+    """Sum over ordered pairs of pairwise intersection measures over
+    x1 in [lo, hi], for the realized depth-N family: tube i rooted at
+    leaf i's centre with slope ``slope_table[slope_idx[i]]``.
 
-    d = 1 goes through the kernels.  Higher dimensions take the candidate
-    pairs of the first axis from the same enumerator, ``_PAIR_CHUNK // d``
-    at a time so that each (pairs, d) array stays as small as a d = 1
-    chunk's, as (i < j) and measured in one ``pair_measure`` call, which
-    integrates only the pairs whose overlap range is not empty.  The
-    non-zero measures, sorted by key i * n + j and added in that order,
-    give the full i < j loop's sum bit for bit."""
-    d = centers.shape[1]
+    d = 1 goes through the kernels.  Higher dimensions measure only the
+    pairs ``_family_pairs`` finds from the grid offsets of each slope-class
+    pair, ``_PAIR_CHUNK // d`` at a time so that each (pairs, d) array
+    stays as small as a d = 1 chunk's, in ``pair_measure`` calls.  The
+    non-zero measures are added in key order i * n + j, which gives the
+    full i < j loop's sum bit for bit."""
+    table = np.asarray(slope_table, dtype=np.float64)
+    d = table.shape[1]
+    side = cross_section_side(M, N, d)
     if d == 1:
-        return kernels.pair_sum_1d(centers[:, 0], slopes[:, 0], lo, hi, side)
-    n = centers.shape[0]
-    keys, measures = [np.empty(0, np.int64)], [np.empty(0)]
-    chunk = kernels._PAIR_CHUNK // d
-    for i, j in kernels._candidate_pairs(centers[:, 0], slopes[:, 0], lo, hi, side, chunk):
-        i, j = np.minimum(i, j), np.maximum(i, j)
-        c1, v1 = centers.take(i, axis=0), slopes.take(i, axis=0)
-        c2, v2 = centers.take(j, axis=0), slopes.take(j, axis=0)
-        measure = pair_measure(c1, v1, c2, v2, lo, hi, side)
-        kept = measure > 0.0
-        keys.append(i[kept] * n + j[kept])
-        measures.append(measure[kept])
-    order = np.argsort(np.concatenate(keys))
-    total = 0.0
-    for m in np.concatenate(measures)[order].tolist():
-        total += m
+        return kernels.pair_sum_1d(leaf_centers(M, N, 1)[:, 0], table[slope_idx, 0], lo, hi, side)
+    centers = leaf_centers(M, N, d)
+    i, j = _family_pairs(M, N, slope_idx, table, lo, hi)
+    total, chunk = 0.0, kernels._PAIR_CHUNK // d
+    for s in range(0, i.size, chunk):
+        a, b = i[s : s + chunk], j[s : s + chunk]
+        measure = pair_measure(
+            centers.take(a, axis=0), table.take(slope_idx[a], axis=0),
+            centers.take(b, axis=0), table.take(slope_idx[b], axis=0), lo, hi, side,
+        )
+        for m in measure[measure > 0.0].tolist():
+            total += m
     return 2.0 * total
 
 

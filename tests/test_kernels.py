@@ -311,11 +311,26 @@ def test_union_areas_of_realized_family_match_slicing_oracle(d, N):
     _union_against_slicing_oracle(centers - side / 2, slopes, side, xs)
 
 
+@pytest.mark.parametrize("cells", [kernels._SLICE_CELLS, 100, 7])
+def test_union_areas_with_uneven_slices(monkeypatch, cells):
+    """A cluster of 300 cubes that overlap on the first axis beside 300
+    cubes spread one by one: slices of one cube next to slices of up to
+    300, measured in one sort of keys, in chunks of the cell cap, or one
+    gap at a time where a gap holds more cubes than the cap."""
+    monkeypatch.setattr(kernels, "_SLICE_CELLS", cells)
+    rng = np.random.default_rng(12)
+    side = 0.01
+    first = np.concatenate([rng.uniform(0.0, side, 300), rng.uniform(0.1, 9.0, 300)])
+    corners = np.column_stack([first, rng.uniform(0.0, 0.5, 600)])
+    slopes = np.column_stack([np.zeros(600), rng.uniform(-0.1, 0.1, 600)])
+    _union_against_slicing_oracle(corners, slopes, side, np.array([0.0, 0.5, 1.0]))
+
+
 @pytest.mark.parametrize("cells", [kernels._SLICE_CELLS, 100])
 def test_union_areas_with_every_cube_active(monkeypatch, cells):
     """All n cubes overlap on the first axis, so one slab's slice holds
-    every cube (L = n): the rows come in chunks of the cell cap, and with
-    a cap below n one row at a time."""
+    every cube (L = n): the slabs come in chunks of the cell cap, and with
+    a cap below n one slab at a time."""
     monkeypatch.setattr(kernels, "_SLICE_CELLS", cells)
     rng = np.random.default_rng(11)
     n, side = 729, 0.01

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,13 +8,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
-from kakeya import kernels
-from kakeya.cantor import affine_curve, direction_set, middle_spec, moment_curve
+from kakeya import kernels, tubes
+from kakeya.cantor import affine_curve, builtin_curve, direction_set, middle_spec, moment_curve
 from kakeya.sticky import assignment_from_dirset, sticky_admissible
 from kakeya.trees import cube_from_axis_indices, decode_cube, height, leaf_from_index, yca
 from kakeya.tubes import (
     WitnessError,
     assignment_arrays,
+    cross_section_side,
+    grid_offsets,
     intersection_necessary,
     kakeya_measures,
     kappa,
@@ -145,10 +148,11 @@ def test_pair_measure_symmetric_and_capped():
 
 
 def test_pair_sum_matches_pairwise_loop_d2():
+    """Every tube of a depth-1 grid family in its own slope class."""
     centers = leaf_centers(3, 1, 2)
     rng = np.random.default_rng(9)
     slopes = rng.uniform(-0.5, 0.5, centers.shape)
-    side = float(kappa(2)) / 3
+    side = cross_section_side(3, 1, 2)
     total = 0.0
     n = centers.shape[0]
     for i in range(n):
@@ -157,40 +161,27 @@ def test_pair_sum_matches_pairwise_loop_d2():
                 total += pair_measure(
                     centers[i], slopes[i], centers[j], slopes[j], 0.0, 1.0, side
                 )
-    got = pair_sum_over_range(centers, slopes, 0.0, 1.0, side)
+    got = pair_sum_over_range(3, 1, np.arange(9), slopes, 0.0, 1.0)
     assert got == pytest.approx(total, rel=1e-9)
 
 
 def test_pair_sum_d2_equals_pair_loop_exactly(monkeypatch):
-    """The candidate enumeration prunes pairs but adds the survivors in the
-    order of the full i < j loop, so the sum is bit-identical, also when
-    the candidates come in many chunks of _PAIR_CHUNK // d pairs."""
+    """The grid-offset candidates prune pairs but the survivors are added
+    in the order of the full i < j loop, so the sum is bit-identical, also
+    when the candidates come in many chunks of _PAIR_CHUNK // d pairs."""
     rng = np.random.default_rng(17)
-    n = 120
-    centers = rng.uniform(0.0, 1.0, (n, 2))
-    slopes = rng.uniform(-1.0, 1.0, (n, 2))
-    side, lo, hi = 0.06, 0.1, 0.3
-    total = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if intersection_necessary(
-                centers[i], slopes[i], centers[j], slopes[j], lo, hi, side
-            ):
-                total += pair_measure(
-                    centers[i], slopes[i], centers[j], slopes[j], lo, hi, side
-                )
-    candidates = sum(
-        len(i)
-        for i, _ in kernels._candidate_pairs(
-            centers[:, 0], slopes[:, 0], lo, hi, side
-        )
-    )
-    assert total > 0.0
-    assert candidates < n * (n - 1) // 4  # most pairs are pruned
-    assert pair_sum_over_range(centers, slopes, lo, hi, side) == 2.0 * total
-    monkeypatch.setattr(kernels, "_PAIR_CHUNK", 64)  # 32 pairs a chunk at d = 2
-    assert candidates > 10 * 32
-    assert pair_sum_over_range(centers, slopes, lo, hi, side) == 2.0 * total
+    M, N, n = 4, 2, 256
+    table = rng.uniform(-1.0, 1.0, (16, 2))
+    idx = rng.integers(0, 16, n)
+    lo, hi = 0.1, 0.5
+    expect = _pair_loop_oracle(leaf_centers(M, N, 2), table[idx], lo, hi, cross_section_side(M, N, 2))
+    candidates = tubes._family_pairs(M, N, idx, table, lo, hi)[0].size
+    assert expect > 0.0
+    assert candidates < n * (n - 1) // 40  # most pairs are pruned
+    assert pair_sum_over_range(M, N, idx, table, lo, hi) == expect
+    monkeypatch.setattr(kernels, "_PAIR_CHUNK", 32)  # 16 pairs a chunk at d = 2
+    assert candidates > 10 * 16
+    assert pair_sum_over_range(M, N, idx, table, lo, hi) == expect
 
 
 def _pair_loop_oracle(centers, slopes, lo, hi, side):
@@ -206,6 +197,97 @@ def _pair_loop_oracle(centers, slopes, lo, hi, side):
                     centers[i], slopes[i], centers[j], slopes[j], lo, hi, side
                 )
     return 2.0 * total
+
+
+def _pair_sum_sweep(centers, slopes, lo, hi, side):
+    """Oracle of the d >= 2 pair sum for arbitrary centres and slopes: the
+    candidate pairs of the first axis from the d = 1 sweep, measured by
+    ``pair_measure``, the non-zero measures added in key order i * n + j
+    (i < j) as the full loop adds them.  Returns the sum over ordered
+    pairs and the keys of the pairs with a non-zero measure, in order."""
+    n = centers.shape[0]
+    keys, measures = [np.empty(0, np.int64)], [np.empty(0)]
+    for i, j in kernels._candidate_pairs(centers[:, 0], slopes[:, 0], lo, hi, side):
+        i, j = np.minimum(i, j), np.maximum(i, j)
+        measure = pair_measure(centers[i], slopes[i], centers[j], slopes[j], lo, hi, side)
+        kept = measure > 0.0
+        keys.append(i[kept] * n + j[kept])
+        measures.append(measure[kept])
+    order = np.argsort(np.concatenate(keys))
+    total = 0.0
+    for m in np.concatenate(measures)[order].tolist():
+        total += m
+    return 2.0 * total, np.concatenate(keys)[order]
+
+
+@pytest.mark.parametrize(
+    "curve, d, N, R",
+    [
+        ("moment", 2, 2, 0),
+        ("moment", 2, 3, 0),
+        ("moment", 2, 3, 1),
+        ("moment", 2, 4, 2),
+        ("affine", 2, 2, 1),
+        ("affine", 2, 3, 0),
+        ("affine", 2, 4, 1),
+        ("moment", 3, 2, 0),
+        ("moment", 3, 3, 1),
+    ],
+)
+def test_grid_offset_pairs_equal_first_axis_sweep(curve, d, N, R):
+    """A sampled realized family: the grid-offset candidates are exactly
+    the pairs the first-axis sweep keeps, and the sums are ==.  R = 0 is
+    the slab nearest the root.  A class paired with itself (b = 0 on every
+    axis) admits only offset 0, its own tube, which i < j drops."""
+    dirset = direction_set(middle_spec(3, N), builtin_curve(curve, d))
+    idx = assignment_from_dirset(dirset, 5).all_slope_indices()
+    table = dirset.slope_floats()
+    lo, hi = 3.0 ** (R - N), 3.0 ** (R + 1 - N)
+    centers, side = leaf_centers(3, N, d), cross_section_side(3, N, d)
+    k, l, delta = grid_offsets(table, lo, hi, 3, N)
+    assert sorted(k[k == l].tolist()) == list(range(dirset.n))
+    assert not delta[k == l].any()
+    i, j = tubes._family_pairs(3, N, idx, table, lo, hi)
+    expect, keys = _pair_sum_sweep(centers, table[idx], lo, hi, side)
+    assert np.array_equal(i * centers.shape[0] + j, keys)
+    assert pair_sum_over_range(3, N, idx, table, lo, hi) == expect
+
+
+def _quarter_rows(d):
+    """One to four slope rows of d components on a 1/4 grid."""
+    component = st.integers(-4, 4).map(lambda k: k / 4)
+    return st.lists(st.lists(component, min_size=d, max_size=d), min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.sampled_from([(2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3), (3, 1, 3)]),
+    data=st.data(),
+    lo=st.integers(-4, 4).map(lambda k: k / 4),
+    span=st.integers(0, 4).map(lambda k: k / 4),
+)
+def test_grid_family_pair_sum_equals_scalar_pair_loop(shape, data, lo, span):
+    """Slope tables on a 1/4 grid, so that classes sharing a slope
+    component (b = 0 on an axis) and offsets of exactly one side are
+    common: the grid-offset sum is == to the scalar i < j loop's, and the
+    offsets of every class pair hold every offset a brute-force scan of a
+    box finds."""
+    M, N, d = shape
+    table, n = np.array(data.draw(_quarter_rows(d))), M ** (N * d)
+    idx = np.array(data.draw(st.lists(st.integers(0, len(table) - 1), min_size=n, max_size=n)))
+    hi, side, step = lo + span, cross_section_side(M, N, d), float(M) ** -N
+    expect = _pair_loop_oracle(leaf_centers(M, N, d), table[idx], lo, hi, side)
+    assert pair_sum_over_range(M, N, idx, table, lo, hi) == expect
+    k, l, delta = grid_offsets(table, lo, hi, M, N)
+    got = set(zip(k.tolist(), l.tolist(), map(tuple, delta.tolist())))
+    reach = math.ceil((side + max(abs(lo), abs(hi)) * np.ptp(table, axis=0).max()) / step)
+    box = range(-reach - 1, reach + 2)
+    for a, b in itertools.product(range(len(table)), repeat=2):
+        for offset in itertools.product(box, repeat=d):
+            meets = intersection_necessary(
+                [0.0] * d, table[a], [o * step for o in offset], table[b], lo, hi, side
+            )
+            assert not meets or (a, b, offset) in got
 
 
 def _grid_tubes(d, n):
@@ -241,14 +323,15 @@ def _grid_tubes(d, n):
     side=st.sampled_from([0.125, 0.25, 0.3]),
 )
 def test_pair_sum_equals_scalar_pair_loop(family, lo, span, side):
-    """d = 2 and 3: the array prefilter keeps exactly the pairs the scalar
-    test keeps, by the same float operations, and the survivors are added
-    in the loop's order, so the sums are ==."""
+    """d = 2 and 3, arbitrary centres: the first-axis sweep oracle, whose
+    array prefilter in ``pair_measure`` keeps exactly the pairs the scalar
+    test keeps, by the same float operations, and adds the survivors in
+    the loop's order, so the sums are ==."""
     centers = np.array([t[0] for t in family], dtype=np.float64)
     slopes = np.array([t[1] for t in family], dtype=np.float64)
     hi = lo + span
     expect = _pair_loop_oracle(centers, slopes, lo, hi, side)
-    assert pair_sum_over_range(centers, slopes, lo, hi, side) == expect
+    assert _pair_sum_sweep(centers, slopes, lo, hi, side)[0] == expect
 
 
 @settings(max_examples=60, deadline=None)
