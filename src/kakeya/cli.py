@@ -391,7 +391,7 @@ def _tree_from_args(args, cfg: ExperimentConfig) -> FiniteTree:
     poss = poss_set(args.point, build_dirset(cfg, cfg.N))
     if len(poss) == 0:
         raise SystemExit("point is reachable from no root cube")
-    return FiniteTree.from_leaves(poss.roots())
+    return poss.tree
 
 
 def cmd_percolate(args) -> int:

@@ -6,10 +6,11 @@ edge field.  The battery sits between the root and all maximal-ray
 endpoints; the edge into a vertex at height h carries resistance
 (1 - 1/2) / 2^(-h) = 2^(h-1): its chance of being cut over the chance that
 the ray up to it survives (Lyons, Random walks and percolation on trees,
-Ann. Probab. 1990).  Survival and resistance are exact: both walk the
-sorted leaves in integers, branching where a group's first and last leaf
-part, and turn into one ``Fraction`` at the root.  The Monte Carlo
-estimator is a cross-check, not the source of truth.
+Ann. Probab. 1990).  Survival and resistance are exact: one stack walk
+over the heights of the tree's sorted leaves and the LCPs of neighbours
+(``FiniteTree.reduce``) reduces either in integers, and one ``Fraction``
+is built at the root.  The Monte Carlo estimator is a cross-check, not
+the source of truth.
 """
 
 from __future__ import annotations
@@ -19,39 +20,22 @@ from fractions import Fraction
 
 import numpy as np
 
-from .trees import FiniteTree, Vertex, ray_addresses, ray_positions
+from .trees import FiniteTree
 
 _MC_CELLS = 1 << 20  # random edge bits drawn per Monte Carlo batch, at most
 
 
-def _sub_resistance(leaves: tuple[Vertex, ...], lo: int, hi: int, depth: int) -> tuple[int, int]:
-    """Resistance (p, q), meaning p/q, from the vertex at ``depth`` that the
-    sorted, prefix-free leaves[lo:hi] share down to those leaves.
-
-    One leaf at height b is a chain whose edges into heights depth+1..b
-    sum to 2^b - 2^depth.  Several leaves first share a chain down to
-    their branching vertex, the longest common prefix c of the first and
-    last leaf, and then split into one branch per digit at c, combined in
-    parallel: the conductances q/p add by cross-multiplication and the
-    gcd divides out, so the pair stays in lowest terms."""
-    first = leaves[lo]
-    if hi - lo == 1:
-        return (1 << len(first)) - (1 << depth), 1
-    last = leaves[hi - 1]
-    c = depth
-    while first[c] == last[c]:
-        c += 1
-    num, den = 0, 1  # conductance num/den of the branches so far
-    start, digit = lo, first[c]
-    for k in range(lo + 1, hi + 1):  # a branch ends where the digit at c changes
-        if k == hi or leaves[k][c] != digit:
-            p, q = _sub_resistance(leaves, start, k, c)
-            num, den = num * p + q * den, den * p
-            if k < hi:
-                start, digit = k, leaves[k][c]
+def _parallel(c: int, branches) -> tuple[int, int]:
+    """Resistance (p, q), meaning p/q in lowest terms, of a vertex at
+    height c: its branches in parallel, each a chain from c to height h,
+    2^c + ... + 2^(h-1) = 2^h - 2^c, in series with p/q below it.  Their
+    conductances num/den add by cross-multiplication."""
+    num, den, top = 0, 1, 1 << c
+    for h, (p, q) in branches:
+        p += ((1 << h) - top) * q
+        num, den = num * p + q * den, den * p
     g = math.gcd(num, den)
-    p, q = den // g, num // g
-    return p + q * ((1 << c) - (1 << depth)), q
+    return den // g, num // g
 
 
 def resistance(tree: FiniteTree) -> Fraction:
@@ -59,14 +43,14 @@ def resistance(tree: FiniteTree) -> Fraction:
 
     The edge into a vertex at height h carries 2^(h-1); a subtree's
     resistance is the parallel combination over its branches of each
-    branch's series chain plus the subtree below it.  Computed from the
-    sorted leaves in integers (``_sub_resistance``), with one ``Fraction``
-    built at the root.
+    branch's series chain plus the subtree below it.  Computed in one
+    ``FiniteTree.reduce`` walk as integer pairs (p, q), a leaf (0, 1),
+    with one ``Fraction`` built at the root.
     """
-    if tree.height < 1:
+    if tree.depths[0] < 1:  # the root is a sorted leaf only as the tree's one leaf
         raise ValueError("tree must have height >= 1")
-    leaves = tree.sorted_leaves
-    return Fraction(*_sub_resistance(leaves, 0, len(leaves), 0))
+    h, (p, q) = tree.reduce((0, 1), _parallel)
+    return Fraction(p + ((1 << h) - 1) * q, q)
 
 
 def shorted_resistance(tree: FiniteTree) -> Fraction:
@@ -76,51 +60,24 @@ def shorted_resistance(tree: FiniteTree) -> Fraction:
     return sum((Fraction(2 ** (k - 1), counts[k]) for k in range(1, tree.height + 1)), Fraction(0))
 
 
-def _sub_survival(leaves: tuple[Vertex, ...], lo: int, hi: int, depth: int) -> tuple[int, int]:
-    """Survival (a, e), meaning a/2^e, from the vertex at ``depth`` down to
-    the sorted, prefix-free leaves[lo:hi], grouped as ``_sub_resistance``
-    groups them.  A chain of b edges survives with 1/2^b; the branches at
-    c all die with the product of their 1 - a/2^f."""
-    first = leaves[lo]
-    if hi - lo == 1:
-        return 1, len(first) - depth
-    last = leaves[hi - 1]
-    c = depth
-    while first[c] == last[c]:
-        c += 1
-    miss, e = 1, 0  # the branches so far all die with probability miss/2^e
-    start, digit = lo, first[c]
-    for k in range(lo + 1, hi + 1):
-        if k == hi or leaves[k][c] != digit:
-            a, f = _sub_survival(leaves, start, k, c)
-            miss, e = miss * ((1 << f) - a), e + f
-            if k < hi:
-                start, digit = k, leaves[k][c]
-    return (1 << e) - miss, e + c - depth
+def _any_survives(c: int, branches) -> tuple[int, int]:
+    """Survival (a, e), meaning a/2^e, of a vertex at height c: 1 less the
+    chance that every branch dies, a branch surviving when its chain of
+    h - c edges does, with 1/2^(h - c), and then the vertex below, a/2^f."""
+    miss, e = 1, 0
+    for h, (a, f) in branches:
+        f += h - c
+        miss, e = miss * ((1 << f) - a), e + f
+    return (1 << e) - miss, e
 
 
 def survival_exact(tree: FiniteTree) -> Fraction:
     """Probability that some maximal ray is fully retained: Pr(w) = 1 -
     prod over children c of (1 - Pr(c)/2), a childless vertex surviving
-    with probability 1, taken in dyadic integers from the sorted leaves."""
-    leaves = tree.sorted_leaves
-    a, e = _sub_survival(leaves, 0, len(leaves), 0)
-    return Fraction(a, 1 << e)
-
-
-def survival_enumerate(tree: FiniteTree) -> Fraction:
-    """Brute-force survival: the share of all 2^E edge labellings in which
-    some leaf's ray is all ones.
-
-    Independent oracle for the recursion; edge count is capped at 20.
-    """
-    leaves = tree.sorted_leaves
-    all_ones = np.array([(1 << len(t)) - 1 for t in leaves], dtype=np.uint64)
-    hits = total = 0
-    for rows in ray_addresses(leaves, budget=20):
-        hits += int((rows == all_ones).any(axis=1).sum())
-        total += rows.shape[0]
-    return Fraction(hits, total)
+    with probability 1, taken as dyadic integers a/2^e, a leaf (1, 0), in
+    the ``FiniteTree.reduce`` walk of ``resistance``."""
+    h, (a, e) = tree.reduce((1, 0), _any_survives)
+    return Fraction(a, 1 << (e + h))
 
 
 def survival_mc(tree: FiniteTree, seed: int, samples: int) -> tuple[float, float]:
@@ -128,7 +85,7 @@ def survival_mc(tree: FiniteTree, seed: int, samples: int) -> tuple[float, float
     confidence half-width."""
     if samples < 1:
         raise ValueError("need at least one sample")
-    n_edges, rays = ray_positions(tree.sorted_leaves)
+    n_edges, rays = tree.ray_positions()
     leaf_edges = [np.array(ray, dtype=np.intp) for ray in rays]
     rng = np.random.default_rng(seed)
     hits = 0

@@ -1,13 +1,17 @@
 """Rooted labelled trees over digit sequences.
 
-Vertices are plain tuples of digits; the empty tuple is the root.  The
-same representation encodes M-adic intervals of [0,1), M-adic cubes of
-[0,1)^d (one packed digit per level, lexicographic within a level), the
-kept intervals of a Cantor construction, and binary addresses.
+A vertex is a tuple of digits; the empty tuple is the root.  The same
+representation encodes M-adic intervals of [0,1), M-adic cubes of [0,1)^d
+(one packed digit per level, lexicographic within a level), the kept
+intervals of a Cantor construction, and binary addresses.  A finite tree
+is held as the heights of its sorted leaves and the longest common prefix
+(LCP) of each consecutive pair, which one stack walk reduces; Poss trees
+hold their leaves as sorted base-M^d integers, whose order is the tuples'.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -27,17 +31,22 @@ def is_ancestor(u: Vertex, v: Vertex) -> bool:
     return len(u) <= len(v) and v[: len(u)] == u
 
 
+def common_prefix(u: Vertex, v: Vertex) -> int:
+    """Length of the longest common prefix of u and v."""
+    n = min(len(u), len(v))
+    k = 0
+    while k < n and u[k] == v[k]:
+        k += 1
+    return k
+
+
 def yca(u: Vertex, v: Vertex) -> Vertex:
     """Youngest common ancestor: the longest common prefix.
 
     Total on all pairs: for an ancestor/descendant pair this returns the
     ancestor, and yca(v, v) = v.
     """
-    n = min(len(u), len(v))
-    k = 0
-    while k < n and u[k] == v[k]:
-        k += 1
-    return u[:k]
+    return u[: common_prefix(u, v)]
 
 
 def ray_edges(v: Vertex) -> list[Vertex]:
@@ -139,23 +148,26 @@ def address_bits(index: int, N: int) -> Vertex:
 
 
 class FiniteTree:
-    """A finite rooted tree, held as its sorted leaves, none a prefix of
-    another; the root alone is the one leaf of the one-vertex tree.  The
-    vertex set and height are built on first use."""
+    """A finite rooted tree, held as the heights of its sorted leaves,
+    ``depths``, and the LCP of each consecutive pair, ``lcps``.  No leaf is
+    a prefix of another; the root alone is the one leaf of the one-vertex
+    tree.  A tree of depth-N leaves may hold them as sorted ``indices`` in
+    ``base``; the leaves as tuples and the vertex set are built on first use."""
 
-    def __init__(self, sorted_leaves: tuple[Vertex, ...]):
-        self.sorted_leaves = sorted_leaves
+    def __init__(self, depths: list[int], lcps: list[int], indices: np.ndarray | None = None, base: int = 0):
+        self.depths, self.lcps, self.indices, self.base = depths, lcps, indices, base
 
     @classmethod
     def from_leaves(cls, leaves: Iterable[Vertex]) -> "FiniteTree":
         """The tree spanned by the rays to ``leaves``: duplicates, and
         leaves that are inner vertices of another's ray, are dropped."""
         ordered = sorted({ROOT, *leaves})
-        # in sorted order a vertex is inner exactly when the next one extends it;
-        # the tuple is built from a list, which keeps it in CPython's tuple freelist
-        kept = [v for v, w in zip(ordered, ordered[1:]) if w[: len(v)] != v]
+        # in sorted order a vertex is inner exactly when the next one extends it
+        kept = [v for v, w in zip(ordered, ordered[1:]) if common_prefix(v, w) < len(v)]
         kept.append(ordered[-1])
-        return cls(tuple(kept))
+        tree = cls([len(v) for v in kept], [common_prefix(v, w) for v, w in zip(kept, kept[1:])])
+        tree.sorted_leaves = tuple(kept)
+        return tree
 
     @classmethod
     def full(cls, base: int, depth: int) -> "FiniteTree":
@@ -163,15 +175,60 @@ class FiniteTree:
         return cls.from_leaves(leaves)
 
     @cached_property
+    def sorted_leaves(self) -> tuple[Vertex, ...]:
+        return tuple(leaf_from_index(i, self.base, self.depths[0]) for i in self.indices.tolist())
+
+    @cached_property
     def vertices(self) -> set[Vertex]:
         return {leaf[:k] for leaf in self.sorted_leaves for k in range(len(leaf) + 1)}
 
     @cached_property
     def height(self) -> int:
-        return max(map(len, self.sorted_leaves))
+        return max(self.depths)
 
     def level_counts(self) -> list[int]:
-        counts = [0] * (self.height + 1)
-        for v in self.vertices:
-            counts[len(v)] += 1
-        return counts
+        """Vertices per height: leaf i adds one at each height past its LCP
+        with leaf i - 1 down to its own, the first leaf one at every height."""
+        steps = [0] * (self.height + 2)
+        for lcp, depth in zip([-1, *self.lcps], self.depths):
+            steps[lcp + 1] += 1
+            steps[depth + 1] -= 1
+        return list(itertools.accumulate(steps[:-1]))
+
+    def ray_positions(self) -> tuple[int, list[list[int]]]:
+        """``ray_positions`` of the sorted leaves: leaf i shares the first
+        LCP edges of leaf i - 1's ray and numbers the rest of its own next,
+        as each edge first appears on the first ray through it."""
+        rays, ray, n_edges = [], [], 0
+        for lcp, depth in zip([0, *self.lcps], self.depths):
+            ray = ray[:lcp] + list(range(n_edges, n_edges + depth - lcp))
+            n_edges += depth - lcp
+            rays.append(ray)
+        return n_edges, rays
+
+    def reduce(self, leaf, close):
+        """Fold the tree bottom-up in one stack walk of the sorted leaves.
+
+        A leaf has the value ``leaf``; a branching vertex at height c has
+        ``close(c, branches)``, each branch a pair (h, value): a chain of
+        single children from c down to a vertex at height h of that value.
+        Leaf i leaves leaf i - 1's ray at their LCP, so every open vertex
+        deeper than that is complete.  Returns (h, value) of the first leaf
+        or branching vertex on the root's chain of single children."""
+        stack, c, branches = [], -1, []  # c: the deepest open branching vertex
+        h, value = self.depths[0], leaf
+        for lcp, depth in zip(self.lcps, self.depths[1:]):
+            while c > lcp:
+                branches.append((h, value))
+                h, value = c, close(c, branches)
+                c, branches = stack.pop()
+            if c < lcp:
+                stack.append((c, branches))
+                c, branches = lcp, []
+            branches.append((h, value))
+            h, value = depth, leaf
+        while c >= 0:
+            branches.append((h, value))
+            h, value = c, close(c, branches)
+            c, branches = stack.pop()
+        return h, value

@@ -21,9 +21,10 @@ import numpy as np
 from . import kernels
 from .cantor import DirectionSet
 from .sticky import SlopeAssignment
-from .trees import Vertex, address_bits, cube_from_axis_indices
+from .trees import FiniteTree, Vertex, address_bits
 
 
+@lru_cache(maxsize=None)
 def kappa(d: int) -> Fraction:
     """Cross-section shrink factor.
 
@@ -211,26 +212,44 @@ def grid_offsets(
 _PROBE_CELLS = 1 << 16  # (tube, offset) probes looked up at once
 
 
+@lru_cache(maxsize=8)
+def _family_probes(M: int, N: int, table: bytes, K: int, d: int, lo: float, hi: float):
+    """What ``_family_pairs`` probes for a (K, d) slope table, passed as
+    bytes, and a slab, whatever the field: the root cubes' axis indices
+    (d, n); the tube at each grid cell, axis 0 most significant; each
+    distinct (k, delta) of ``grid_offsets`` whose first non-zero axis is
+    positive; and the classes l each admits, a (groups, K) mask.  The
+    offsets are symmetric, (k, l, delta) with (l, k, -delta), and offset 0
+    meets the tube itself, so every pair of tubes is probed from one side."""
+    axes = leaf_grid(M, N, d).T.copy()
+    tube_at = np.empty(axes.shape[1], dtype=np.int64)
+    tube_at[(axes.T * (M**N) ** np.arange(d - 1, -1, -1)).sum(axis=1)] = np.arange(axes.shape[1])
+    k, l, delta = grid_offsets(np.frombuffer(table).reshape(K, d), lo, hi, M, N)
+    up = np.sign(delta) @ (1 << np.arange(d - 1, -1, -1)) > 0  # the first non-zero axis rules
+    groups, at = np.unique(np.column_stack([k, delta])[up], axis=0, return_inverse=True)
+    admits = np.zeros((groups.shape[0], K), dtype=bool)
+    admits[at.reshape(-1), l[up]] = True
+    return axes, tube_at, groups[:, 0], groups[:, 1:], admits.reshape(-1)
+
+
 def _family_pairs(
     M: int, N: int, slope_idx: np.ndarray, slope_table: np.ndarray, lo: float, hi: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """(i, j) index arrays of the pairs i < j of the depth-N grid family
     (tube i rooted at leaf i with slope ``slope_table[slope_idx[i]]``)
     whose tubes can meet over [lo, hi], in key order i * n + j.  Each
-    ``grid_offsets`` triple (k, l, delta) pairs every tube of class k with
-    the tube delta further along the grid, kept when that tube has class
-    l; the probes go ``_PROBE_CELLS`` at a time."""
-    d = slope_table.shape[1]
-    axes = leaf_grid(M, N, d).T.copy()  # (d, n): one row of axis indices per axis
-    n, G = axes.shape[1], M**N
-    tube_at = np.empty(n, dtype=np.int64)
-    tube_at[(axes.T * G ** np.arange(d - 1, -1, -1)).sum(axis=1)] = np.arange(n)
+    ``_family_probes`` group (k, delta) probes every tube of class k for
+    the tube delta further along the grid, kept when that tube's class is
+    one the group admits; the probes go ``_PROBE_CELLS`` at a time."""
+    K, d = slope_table.shape
+    table = np.asarray(slope_table, np.float64).tobytes()
+    axes, tube_at, k, delta, admits = _family_probes(M, N, table, K, d, lo, hi)
+    n, G, class_at = axes.shape[1], M**N, slope_idx.take(tube_at)
     members = np.argsort(slope_idx, kind="stable")
-    sizes = np.bincount(slope_idx, minlength=slope_table.shape[0])
+    sizes = np.bincount(slope_idx, minlength=K)
     starts = np.cumsum(sizes) - sizes
-    k, l, delta = grid_offsets(slope_table, lo, hi, M, N)
     keys = [np.empty(0, dtype=np.int64)]
-    batch = max(1, _PROBE_CELLS // max(1, int(sizes.max())))  # triples probed at once
+    batch = max(1, _PROBE_CELLS // max(1, int(sizes.max())))  # groups probed at once
     for s in range(0, k.size, batch):
         counts = sizes[k[s : s + batch]]
         rows = np.repeat(np.arange(counts.size), counts)
@@ -240,9 +259,10 @@ def _family_pairs(
             g = axes[a].take(i) + delta[s : s + batch, a].take(rows)
             on_grid &= g.view(np.uint64) < G  # a negative index wraps far above G
             cell = cell * G + g
-        i, rows, j = i[on_grid], rows[on_grid], tube_at.take(cell[on_grid])
-        kept = (slope_idx.take(j) == l[s : s + batch].take(rows)) & (i < j)
-        keys.append(i[kept] * n + j[kept])
+        cell = cell[on_grid]
+        kept = admits.take((rows[on_grid] + s) * K + class_at.take(cell))
+        i, j = i[on_grid][kept], tube_at.take(cell[kept])
+        keys.append(np.minimum(i, j) * n + np.maximum(i, j))
     return np.divmod(np.sort(np.concatenate(keys)), n)
 
 
@@ -378,16 +398,28 @@ def slab_volumes(
 
 @dataclass
 class PossSet:
-    """Root cubes from which some direction's tube can reach the point."""
+    """Root cubes from which some direction's tube can reach the point.
+
+    ``tree`` holds the roots as sorted leaf indices, ``tree.indices`` in
+    base M^d at depth N, with their branching structure; it has no leaf
+    when the set is empty.  Root i has the witness directions
+    ``directions[starts[i]:starts[i + 1]]``, in increasing order; the sets
+    of one ``poss_sets`` batch share one ``directions`` array."""
 
     point: tuple[float, ...]
-    witnesses: dict[Vertex, list[int]]  # root leaf -> direction indices
+    tree: FiniteTree
+    starts: list[int]
+    directions: np.ndarray
 
-    def roots(self) -> list[Vertex]:
-        return sorted(self.witnesses)
+    @property
+    def witnesses(self) -> dict[Vertex, list[int]]:
+        """Root leaf -> its witness directions, the roots as digit tuples in
+        sorted order."""
+        dirs, bounds = self.directions.tolist(), self.starts
+        return {t: dirs[a:b] for t, a, b in zip(self.tree.sorted_leaves, bounds, bounds[1:])}
 
     def __len__(self) -> int:
-        return len(self.witnesses)
+        return len(self.tree.depths)
 
 
 def _pullbacks(points, dirset: DirectionSet) -> np.ndarray:
@@ -403,9 +435,8 @@ def poss_sets(points, dirset: DirectionSet) -> list[PossSet]:
     """Poss(p) of each row p of a (points, 1 + d) array, in one pass:
     pull the points back along every direction to the root hyperplane and
     keep the root cubes whose shrunk cube contains the pullback; M, N and
-    d are the direction set's.  Each witness list holds its directions in
-    increasing order, and the roots enter in the order of their first
-    witness.
+    d are the direction set's.  The roots' leaf indices are sorted, and
+    their LCPs taken, for the whole batch at once.
 
     A pullback's cube comes from the integer grid, floor(base * M^N), and
     its centre is (index + 1/2) / M^N, dividing by the exact integer M^N.
@@ -420,53 +451,31 @@ def poss_sets(points, dirset: DirectionSet) -> list[PossSet]:
     center = (idx + 0.5) / M**N
     keep = np.all((base >= 0.0) & (base < 1.0) & (np.abs(base - center) <= half), axis=2)
     which, dirs = np.nonzero(keep)  # by point, then by direction
-    # level digits idx // M^(N-1-lvl) % M per axis, packed as index_from_leaf packs them
+    # each kept cube's N level digits, the axes' digits of a level packed as
+    # index_from_leaf packs them, and its leaf index, the digits in base M^d
     levels = M ** np.arange(N - 1, -1, -1)[:, None]
-    cells = idx[which, dirs].astype(np.int64)[:, None, :] // levels % M
-    packed = (cells * M ** np.arange(d - 1, -1, -1)).sum(axis=2)
-    witnesses: list[dict[Vertex, list[int]]] = [{} for _ in range(keep.shape[0])]
-    for i, k, t in zip(which.tolist(), dirs.tolist(), map(tuple, packed.tolist())):
-        witnesses[i].setdefault(t, []).append(k)
-    return [PossSet(point=tuple(p), witnesses=w) for p, w in zip(pts.tolist(), witnesses)]
+    digits = (idx[which, dirs].astype(np.int64)[:, None, :] // levels % M) @ M ** np.arange(d - 1, -1, -1)
+    leaves = digits @ (M**d) ** np.arange(N - 1, -1, -1)
+    order = np.lexsort((leaves, which))  # stable: each root's directions stay increasing
+    which, digits, dirs = which[order], digits[order], dirs[order]
+    lcps = np.logical_and.accumulate(digits[1:] == digits[:-1], axis=1).sum(axis=1)
+    first = np.ones(which.size, dtype=bool)  # a root starts where fewer than N digits
+    first[1:] = (lcps < N) | (which[1:] != which[:-1])  # are shared or the point changes
+    first = np.flatnonzero(first)
+    roots, lcps = leaves[order[first]], lcps[first[1:] - 1].tolist()  # lcps across two points go unread
+    bounds = np.searchsorted(which[first], np.arange(pts.shape[0] + 1)).tolist()
+    starts, empty = [*first.tolist(), which.size], FiniteTree([], [], roots[:0], M**d)
+    out = []
+    for p, lo, hi in zip(pts.tolist(), bounds, bounds[1:]):
+        tree = FiniteTree([N] * (hi - lo), lcps[lo : hi - 1], roots[lo:hi], M**d) if hi > lo else empty
+        out.append(PossSet(tuple(p), tree, starts[lo : hi + 1], dirs))
+    return out
 
 
 def poss_set(p: Sequence[float], dirset: DirectionSet) -> PossSet:
     """Poss(p): the root cubes from which some direction's tube can reach
     the point, as ``poss_sets`` finds them for a batch of one."""
     return poss_sets([p], dirset)[0]
-
-
-_AFFINE_CELLS = 1 << 16  # cube-direction pairs compared at once
-
-
-def poss_set_affine(p: Sequence[float], dirset: DirectionSet) -> PossSet:
-    """Same set computed through the affine copy of the direction set:
-    enumerate candidate cubes around the pulled-back copy, in lexicographic
-    order of their axis indices, and keep those whose shrunk cube meets it.
-    Centres are those of ``poss_sets``; each chunk of cubes is compared with
-    every direction at once."""
-    M, N, d = dirset.spec.M, dirset.spec.N, dirset.d
-    half = cross_section_side(M, N, d) / 2.0
-    copy_pts = _pullbacks([p], dirset)[0]  # the affine image of the directions
-    witnesses: dict[Vertex, list[int]] = {}
-    lo_idx = np.floor((copy_pts.min(axis=0) - half) * M**N).astype(int)
-    hi_idx = np.floor((copy_pts.max(axis=0) + half) * M**N).astype(int)
-    lo_idx = np.maximum(lo_idx, 0)
-    hi_idx = np.minimum(hi_idx, M**N - 1)
-    if np.any(lo_idx > hi_idx):
-        return PossSet(point=tuple(float(x) for x in p), witnesses={})
-    shape = tuple((hi_idx - lo_idx + 1).tolist())
-    total = math.prod(shape)
-    step = max(1, _AFFINE_CELLS // copy_pts.shape[0])
-    for s in range(0, total, step):
-        flat = np.arange(s, min(s + step, total))
-        cubes = np.stack(np.unravel_index(flat, shape), axis=1) + lo_idx
-        center = (cubes + 0.5) / M**N
-        inside = np.all(np.abs(copy_pts[None, :, :] - center[:, None, :]) <= half, axis=2)
-        for row in np.flatnonzero(inside.any(axis=1)).tolist():
-            t = cube_from_axis_indices(cubes[row].tolist(), N, M)
-            witnesses[t] = np.flatnonzero(inside[row]).tolist()
-    return PossSet(point=tuple(float(x) for x in p), witnesses=witnesses)
 
 
 class WitnessError(RuntimeError):

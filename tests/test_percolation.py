@@ -11,13 +11,18 @@ from kakeya.percolation import (
     lyons_bounds,
     resistance,
     shorted_resistance,
-    survival_enumerate,
     survival_exact,
     survival_mc,
 )
-from kakeya.trees import FiniteTree
+from kakeya.trees import FiniteTree, ray_positions
 from kakeya.tubes import poss_set
 from far_points import aimed_point
+from oracles import (
+    level_counts_by_vertices,
+    resistance_by_groups,
+    survival_by_groups,
+    survival_enumerate,
+)
 from random_trees import random_leaf_subtree
 
 F = Fraction
@@ -129,14 +134,14 @@ def test_resistance_equals_kirchhoff_solve():
     ds = direction_set(middle_spec(3, 9), affine_curve(1))
     sizes = []
     for _ in range(40):
-        roots = poss_set(aimed_point(rng, ds), ds).roots()
-        sizes.append(len(roots))
-        trees.append(FiniteTree.from_leaves(roots))
+        poss = poss_set(aimed_point(rng, ds), ds)
+        sizes.append(len(poss))
+        trees.append(poss.tree)
     assert min(sizes) >= 1 and sum(s >= 10 for s in sizes) >= 10
     cfg = ExperimentConfig(M=3, N=9, d=1, seed=3)
-    drawn = [p.roots() for _, p in itertools.islice(_strip_draws(cfg, 9, 1), 200) if len(p)]
+    drawn = [p.tree for _, p in itertools.islice(_strip_draws(cfg, 9, 1), 200) if len(p)]
     assert len(drawn) >= 40
-    trees += [FiniteTree.from_leaves(roots) for roots in drawn]
+    trees += drawn
     for tree in trees:
         r = resistance(tree)
         assert type(r) is Fraction and r == _kirchhoff_resistance(tree)
@@ -175,9 +180,9 @@ def test_survival_equals_child_map_recursion():
     for d, curve, N, points in sets:
         ds = direction_set(middle_spec(3, N), curve)
         for _ in range(points):
-            roots = poss_set(aimed_point(rng, ds), ds).roots()
-            big += len(roots) >= 100
-            trees.append(FiniteTree.from_leaves(roots))
+            poss = poss_set(aimed_point(rng, ds), ds)
+            big += len(poss) >= 100
+            trees.append(poss.tree)
     assert big >= 10
     for base, keep in ((2, 0.5), (3, 0.5), (9, 0.2)):
         for depth in range(1, 7):
@@ -191,6 +196,54 @@ def test_survival_equals_child_map_recursion():
     for tree in trees:
         s = survival_exact(tree)
         assert type(s) is Fraction and s == _survival_by_children(tree)
+
+
+def _walk_cases():
+    """Trees of every shape the walk meets: the root alone, single rays,
+    full trees, random subtrees and mixed-depth leaf sets, and Poss trees
+    at d=1 N=2..9 and d=2 moment N=2..4, strip-drawn as the experiments
+    draw them and aimed, each built both from its int leaves and from its
+    leaf tuples."""
+    rng = np.random.default_rng(31)
+    trees = [FiniteTree.from_leaves([]), FiniteTree.from_leaves([(1, 2, 0)])]
+    trees += [FiniteTree.from_leaves([(0,) * k]) for k in range(1, 7)]
+    trees += [FiniteTree.full(b, h) for b, h in ((2, 1), (2, 5), (3, 3), (9, 2))]
+    for base, keep in ((2, 0.5), (3, 0.5), (9, 0.2)):
+        trees += [random_leaf_subtree(rng, base, depth, keep) for depth in range(1, 6)]
+    for _ in range(30):
+        sizes = rng.integers(0, 7, size=rng.integers(1, 10))
+        trees.append(FiniteTree.from_leaves([tuple(rng.integers(0, 3, size=s).tolist()) for s in sizes]))
+    poss = []
+    for d, curve, ns in ((1, "affine", range(2, 10)), (2, "moment", range(2, 5))):
+        for N in ns:
+            cfg = ExperimentConfig(M=3, N=N, d=d, curve=curve, seed=5)
+            ds = direction_set(middle_spec(3, N), affine_curve(1) if d == 1 else moment_curve(2))
+            drawn = [p for _, p in itertools.islice(_strip_draws(cfg, N, 2), 300) if len(p)][:15]
+            poss += drawn + [poss_set(aimed_point(rng, ds), ds) for _ in range(15)]
+    for p in poss:
+        tuples = FiniteTree.from_leaves(p.tree.sorted_leaves)
+        assert (p.tree.depths, p.tree.lcps) == (tuples.depths, tuples.lcps)
+        trees += [p.tree, tuples]
+    assert sum(len(p) >= 20 for p in poss) >= 20
+    return trees
+
+
+def test_walk_equals_leaf_grouping_recursions():
+    """Resistance, survival, level counts, the shorted resistance and the
+    ray positions read from (depths, LCPs) equal the recursions over the
+    sorted leaf tuples that they replace, the vertex-set level counts and
+    the sorted-edge ray positions, on every tree of ``_walk_cases``."""
+    for tree in _walk_cases():
+        if tree.height:
+            assert resistance(tree) == resistance_by_groups(tree)
+        else:
+            with pytest.raises(ValueError, match="height >= 1"):
+                resistance(tree)
+        assert survival_exact(tree) == survival_by_groups(tree)
+        counts = level_counts_by_vertices(tree)
+        assert tree.level_counts() == counts
+        assert shorted_resistance(tree) == sum((F(2 ** (k - 1), counts[k]) for k in range(1, len(counts))), F(0))
+        assert tree.ray_positions() == ray_positions(tree.sorted_leaves)
 
 
 def test_survival_mc_on_root_only_tree():

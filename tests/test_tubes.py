@@ -24,12 +24,12 @@ from kakeya.tubes import (
     pair_measure,
     pair_sum_over_range,
     poss_set,
-    poss_set_affine,
     poss_sets,
     union_volume,
     unique_far_slope,
 )
 from far_points import aimed_point
+from oracles import poss_set_affine
 
 F = Fraction
 
@@ -458,7 +458,7 @@ def test_poss_degenerate_at_root_hyperplane(ds_affine_n5):
     corner, side = decode_cube(t, 3, 1)
     c = float(corner[0] + side / 2)
     poss = poss_set((0.0, c), ds_affine_n5)
-    assert poss.roots() == [t]
+    assert poss.tree.sorted_leaves == (t,)
     assert len(poss.witnesses[t]) == ds_affine_n5.n
 
 
@@ -478,8 +478,12 @@ def _dual_sizes(ds, points) -> list[int]:
     scan and the affine-copy enumeration find the same witnesses."""
     sizes = []
     for p in points:
-        a = poss_set(p, ds)
-        assert a.witnesses == poss_set_affine(p, ds).witnesses
+        a, want = poss_set(p, ds), poss_set_affine(p, ds).witnesses
+        # the roots are sorted int64 leaf indices, their witnesses aligned to them
+        assert a.tree.indices.dtype == np.int64
+        B, N = ds.spec.M**ds.d, ds.spec.N
+        assert [leaf_from_index(i, B, N) for i in a.tree.indices.tolist()] == sorted(want)
+        assert list(a.witnesses.items()) == sorted(want.items())
         sizes.append(len(a))
     return sizes
 
@@ -581,11 +585,11 @@ def test_poss_on_grid_lines_and_shrunk_faces(request, fixture, N, d):
                     if np.any(np.abs(off) <= np.spacing(center)) and np.all(off <= np.spacing(center)):
                         face_in += bool(np.all(off <= 0.0))
                         face_out += bool(np.any(off > 0.0))
-    # one batch finds each point's witnesses, in the order of the per-point scan
+    # one batch finds each point's witnesses, roots in sorted order
     for p, want, row in zip(points, wants, poss_sets(points, ds), strict=True):
         single = poss_set(p, ds)
         assert row.point == single.point
-        assert list(row.witnesses.items()) == list(single.witnesses.items()) == list(want.items())
+        assert list(row.witnesses.items()) == list(single.witnesses.items()) == sorted(want.items())
     # the float floor does cross grid lines here, and pull-backs within an
     # ulp of a face fall on both sides of it
     assert floor_differs > 0
