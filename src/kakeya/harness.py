@@ -27,12 +27,14 @@ import math
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from . import kernels
 from .cantor import BUILTIN_CURVES, builtin_curve, direction_set, middle_spec
+from .configs import cond_prob_pair
 from .percolation import lyons_bounds, resistance
 from .sticky import (
     StickyField,
@@ -42,9 +44,13 @@ from .sticky import (
     derive_seed,
     node_id,
 )
+from .trees import address_bits, leaf_from_index
 from .tubes import (
     PossSet,
+    cross_section_side,
     kakeya_measures,
+    leaf_centers,
+    pair_measure,
     pair_sum_over_range,
     poss_sets,
     unique_far_slope,
@@ -168,6 +174,43 @@ def _pair_sums(cfg: ExperimentConfig, N: int, Rs, exhaustive: bool) -> np.ndarra
     sums = [[pair_sum_over_range(cfg.M, N, idx, slope_table, lo, hi) for lo, hi in slabs]
             for idx in fields]
     return np.asarray(sums, dtype=np.float64)
+
+
+def slab_sum_expectation_exact(cfg: ExperimentConfig, N: int, R: int) -> float:
+    """Exact expectation of the pairwise slab intersection sum, from the
+    closed-form pair probabilities (independent of any sampling)."""
+    dirset = build_dirset(cfg, N)
+    n_slopes = dirset.n
+    side = cross_section_side(cfg.M, N, cfg.d)
+    lo, hi = _slab_range(cfg.M, N, R)
+    B = cfg.M**cfg.d
+    leaves = [leaf_from_index(i, B, N) for i in range(B**N)]
+    centers = leaf_centers(cfg.M, N, cfg.d)
+    slope_table = dirset.slope_floats()
+    addr = [address_bits(k, N) for k in range(n_slopes)]
+    total = 0.0
+    for i1, t1 in enumerate(leaves):
+        for i2, t2 in enumerate(leaves):
+            if i1 == i2:
+                continue
+            for k1 in range(n_slopes):
+                p_first = Fraction(1, 2**N)
+                for k2 in range(n_slopes):
+                    p_cond = cond_prob_pair(t1, t2, addr[k1], addr[k2])
+                    if p_cond == 0:
+                        continue
+                    m = pair_measure(
+                        centers[i1],
+                        slope_table[k1],
+                        centers[i2],
+                        slope_table[k2],
+                        lo,
+                        hi,
+                        side,
+                    )
+                    if m:
+                        total += float(p_first * p_cond) * m
+    return total
 
 
 def _moment_rows(

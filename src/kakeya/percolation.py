@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .trees import FiniteTree
+from .trees import FiniteTree, ray_addresses, ray_positions
 
 _MC_CELLS = 1 << 20  # random edge bits drawn per Monte Carlo batch, at most
 
@@ -80,12 +80,27 @@ def survival_exact(tree: FiniteTree) -> Fraction:
     return Fraction(a, 1 << (e + h))
 
 
+def survival_enumerate(tree: FiniteTree) -> Fraction:
+    """Brute-force survival: the share of all 2^E edge labellings in which
+    some leaf's ray is all ones.
+
+    Independent oracle for the recursion; edge count is capped at 20.
+    """
+    leaves = tree.sorted_leaves
+    all_ones = np.array([(1 << len(t)) - 1 for t in leaves], dtype=np.uint64)
+    hits = total = 0
+    for rows in ray_addresses(leaves, budget=20):
+        hits += int((rows == all_ones).any(axis=1).sum())
+        total += rows.shape[0]
+    return Fraction(hits, total)
+
+
 def survival_mc(tree: FiniteTree, seed: int, samples: int) -> tuple[float, float]:
     """Monte Carlo survival estimate with a 99% normal-approximation
     confidence half-width."""
     if samples < 1:
         raise ValueError("need at least one sample")
-    n_edges, rays = tree.ray_positions()
+    n_edges, rays = ray_positions(tree.sorted_leaves)
     leaf_edges = [np.array(ray, dtype=np.intp) for ray in rays]
     rng = np.random.default_rng(seed)
     hits = 0

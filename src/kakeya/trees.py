@@ -6,7 +6,7 @@ representation encodes M-adic intervals of [0,1), M-adic cubes of [0,1)^d
 intervals of a Cantor construction, and binary addresses.  A finite tree
 is held as the heights of its sorted leaves and the longest common prefix
 (LCP) of each consecutive pair, which one stack walk reduces; Poss trees
-hold their leaves as sorted base-M^d integers, whose order is the tuples'.
+hold their leaves as the rows of a sorted digit array.
 """
 
 from __future__ import annotations
@@ -151,11 +151,12 @@ class FiniteTree:
     """A finite rooted tree, held as the heights of its sorted leaves,
     ``depths``, and the LCP of each consecutive pair, ``lcps``.  No leaf is
     a prefix of another; the root alone is the one leaf of the one-vertex
-    tree.  A tree of depth-N leaves may hold them as sorted ``indices`` in
-    ``base``; the leaves as tuples and the vertex set are built on first use."""
+    tree.  A tree of depth-N leaves may hold them as the rows of a sorted
+    (leaves, N) int array, ``digits``; the leaves as tuples and the vertex
+    set are built on first use."""
 
-    def __init__(self, depths: list[int], lcps: list[int], indices: np.ndarray | None = None, base: int = 0):
-        self.depths, self.lcps, self.indices, self.base = depths, lcps, indices, base
+    def __init__(self, depths: list[int], lcps: list[int], digits: np.ndarray | None = None):
+        self.depths, self.lcps, self.digits = depths, lcps, digits
 
     @classmethod
     def from_leaves(cls, leaves: Iterable[Vertex]) -> "FiniteTree":
@@ -176,7 +177,7 @@ class FiniteTree:
 
     @cached_property
     def sorted_leaves(self) -> tuple[Vertex, ...]:
-        return tuple(leaf_from_index(i, self.base, self.depths[0]) for i in self.indices.tolist())
+        return tuple(map(tuple, self.digits.tolist()))
 
     @cached_property
     def vertices(self) -> set[Vertex]:
@@ -194,17 +195,6 @@ class FiniteTree:
             steps[lcp + 1] += 1
             steps[depth + 1] -= 1
         return list(itertools.accumulate(steps[:-1]))
-
-    def ray_positions(self) -> tuple[int, list[list[int]]]:
-        """``ray_positions`` of the sorted leaves: leaf i shares the first
-        LCP edges of leaf i - 1's ray and numbers the rest of its own next,
-        as each edge first appears on the first ray through it."""
-        rays, ray, n_edges = [], [], 0
-        for lcp, depth in zip([0, *self.lcps], self.depths):
-            ray = ray[:lcp] + list(range(n_edges, n_edges + depth - lcp))
-            n_edges += depth - lcp
-            rays.append(ray)
-        return n_edges, rays
 
     def reduce(self, leaf, close):
         """Fold the tree bottom-up in one stack walk of the sorted leaves.

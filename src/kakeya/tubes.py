@@ -10,6 +10,7 @@ and exactly integrable.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +22,7 @@ import numpy as np
 from . import kernels
 from .cantor import DirectionSet
 from .sticky import SlopeAssignment
-from .trees import FiniteTree, Vertex, address_bits
+from .trees import FiniteTree, Vertex, address_bits, common_prefix, cube_from_axis_indices
 
 
 @lru_cache(maxsize=None)
@@ -212,39 +213,30 @@ def grid_offsets(
 _PROBE_CELLS = 1 << 16  # (tube, offset) probes looked up at once
 
 
-@lru_cache(maxsize=8)
-def _family_probes(M: int, N: int, table: bytes, K: int, d: int, lo: float, hi: float):
-    """What ``_family_pairs`` probes for a (K, d) slope table, passed as
-    bytes, and a slab, whatever the field: the root cubes' axis indices
-    (d, n); the tube at each grid cell, axis 0 most significant; each
-    distinct (k, delta) of ``grid_offsets`` whose first non-zero axis is
-    positive; and the classes l each admits, a (groups, K) mask.  The
-    offsets are symmetric, (k, l, delta) with (l, k, -delta), and offset 0
-    meets the tube itself, so every pair of tubes is probed from one side."""
-    axes = leaf_grid(M, N, d).T.copy()
-    tube_at = np.empty(axes.shape[1], dtype=np.int64)
-    tube_at[(axes.T * (M**N) ** np.arange(d - 1, -1, -1)).sum(axis=1)] = np.arange(axes.shape[1])
-    k, l, delta = grid_offsets(np.frombuffer(table).reshape(K, d), lo, hi, M, N)
-    up = np.sign(delta) @ (1 << np.arange(d - 1, -1, -1)) > 0  # the first non-zero axis rules
-    groups, at = np.unique(np.column_stack([k, delta])[up], axis=0, return_inverse=True)
-    admits = np.zeros((groups.shape[0], K), dtype=bool)
-    admits[at.reshape(-1), l[up]] = True
-    return axes, tube_at, groups[:, 0], groups[:, 1:], admits.reshape(-1)
-
-
 def _family_pairs(
     M: int, N: int, slope_idx: np.ndarray, slope_table: np.ndarray, lo: float, hi: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """(i, j) index arrays of the pairs i < j of the depth-N grid family
     (tube i rooted at leaf i with slope ``slope_table[slope_idx[i]]``)
-    whose tubes can meet over [lo, hi], in key order i * n + j.  Each
-    ``_family_probes`` group (k, delta) probes every tube of class k for
-    the tube delta further along the grid, kept when that tube's class is
-    one the group admits; the probes go ``_PROBE_CELLS`` at a time."""
+    whose tubes can meet over [lo, hi], in key order i * n + j.
+
+    The offsets of ``grid_offsets`` are symmetric, (k, l, delta) with
+    (l, k, -delta), and offset 0 meets the tube itself, so only the delta
+    whose first non-zero axis is positive are probed, grouped by (k, delta)
+    with the classes l each admits: a group probes every tube of class k
+    for the tube delta further along the grid, kept when that tube's class
+    is one the group admits.  The probes go ``_PROBE_CELLS`` at a time."""
     K, d = slope_table.shape
-    table = np.asarray(slope_table, np.float64).tobytes()
-    axes, tube_at, k, delta, admits = _family_probes(M, N, table, K, d, lo, hi)
-    n, G, class_at = axes.shape[1], M**N, slope_idx.take(tube_at)
+    axes = leaf_grid(M, N, d).T.copy()  # (d, n): one row of axis indices per axis
+    n, G = axes.shape[1], M**N
+    tube_at = np.empty(n, dtype=np.int64)  # the tube at each grid cell, axis 0 most significant
+    tube_at[(axes.T * G ** np.arange(d - 1, -1, -1)).sum(axis=1)] = np.arange(n)
+    k, l, delta = grid_offsets(slope_table, lo, hi, M, N)
+    up = np.sign(delta) @ (1 << np.arange(d - 1, -1, -1)) > 0  # the first non-zero axis rules
+    groups, at = np.unique(np.column_stack([k, delta])[up], axis=0, return_inverse=True)
+    admits = np.zeros((groups.shape[0], K), dtype=bool)
+    admits[at.reshape(-1), l[up]] = True
+    k, delta, admits, class_at = groups[:, 0], groups[:, 1:], admits.reshape(-1), slope_idx.take(tube_at)
     members = np.argsort(slope_idx, kind="stable")
     sizes = np.bincount(slope_idx, minlength=K)
     starts = np.cumsum(sizes) - sizes
@@ -400,9 +392,9 @@ def slab_volumes(
 class PossSet:
     """Root cubes from which some direction's tube can reach the point.
 
-    ``tree`` holds the roots as sorted leaf indices, ``tree.indices`` in
-    base M^d at depth N, with their branching structure; it has no leaf
-    when the set is empty.  Root i has the witness directions
+    ``tree`` holds the roots as the sorted rows of ``tree.digits``, each
+    root's N digits in base M^d, with their branching structure; it has
+    no leaf when the set is empty.  Root i has the witness directions
     ``directions[starts[i]:starts[i + 1]]``, in increasing order; the sets
     of one ``poss_sets`` batch share one ``directions`` array."""
 
@@ -435,7 +427,7 @@ def poss_sets(points, dirset: DirectionSet) -> list[PossSet]:
     """Poss(p) of each row p of a (points, 1 + d) array, in one pass:
     pull the points back along every direction to the root hyperplane and
     keep the root cubes whose shrunk cube contains the pullback; M, N and
-    d are the direction set's.  The roots' leaf indices are sorted, and
+    d are the direction set's.  The roots' digit rows are sorted, and
     their LCPs taken, for the whole batch at once.
 
     A pullback's cube comes from the integer grid, floor(base * M^N), and
@@ -452,22 +444,24 @@ def poss_sets(points, dirset: DirectionSet) -> list[PossSet]:
     keep = np.all((base >= 0.0) & (base < 1.0) & (np.abs(base - center) <= half), axis=2)
     which, dirs = np.nonzero(keep)  # by point, then by direction
     # each kept cube's N level digits, the axes' digits of a level packed as
-    # index_from_leaf packs them, and its leaf index, the digits in base M^d
+    # index_from_leaf packs them, sorted by point and then by the digits,
+    # read c at a time as base-M^d numbers, c as many as an int64 holds
     levels = M ** np.arange(N - 1, -1, -1)[:, None]
     digits = (idx[which, dirs].astype(np.int64)[:, None, :] // levels % M) @ M ** np.arange(d - 1, -1, -1)
-    leaves = digits @ (M**d) ** np.arange(N - 1, -1, -1)
-    order = np.lexsort((leaves, which))  # stable: each root's directions stay increasing
+    c = max(1, int(62 / math.log2(M**d)))
+    keys = [digits[:, a : a + c] @ (M**d) ** np.arange(min(c, N - a) - 1, -1, -1) for a in range(0, N, c)]
+    order = np.lexsort((*keys[::-1], which))  # stable: each root's directions stay increasing
     which, digits, dirs = which[order], digits[order], dirs[order]
     lcps = np.logical_and.accumulate(digits[1:] == digits[:-1], axis=1).sum(axis=1)
     first = np.ones(which.size, dtype=bool)  # a root starts where fewer than N digits
     first[1:] = (lcps < N) | (which[1:] != which[:-1])  # are shared or the point changes
     first = np.flatnonzero(first)
-    roots, lcps = leaves[order[first]], lcps[first[1:] - 1].tolist()  # lcps across two points go unread
+    roots, lcps = digits[first], lcps[first[1:] - 1].tolist()  # lcps across two points go unread
     bounds = np.searchsorted(which[first], np.arange(pts.shape[0] + 1)).tolist()
-    starts, empty = [*first.tolist(), which.size], FiniteTree([], [], roots[:0], M**d)
+    starts, empty = [*first.tolist(), which.size], FiniteTree([], [], roots[:0])
     out = []
     for p, lo, hi in zip(pts.tolist(), bounds, bounds[1:]):
-        tree = FiniteTree([N] * (hi - lo), lcps[lo : hi - 1], roots[lo:hi], M**d) if hi > lo else empty
+        tree = FiniteTree([N] * (hi - lo), lcps[lo : hi - 1], roots[lo:hi]) if hi > lo else empty
         out.append(PossSet(tuple(p), tree, starts[lo : hi + 1], dirs))
     return out
 
@@ -476,6 +470,42 @@ def poss_set(p: Sequence[float], dirset: DirectionSet) -> PossSet:
     """Poss(p): the root cubes from which some direction's tube can reach
     the point, as ``poss_sets`` finds them for a batch of one."""
     return poss_sets([p], dirset)[0]
+
+
+_AFFINE_CELLS = 1 << 16  # cube-direction pairs compared at once
+
+
+def poss_set_affine(p: Sequence[float], dirset: DirectionSet) -> PossSet:
+    """Same set computed through the affine copy of the direction set:
+    enumerate candidate cubes around the pulled-back copy, in lexicographic
+    order of their axis indices, and keep those whose shrunk cube meets it.
+    Centres are those of ``poss_sets``; each chunk of cubes is compared with
+    every direction at once.  The roots' tree comes from their tuples."""
+    M, N, d = dirset.spec.M, dirset.spec.N, dirset.d
+    half = cross_section_side(M, N, d) / 2.0
+    copy_pts = _pullbacks([p], dirset)[0]  # the affine image of the directions
+    witnesses: dict[Vertex, list[int]] = {}
+    lo_idx = np.floor((copy_pts.min(axis=0) - half) * M**N).astype(int)
+    hi_idx = np.floor((copy_pts.max(axis=0) + half) * M**N).astype(int)
+    lo_idx = np.maximum(lo_idx, 0)
+    hi_idx = np.minimum(hi_idx, M**N - 1)
+    shape = tuple(np.maximum(hi_idx - lo_idx + 1, 0).tolist())
+    total = math.prod(shape)
+    step = max(1, _AFFINE_CELLS // copy_pts.shape[0])
+    for s in range(0, total, step):
+        flat = np.arange(s, min(s + step, total))
+        cubes = np.stack(np.unravel_index(flat, shape), axis=1) + lo_idx
+        center = (cubes + 0.5) / M**N
+        inside = np.all(np.abs(copy_pts[None, :, :] - center[:, None, :]) <= half, axis=2)
+        for row in np.flatnonzero(inside.any(axis=1)).tolist():
+            t = cube_from_axis_indices(cubes[row].tolist(), N, M)
+            witnesses[t] = np.flatnonzero(inside[row]).tolist()
+    roots = sorted(witnesses)
+    lcps = [common_prefix(u, v) for u, v in zip(roots, roots[1:])]
+    tree = FiniteTree([N] * len(roots), lcps, np.array(roots, dtype=np.int64).reshape(-1, N))
+    starts = [0, *itertools.accumulate(len(witnesses[t]) for t in roots)]
+    dirs = np.array([k for t in roots for k in witnesses[t]], dtype=np.int64)
+    return PossSet(tuple(float(x) for x in p), tree, starts, dirs)
 
 
 class WitnessError(RuntimeError):

@@ -44,9 +44,9 @@ from kakeya.tubes import (
     kappa,
     pair_measure,
     poss_set,
+    poss_set_affine,
     unique_far_slope,
 )
-from oracles import poss_set_affine
 from random_trees import random_leaf_subtree
 
 F = Fraction

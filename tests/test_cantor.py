@@ -231,20 +231,17 @@ def test_direction_set_inputs_are_not_restated():
 # Public names that nothing in src/ or perfbench/ reads, kept on purpose:
 # oracles, which tests hold the construction against, and paper
 # identities, the paper's maps stated as code (phi, the three-point
-# classes of criterion 02 and its pair law, the cube encoding and decoding).
+# classes of criterion 02, the cube decoding).
 ORACLES = (
     "cantor.estimate_bilipschitz",
     "tubes.intersection_necessary",
+    "tubes.poss_set_affine",
+    "harness.slab_sum_expectation_exact",
+    "percolation.survival_enumerate",
     "sticky.enumerate_joint_addresses",
     "sticky.StickyField.ray_bits",
 )
-PAPER_IDENTITIES = (
-    "cantor.phi_map",
-    "configs.classify3",
-    "configs.cond_prob_pair",
-    "trees.cube_from_axis_indices",
-    "trees.decode_cube",
-)
+PAPER_IDENTITIES = ("cantor.phi_map", "configs.classify3", "trees.decode_cube")
 
 
 def test_every_public_name_has_a_reader():

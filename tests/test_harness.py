@@ -7,7 +7,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kakeya import tubes
 from kakeya.harness import (
     ExperimentConfig,
     block_hash,
@@ -20,6 +19,7 @@ from kakeya.harness import (
     save_result,
     slab_first_moment,
     slab_second_moment,
+    slab_sum_expectation_exact,
     upper_bound_experiment,
     volume_sweep,
     _pair_sums,
@@ -29,7 +29,6 @@ from kakeya.harness import (
 from kakeya.sticky import derive_seed, sticky_admissible
 from kakeya.trees import address_bits, height, index_from_leaf, leaf_from_index, yca
 from kakeya.tubes import cross_section_side, leaf_centers, pair_measure, poss_set
-from oracles import slab_sum_expectation_exact
 
 
 def test_exhaustive_slab_sum_equals_exact_expectation():
@@ -38,20 +37,6 @@ def test_exhaustive_slab_sum_equals_exact_expectation():
     assert sums.size == 1 << 12
     exact = slab_sum_expectation_exact(cfg, 2, 0)
     assert sums.mean() == pytest.approx(exact, rel=1e-9)
-
-
-def test_d2_fields_of_a_depth_share_each_slab_grid_offsets(monkeypatch):
-    """The grid offsets of a slab depend on the slope table and the slab
-    alone: the d=2 pair sums of three fields over two slabs walk them
-    once per slab."""
-    walked = []
-    real = tubes.grid_offsets
-    monkeypatch.setattr(tubes, "grid_offsets", lambda *a: walked.append(a[1:3]) or real(*a))
-    tubes._family_probes.cache_clear()
-    cfg = ExperimentConfig(M=3, N=3, d=2, curve="moment", samples=3, slab_offsets=(1, 2), seed=4)
-    sums = _pair_sums(cfg, 3, [1, 2], False)
-    assert sums.shape == (3, 2) and (sums > 0).all()
-    assert walked == [(1 / 9, 1 / 3), (1 / 3, 1.0)]
 
 
 def test_sampled_slab_sum_within_ci_of_exhaustive():

@@ -11,17 +11,17 @@ from kakeya.percolation import (
     lyons_bounds,
     resistance,
     shorted_resistance,
+    survival_enumerate,
     survival_exact,
     survival_mc,
 )
-from kakeya.trees import FiniteTree, ray_positions
+from kakeya.trees import FiniteTree
 from kakeya.tubes import poss_set
 from far_points import aimed_point
 from oracles import (
     level_counts_by_vertices,
     resistance_by_groups,
     survival_by_groups,
-    survival_enumerate,
 )
 from random_trees import random_leaf_subtree
 
@@ -229,10 +229,10 @@ def _walk_cases():
 
 
 def test_walk_equals_leaf_grouping_recursions():
-    """Resistance, survival, level counts, the shorted resistance and the
-    ray positions read from (depths, LCPs) equal the recursions over the
-    sorted leaf tuples that they replace, the vertex-set level counts and
-    the sorted-edge ray positions, on every tree of ``_walk_cases``."""
+    """Resistance, survival, level counts and the shorted resistance read
+    from (depths, LCPs) equal the recursions over the sorted leaf tuples
+    that they replace and the vertex-set level counts, on every tree of
+    ``_walk_cases``."""
     for tree in _walk_cases():
         if tree.height:
             assert resistance(tree) == resistance_by_groups(tree)
@@ -243,7 +243,6 @@ def test_walk_equals_leaf_grouping_recursions():
         counts = level_counts_by_vertices(tree)
         assert tree.level_counts() == counts
         assert shorted_resistance(tree) == sum((F(2 ** (k - 1), counts[k]) for k in range(1, len(counts))), F(0))
-        assert tree.ray_positions() == ray_positions(tree.sorted_leaves)
 
 
 def test_survival_mc_on_root_only_tree():

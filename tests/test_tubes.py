@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from kakeya import kernels, tubes
 from kakeya.cantor import affine_curve, builtin_curve, direction_set, middle_spec, moment_curve
 from kakeya.sticky import assignment_from_dirset, sticky_admissible
-from kakeya.trees import cube_from_axis_indices, decode_cube, height, leaf_from_index, yca
+from kakeya.trees import FiniteTree, cube_from_axis_indices, decode_cube, height, leaf_from_index, yca
 from kakeya.tubes import (
     WitnessError,
     assignment_arrays,
@@ -24,12 +24,12 @@ from kakeya.tubes import (
     pair_measure,
     pair_sum_over_range,
     poss_set,
+    poss_set_affine,
     poss_sets,
     union_volume,
     unique_far_slope,
 )
 from far_points import aimed_point
-from oracles import poss_set_affine
 
 F = Fraction
 
@@ -479,10 +479,8 @@ def _dual_sizes(ds, points) -> list[int]:
     sizes = []
     for p in points:
         a, want = poss_set(p, ds), poss_set_affine(p, ds).witnesses
-        # the roots are sorted int64 leaf indices, their witnesses aligned to them
-        assert a.tree.indices.dtype == np.int64
-        B, N = ds.spec.M**ds.d, ds.spec.N
-        assert [leaf_from_index(i, B, N) for i in a.tree.indices.tolist()] == sorted(want)
+        # the roots are sorted rows of N digits, their witnesses aligned to them
+        assert a.tree.digits.shape == (len(want), ds.spec.N)
         assert list(a.witnesses.items()) == sorted(want.items())
         sizes.append(len(a))
     return sizes
@@ -540,6 +538,23 @@ def _poss_by_exact_floor(p, dirset, N, d):
         if np.all(np.abs(row - center) <= half):
             witnesses.setdefault(cube_from_axis_indices(idx, N, M), []).append(k)
     return witnesses
+
+
+@pytest.mark.parametrize("M, N, d, least", [(3, 14, 3, 1), (5, 14, 2, 20)])
+def test_poss_roots_with_more_cubes_than_an_int64_holds(M, N, d, least):
+    """At M^(dN) > 2^63 a root's leaf index overflows an int64: the batch
+    still sorts the roots digit by digit into the exact floor's tuples in
+    tuple order, each with its witnesses, and their LCPs are the tuples'."""
+    assert M ** (d * N) > 2**63
+    ds = direction_set(middle_spec(M, N), moment_curve(d))
+    aim = np.random.default_rng(14)
+    points = [aimed_point(aim, ds) for _ in range(4)]
+    for p, poss in zip(points, poss_sets(points, ds), strict=True):
+        want = _poss_by_exact_floor(p, ds, N, d)
+        assert len(poss) >= least
+        assert list(poss.witnesses.items()) == sorted(want.items())
+        tuples = FiniteTree.from_leaves(want)
+        assert (poss.tree.depths, poss.tree.lcps) == (tuples.depths, tuples.lcps)
 
 
 @pytest.mark.parametrize("fixture, N, d", [("ds_affine_n5", 5, 1), ("ds_moment_n4_d2", 4, 2)])
