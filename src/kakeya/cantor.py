@@ -79,10 +79,6 @@ class CantorSpec:
         return self.table.get(digits, self.default)
 
 
-def middle_spec(M: int, N: int) -> CantorSpec:
-    return CantorSpec(M, N)
-
-
 @dataclass(frozen=True)
 class BasicInterval:
     """A kept M-adic interval [left, left + M^-k), addressed by its digits."""

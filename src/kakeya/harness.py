@@ -27,14 +27,12 @@ import math
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from . import kernels
-from .cantor import BUILTIN_CURVES, builtin_curve, direction_set, middle_spec
-from .configs import cond_prob_pair
+from .cantor import BUILTIN_CURVES, CantorSpec, builtin_curve, direction_set
 from .percolation import lyons_bounds, resistance
 from .sticky import (
     StickyField,
@@ -44,17 +42,7 @@ from .sticky import (
     derive_seed,
     node_id,
 )
-from .trees import address_bits, leaf_from_index
-from .tubes import (
-    PossSet,
-    cross_section_side,
-    kakeya_measures,
-    leaf_centers,
-    pair_measure,
-    pair_sum_over_range,
-    poss_sets,
-    unique_far_slope,
-)
+from .tubes import PossSet, kakeya_measures, pair_sum_over_range, poss_sets, unique_far_slope
 
 SCHEMA_VERSION = 1
 BACKEND = "numpy"  # the kernel implementation, recorded with every result
@@ -124,8 +112,7 @@ def build_dirset(cfg: ExperimentConfig, N: int):
     """The middle-digit Cantor direction set of depth N on the config's curve."""
     key = (cfg.M, N, cfg.d, cfg.curve)
     if key not in _DIRSET_CACHE:
-        spec = middle_spec(cfg.M, N)
-        _DIRSET_CACHE[key] = direction_set(spec, builtin_curve(cfg.curve, cfg.d))
+        _DIRSET_CACHE[key] = direction_set(CantorSpec(cfg.M, N), builtin_curve(cfg.curve, cfg.d))
     return _DIRSET_CACHE[key]
 
 
@@ -174,43 +161,6 @@ def _pair_sums(cfg: ExperimentConfig, N: int, Rs, exhaustive: bool) -> np.ndarra
     sums = [[pair_sum_over_range(cfg.M, N, idx, slope_table, lo, hi) for lo, hi in slabs]
             for idx in fields]
     return np.asarray(sums, dtype=np.float64)
-
-
-def slab_sum_expectation_exact(cfg: ExperimentConfig, N: int, R: int) -> float:
-    """Exact expectation of the pairwise slab intersection sum, from the
-    closed-form pair probabilities (independent of any sampling)."""
-    dirset = build_dirset(cfg, N)
-    n_slopes = dirset.n
-    side = cross_section_side(cfg.M, N, cfg.d)
-    lo, hi = _slab_range(cfg.M, N, R)
-    B = cfg.M**cfg.d
-    leaves = [leaf_from_index(i, B, N) for i in range(B**N)]
-    centers = leaf_centers(cfg.M, N, cfg.d)
-    slope_table = dirset.slope_floats()
-    addr = [address_bits(k, N) for k in range(n_slopes)]
-    total = 0.0
-    for i1, t1 in enumerate(leaves):
-        for i2, t2 in enumerate(leaves):
-            if i1 == i2:
-                continue
-            for k1 in range(n_slopes):
-                p_first = Fraction(1, 2**N)
-                for k2 in range(n_slopes):
-                    p_cond = cond_prob_pair(t1, t2, addr[k1], addr[k2])
-                    if p_cond == 0:
-                        continue
-                    m = pair_measure(
-                        centers[i1],
-                        slope_table[k1],
-                        centers[i2],
-                        slope_table[k2],
-                        lo,
-                        hi,
-                        side,
-                    )
-                    if m:
-                        total += float(p_first * p_cond) * m
-    return total
 
 
 def _moment_rows(
@@ -474,13 +424,13 @@ def percolation_iid_audit(cfg: ExperimentConfig, N: int, fields: int) -> dict:
     from scipy.stats import chi2
 
     draws = itertools.islice(_strip_draws(cfg, N, 30_000_001), AUDIT_POINT_DRAWS)
-    point = next((poss.point for _, poss in draws if len(poss) >= 4), None)
-    if point is None:
+    poss = next((p for _, p in draws if len(p) >= 4), None)
+    if poss is None:
         raise FarPointError(
             f"no far point with 4 or more possible roots in {AUDIT_POINT_DRAWS} "
             f"draws (M={cfg.M}, N={N}, d={cfg.d}); raise N"
         )
-    witnesses = unique_far_slope(point, build_dirset(cfg, N))
+    witnesses = unique_far_slope(poss, build_dirset(cfg, N))
     # every leaf under an edge reads the edge's one field bit, so Y agrees
     # through all of them exactly when their address bits at that level
     # agree; where they disagree, the sentinel 2 matches no bit and Y = 0
@@ -517,7 +467,7 @@ def percolation_iid_audit(cfg: ExperimentConfig, N: int, fields: int) -> dict:
     return {
         "experiment": "iid-audit",
         "N": N,
-        "point": list(point),
+        "point": list(poss.point),
         "edges": E,
         "fields": fields,
         "consistency_violations": int(consistency_violations),

@@ -57,7 +57,8 @@ def derive_seed(seed: int, stream: int) -> int:
 
 @dataclass(frozen=True)
 class StickyField:
-    """Keyed Bernoulli(1/2) bits on the edges of the full base-adic tree."""
+    """Keyed Bernoulli(1/2) bits on the edges of the full base-adic tree,
+    which ``kernels.node_bits`` reads from ``key``."""
 
     seed: int
     base: int
@@ -65,17 +66,6 @@ class StickyField:
     @cached_property
     def key(self) -> int:
         return field_key(self.seed, self.base)
-
-    def bit(self, digits: Vertex) -> int:
-        """The bit on the edge terminating at ``digits`` (height >= 1)."""
-        if not digits:
-            raise ValueError("the root has no incoming edge")
-        return mix64((self.key + node_id(digits, self.base) * _GOLDEN) & MASK64) & 1
-
-    def ray_bits(self, leaf: Vertex) -> Vertex:
-        """The bits along the leaf's ray, one edge at a time: the oracle of
-        ``kernels.node_bits`` and ``kernels.leaf_slope_indices``."""
-        return tuple(self.bit(leaf[: k + 1]) for k in range(len(leaf)))
 
 
 @dataclass(frozen=True)
@@ -168,23 +158,6 @@ def enumerate_conditional(
     if denom == 0:
         raise ZeroDivisionError("conditioning event has probability zero")
     return joint / denom
-
-
-def enumerate_joint_addresses(leaves: Sequence[Vertex]) -> dict[tuple[int, ...], int]:
-    """Counts, over all edge-bit assignments on the union of rays, of every
-    combination of binary addresses the given leaves can receive.
-
-    Keys are tuples of address integers (first bit most significant),
-    aligned with ``leaves``.  Together the counts describe the exact joint
-    distribution, from which any conditional probability is a ratio.
-    """
-    counts: dict[tuple[int, ...], int] = {}
-    for rows in ray_addresses(leaves):
-        keys, kcounts = np.unique(rows, axis=0, return_counts=True)
-        for row, c in zip(keys, kcounts):
-            key = tuple(int(x) for x in row)
-            counts[key] = counts.get(key, 0) + int(c)
-    return counts
 
 
 def all_fields_exhaustive(base: int, depth: int):

@@ -10,7 +10,6 @@ and exactly integrable.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +21,7 @@ import numpy as np
 from . import kernels
 from .cantor import DirectionSet
 from .sticky import SlopeAssignment
-from .trees import FiniteTree, Vertex, address_bits, common_prefix, cube_from_axis_indices
+from .trees import FiniteTree, Vertex, address_bits
 
 
 @lru_cache(maxsize=None)
@@ -472,57 +471,19 @@ def poss_set(p: Sequence[float], dirset: DirectionSet) -> PossSet:
     return poss_sets([p], dirset)[0]
 
 
-_AFFINE_CELLS = 1 << 16  # cube-direction pairs compared at once
-
-
-def poss_set_affine(p: Sequence[float], dirset: DirectionSet) -> PossSet:
-    """Same set computed through the affine copy of the direction set:
-    enumerate candidate cubes around the pulled-back copy, in lexicographic
-    order of their axis indices, and keep those whose shrunk cube meets it.
-    Centres are those of ``poss_sets``; each chunk of cubes is compared with
-    every direction at once.  The roots' tree comes from their tuples."""
-    M, N, d = dirset.spec.M, dirset.spec.N, dirset.d
-    half = cross_section_side(M, N, d) / 2.0
-    copy_pts = _pullbacks([p], dirset)[0]  # the affine image of the directions
-    witnesses: dict[Vertex, list[int]] = {}
-    lo_idx = np.floor((copy_pts.min(axis=0) - half) * M**N).astype(int)
-    hi_idx = np.floor((copy_pts.max(axis=0) + half) * M**N).astype(int)
-    lo_idx = np.maximum(lo_idx, 0)
-    hi_idx = np.minimum(hi_idx, M**N - 1)
-    shape = tuple(np.maximum(hi_idx - lo_idx + 1, 0).tolist())
-    total = math.prod(shape)
-    step = max(1, _AFFINE_CELLS // copy_pts.shape[0])
-    for s in range(0, total, step):
-        flat = np.arange(s, min(s + step, total))
-        cubes = np.stack(np.unravel_index(flat, shape), axis=1) + lo_idx
-        center = (cubes + 0.5) / M**N
-        inside = np.all(np.abs(copy_pts[None, :, :] - center[:, None, :]) <= half, axis=2)
-        for row in np.flatnonzero(inside.any(axis=1)).tolist():
-            t = cube_from_axis_indices(cubes[row].tolist(), N, M)
-            witnesses[t] = np.flatnonzero(inside[row]).tolist()
-    roots = sorted(witnesses)
-    lcps = [common_prefix(u, v) for u, v in zip(roots, roots[1:])]
-    tree = FiniteTree([N] * len(roots), lcps, np.array(roots, dtype=np.int64).reshape(-1, N))
-    starts = [0, *itertools.accumulate(len(witnesses[t]) for t in roots)]
-    dirs = np.array([k for t in roots for k in witnesses[t]], dtype=np.int64)
-    return PossSet(tuple(float(x) for x in p), tree, starts, dirs)
-
-
 class WitnessError(RuntimeError):
     """A possible root had zero or multiple witness directions."""
 
 
-def unique_far_slope(
-    p: Sequence[float], dirset: DirectionSet
-) -> dict[Vertex, tuple[int, Vertex]]:
-    """For a point with first coordinate in [C0, C0+1] (``dirset.c0``), the
-    unique witness direction of every possible root, plus its binary address.
+def unique_far_slope(poss: PossSet, dirset: DirectionSet) -> dict[Vertex, tuple[int, Vertex]]:
+    """For the Poss set of a point with first coordinate in [C0, C0+1]
+    (``dirset.c0``), the unique witness direction of every possible root,
+    plus its binary address.
 
     Raises WitnessError on duplicate witnesses; points violating the
-    abscissa precondition are still scanned, so a too-small offset
+    abscissa precondition are still accepted, so a too-small offset
     constant surfaces as that error rather than silently losing data.
     """
-    poss = poss_set(p, dirset)
     out: dict[Vertex, tuple[int, Vertex]] = {}
     for t, wit in poss.witnesses.items():
         if len(wit) != 1:

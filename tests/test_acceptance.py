@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from kakeya.cantor import affine_curve, direction_set, middle_spec, moment_curve
+from kakeya.cantor import CantorSpec, affine_curve, direction_set, moment_curve
 from kakeya.configs import class_probability, classify3, classify4, cond_prob_pair
 from kakeya.harness import (
     ExperimentConfig,
@@ -37,16 +37,16 @@ from kakeya.percolation import (
     shorted_resistance,
     survival_exact,
 )
-from kakeya.sticky import all_fields_exhaustive, enumerate_joint_addresses, sticky_admissible
+from kakeya.sticky import all_fields_exhaustive, sticky_admissible
 from kakeya.trees import FiniteTree, leaf_from_index
 from kakeya.tubes import (
     intersection_necessary,
     kappa,
     pair_measure,
     poss_set,
-    poss_set_affine,
     unique_far_slope,
 )
+from oracles import enumerate_joint_addresses, poss_set_affine
 from random_trees import random_leaf_subtree
 
 F = Fraction
@@ -187,7 +187,7 @@ def test_criterion_04_far_slab_uniqueness(d):
     """Unique witness direction per possible root; the address map is sticky."""
     N, M = 8, 3
     curve = affine_curve(1) if d == 1 else moment_curve(2)
-    ds = direction_set(middle_spec(M, N), curve)
+    ds = direction_set(CantorSpec(M, N), curve)
     c0 = 2 if d == 1 else 4
     rng = np.random.default_rng(44 + d)
     lo = np.array([float(c0)] + [-2.0 * c0] * d)
@@ -196,7 +196,7 @@ def test_criterion_04_far_slab_uniqueness(d):
     roots_seen = 0
     for _ in range(1000):
         x = rng.uniform(lo, hi)
-        out = unique_far_slope(x, ds)  # raises on duplicate witnesses
+        out = unique_far_slope(poss_set(x, ds), ds)  # raises on duplicate witnesses
         assert sticky_admissible([(t, bits) for t, (_, bits) in out.items()])
         if out:
             nonempty += 1
@@ -215,7 +215,7 @@ def test_criterion_04_far_slab_uniqueness(d):
         u = center + rng.uniform(-side / 2, side / 2, size=d)
         v = slopes[rng.integers(len(slopes))]
         x = (x1, *(u + x1 * v))
-        out = unique_far_slope(x, ds)
+        out = unique_far_slope(poss_set(x, ds), ds)
         assert sticky_admissible([(t, bits) for t, (_, bits) in out.items()])
         assert len(out) >= 1
         targeted_roots += len(out)
@@ -333,7 +333,7 @@ def test_criterion_09_geometry_oracles():
     assert worst < 1e-9
     assert false_neg == 0
     # dual possible-root computations agree exactly
-    ds = direction_set(middle_spec(3, 6), affine_curve(1))
+    ds = direction_set(CantorSpec(3, 6), affine_curve(1))
     rng2 = random.Random(7)
     agree = 0
     for _ in range(100):

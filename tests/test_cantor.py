@@ -24,9 +24,9 @@ from kakeya.cantor import (
     builtin_curve,
     direction_set,
     estimate_bilipschitz,
-    middle_spec,
     moment_curve,
 )
+from test_tracer_targets import _tracing
 
 F = Fraction
 
@@ -37,24 +37,24 @@ def _right(iv):
 
 
 def test_middle_thirds_level1():
-    ivs = build_level(middle_spec(3, 2), 1)
+    ivs = build_level(CantorSpec(3, 2), 1)
     assert [(iv.left, _right(iv)) for iv in ivs] == [(F(0), F(1, 3)), (F(2, 3), F(1))]
 
 
 def test_middle_thirds_level2_digits():
-    ivs = build_level(middle_spec(3, 2), 2)
+    ivs = build_level(CantorSpec(3, 2), 2)
     assert [iv.digits for iv in ivs] == [(0, 0), (0, 2), (2, 0), (2, 2)]
     assert [iv.left for iv in ivs] == [F(0), F(2, 9), F(2, 3), F(8, 9)]
 
 
 def test_level_zero_is_unit_interval():
-    (iv,) = build_level(middle_spec(5, 3), 0)
+    (iv,) = build_level(CantorSpec(5, 3), 0)
     assert iv.left == 0 and _right(iv) == 1 and iv.digits == ()
 
 
 def test_representatives_left_endpoints():
     for N, reps in [(2, [F(0), F(2, 9), F(2, 3), F(8, 9)]), (1, [F(0), F(2, 3)])]:
-        spec = middle_spec(3, N)
+        spec = CantorSpec(3, N)
         assert [iv.left for iv in build_level(spec, N)] == reps
         assert direction_set(spec, affine_curve(1)).params == tuple(reps)
 
@@ -79,7 +79,7 @@ def test_generic_selector_depth3_separation():
 
 @pytest.mark.parametrize("k", range(0, 7))
 def test_level_counts_and_prefix_closure(k):
-    spec = middle_spec(3, 6)
+    spec = CantorSpec(3, 6)
     ivs = build_level(spec, k)
     assert len(ivs) == 2**k
     for a, b in zip(ivs, ivs[1:]):
@@ -124,7 +124,7 @@ def test_specs_compare_and_hash_by_their_children():
     a, b = CantorSpec(5, 2, default=(0, 2)), CantorSpec(5, 2, default=(0, 4))
     assert a != b and CantorSpec(5, 2, default=(2, 0)) == a  # pairs are stored ascending
     assert CantorSpec(5, 2, table={(1,): (0, 2)}) != CantorSpec(5, 2)
-    assert CantorSpec(3, 2) == middle_spec(3, 2) and len({a, b, CantorSpec(5, 2, default=[0, 2])}) == 2
+    assert CantorSpec(3, 2) == CantorSpec(3, 2) and len({a, b, CantorSpec(5, 2, default=[0, 2])}) == 2
 
 
 @pytest.mark.parametrize(
@@ -145,12 +145,12 @@ def test_curve_rows_are_fractions_and_fix_d():
 
 
 def test_direction_set_affine_n1():
-    ds = direction_set(middle_spec(3, 1), affine_curve(1))
+    ds = direction_set(CantorSpec(3, 1), affine_curve(1))
     assert ds.slopes == ((F(1), F(0)), (F(1), F(2, 3)))
 
 
 def test_direction_set_moment_n2():
-    ds = direction_set(middle_spec(3, 2), moment_curve(2))
+    ds = direction_set(CantorSpec(3, 2), moment_curve(2))
     assert ds.slopes == (
         (F(1), F(0), F(0)),
         (F(1), F(2, 9), F(4, 81)),
@@ -160,7 +160,7 @@ def test_direction_set_moment_n2():
 
 
 def test_slope_floats_built_once_and_read_only():
-    ds = direction_set(middle_spec(3, 3), moment_curve(2))
+    ds = direction_set(CantorSpec(3, 3), moment_curve(2))
     arr = ds.slope_floats()
     expect = np.array([[float(c) for c in s[1:]] for s in ds.slopes])
     assert arr.shape == (8, 2) and np.array_equal(arr, expect)
@@ -174,7 +174,7 @@ def test_direction_set_c0_of_every_builtin_curve():
     """C0 = ceil(max(d^d, 2 sqrt(d)) / lip_lo), where lip_lo is sqrt(d) for
     the affine curves and 1 for the moment curves."""
     got = {
-        (name, d): direction_set(middle_spec(3, 3), builtin_curve(name, d)).c0
+        (name, d): direction_set(CantorSpec(3, 3), builtin_curve(name, d)).c0
         for name in BUILTIN_CURVES
         for d in (1, 2, 3)
     }
@@ -228,20 +228,20 @@ def test_direction_set_inputs_are_not_restated():
     assert {"kakeya.tubes.poss_set", "kakeya.sticky.SlopeAssignment"} <= set(checked)
 
 
-# Public names that nothing in src/ or perfbench/ reads, kept on purpose:
-# oracles, which tests hold the construction against, and paper
-# identities, the paper's maps stated as code (phi, the three-point
-# classes of criterion 02, the cube decoding).
-ORACLES = (
-    "cantor.estimate_bilipschitz",
-    "tubes.intersection_necessary",
-    "tubes.poss_set_affine",
-    "harness.slab_sum_expectation_exact",
-    "percolation.survival_enumerate",
-    "sticky.enumerate_joint_addresses",
-    "sticky.StickyField.ray_bits",
+# Public names that nothing in src/ or perfbench/ calls, kept on purpose:
+# oracles that the benchmark's tracer wraps by name, so they stay in the
+# package while its TARGETS name them (every other oracle lives in
+# tests/oracles.py), and paper identities, the paper's maps stated as
+# code (phi, the three-point classes of criterion 02, the pair law
+# 2^-(N-h(u)), the cube encoding and its decoding).
+ORACLES = ("cantor.estimate_bilipschitz", "tubes.intersection_necessary")
+PAPER_IDENTITIES = (
+    "cantor.phi_map",
+    "configs.classify3",
+    "configs.cond_prob_pair",
+    "trees.cube_from_axis_indices",
+    "trees.decode_cube",
 )
-PAPER_IDENTITIES = ("cantor.phi_map", "configs.classify3", "trees.decode_cube")
 
 
 def test_every_public_name_has_a_reader():
@@ -276,8 +276,15 @@ def test_every_public_name_has_a_reader():
     assert sorted(unread - set(ORACLES) - set(PAPER_IDENTITIES)) == []
 
 
+def test_every_oracle_in_the_package_is_traced():
+    """An oracle stays in src/ only while the benchmark's tracer wraps it,
+    so the exemption list cannot grow with oracles that belong in tests/."""
+    traced = {f"{module}.{attr}" for module, attr, _cls, _timed in _tracing().TARGETS}
+    assert sorted(set(ORACLES) - traced) == []
+
+
 def test_affine_isometry_distances():
-    ds = direction_set(middle_spec(3, 3), affine_curve(1))
+    ds = direction_set(CantorSpec(3, 3), affine_curve(1))
     for i, j in itertools.combinations(range(ds.n), 2):
         dp = abs(ds.params[i] - ds.params[j])
         dv = abs(ds.slopes[i][1] - ds.slopes[j][1])
@@ -285,14 +292,14 @@ def test_affine_isometry_distances():
 
 
 def test_first_coordinate_always_one():
-    ds = direction_set(middle_spec(3, 3), moment_curve(3))
+    ds = direction_set(CantorSpec(3, 3), moment_curve(3))
     assert all(s[0] == 1 for s in ds.slopes)
 
 
 def test_curve_domain_error():
     stretched = DirectionCurve([[0, 2]])  # 2t leaves [-1,1] at t = 8/9
     with pytest.raises(CurveDomainError):
-        direction_set(middle_spec(3, 2), stretched)
+        direction_set(CantorSpec(3, 2), stretched)
 
 
 def test_bilipschitz_sandwich_all_pairs_n8(ds_affine_n8):
@@ -316,7 +323,7 @@ def test_bilipschitz_estimate_moment_curve():
 def test_constant_curve_rejected():
     flat = DirectionCurve([[0, 0]])
     with pytest.raises(CurveDomainError):
-        direction_set(middle_spec(3, 2), flat)
+        direction_set(CantorSpec(3, 2), flat)
     with pytest.raises(CurveDomainError, match="not bi-Lipschitz"):
         bilipschitz_bracket(flat)
 
@@ -334,7 +341,7 @@ MIXED = DirectionCurve([[0, "1/2", "-1/4"], ["1/3", "-1/3", 0, "1/4"]])
 
 @pytest.mark.parametrize("name, d", list(EXACT_SQUARED))
 def test_builtin_squared_constants_are_exact(name, d):
-    ds = direction_set(middle_spec(3, 3), builtin_curve(name, d))
+    ds = direction_set(CantorSpec(3, 3), builtin_curve(name, d))
     assert (ds.lip2_lo, ds.lip2_hi) == EXACT_SQUARED[name, d]
     assert type(ds.lip2_lo) is type(ds.lip2_hi) is Fraction
     # the float constants are rounded outward
@@ -372,15 +379,15 @@ def test_direction_set_never_samples(monkeypatch):
 
     monkeypatch.setattr(cantor, "estimate_bilipschitz", refuse)
     for name, d in EXACT_SQUARED:
-        direction_set(middle_spec(3, 2), builtin_curve(name, d))
-    direction_set(middle_spec(3, 2), MIXED)
+        direction_set(CantorSpec(3, 2), builtin_curve(name, d))
+    direction_set(CantorSpec(3, 2), MIXED)
 
 
 def test_unclosed_bracket_gives_a_safe_c0(monkeypatch):
     """With too few boxes the lower end stays below min q, so C0 can only
     grow.  MIXED's exact C0 is 27: with min q in [lo, lo (1 + 1e-6)],
     16 / min q lies in (26^2, 27^2]."""
-    spec = middle_spec(3, 2)
+    spec = CantorSpec(3, 2)
     exact = direction_set(spec, MIXED)
     assert 26**2 < 16 / exact.lip2_lo / (1 + F(1, 10**6)) and 16 / exact.lip2_lo <= 27**2
     assert exact.c0 == 27
@@ -394,7 +401,7 @@ def test_unclosed_bracket_gives_a_safe_c0(monkeypatch):
 def test_c0_from_the_squared_constant_in_integers(monkeypatch):
     """lip2_lo = 1 at d = 2 needs C^2 >= 16: C0 = 4 exactly, with no float
     in the path; a float quotient could not tell 1 from 1 -/+ 10^-30."""
-    ds = direction_set(middle_spec(3, 2), moment_curve(2))
+    ds = direction_set(CantorSpec(3, 2), moment_curve(2))
     assert ds.lip2_lo == 1
     above = replace(ds, lip2_lo=1 + F(1, 10**30))
     below = replace(ds, lip2_lo=1 - F(1, 10**30))

@@ -16,6 +16,7 @@ from kakeya.cli import build_parser, main
 from kakeya.sticky import assignment_from_dirset
 from kakeya.trees import index_from_leaf, leaf_from_index
 from kakeya.tubes import assignment_arrays, kakeya_measures, union_volume
+from oracles import ray_bits
 
 
 def test_cantor_dump(tmp_path, capsys):
@@ -101,7 +102,7 @@ def _check_slopes_rows(payload, cfg):
     assert len(payload["rows"]) == B**cfg.N
     for i, row in enumerate(payload["rows"]):
         leaf = leaf_from_index(i, B, cfg.N)
-        tau = field.ray_bits(leaf)
+        tau = ray_bits(field, leaf)
         slope = dirset.slopes[index_from_leaf(tau, 2)]
         assert row["t"] == list(leaf)
         assert row["tau"] == list(tau)

@@ -11,8 +11,8 @@ from kakeya.configs import (
     cond_prob_pair,
     oracle_check,
 )
-from kakeya.sticky import enumerate_joint_addresses
 from kakeya.trees import leaf_from_index, ray_edges
+from oracles import enumerate_joint_addresses
 
 F = Fraction
 

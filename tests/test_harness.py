@@ -19,7 +19,6 @@ from kakeya.harness import (
     save_result,
     slab_first_moment,
     slab_second_moment,
-    slab_sum_expectation_exact,
     upper_bound_experiment,
     volume_sweep,
     _pair_sums,
@@ -29,6 +28,7 @@ from kakeya.harness import (
 from kakeya.sticky import derive_seed, sticky_admissible
 from kakeya.trees import address_bits, height, index_from_leaf, leaf_from_index, yca
 from kakeya.tubes import cross_section_side, leaf_centers, pair_measure, poss_set
+from oracles import slab_sum_expectation_exact
 
 
 def test_exhaustive_slab_sum_equals_exact_expectation():

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kakeya import kernels
-from kakeya.cantor import builtin_curve, direction_set, middle_spec
+from kakeya.cantor import CantorSpec, builtin_curve, direction_set
 from kakeya.harness import ExperimentConfig, canonical_json, volume_sweep
 from kakeya.sticky import MASK64, StickyField, assignment_from_dirset, mix64
 from kakeya.trees import leaf_from_index
 from kakeya.tubes import _slab_sample_points, assignment_arrays, cross_section_side, pair_measure
+from oracles import ray_bits
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +135,7 @@ def test_union_lengths_split_equals_one_node_calls(monkeypatch, threads):
     split into blocks across threads, gives byte for byte the lengths of
     one-node calls, which start no thread."""
     monkeypatch.setattr(kernels, "_UNION_THREADS", threads)
-    dirset = direction_set(middle_spec(3, 7), builtin_curve("affine", 1))
+    dirset = direction_set(CantorSpec(3, 7), builtin_curve("affine", 1))
     centers, slopes = assignment_arrays(assignment_from_dirset(dirset, 3))
     c, v, side = centers[:, 0], slopes[:, 0], cross_section_side(3, 7, 1)
     for lo in (0.0, float(dirset.c0)):
@@ -302,7 +303,7 @@ def _union_against_slicing_oracle(corners, slopes, side, xs):
 def test_union_areas_of_realized_family_match_slicing_oracle(d, N):
     """The 729 cubes of a sampled moment-curve family, near the root
     hyperplane and in the far window."""
-    dirset = direction_set(middle_spec(3, N), builtin_curve("moment", d))
+    dirset = direction_set(CantorSpec(3, N), builtin_curve("moment", d))
     centers, slopes = assignment_arrays(assignment_from_dirset(dirset, 5))
     assert centers.shape == (729, d)
     side = cross_section_side(3, N, d)
@@ -355,6 +356,6 @@ def test_leaf_slope_indices_match_field():
     assert idx.shape == (729,)
     for i in range(0, 729, 37):
         leaf = leaf_from_index(i, 9, 3)
-        bits = f.ray_bits(leaf)
+        bits = ray_bits(f, leaf)
         expect = (bits[0] << 2) | (bits[1] << 1) | bits[2]
         assert idx[i] == expect

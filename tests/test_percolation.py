@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from kakeya import percolation
-from kakeya.cantor import affine_curve, direction_set, middle_spec, moment_curve
+from kakeya.cantor import CantorSpec, affine_curve, direction_set, moment_curve
 from kakeya.harness import ExperimentConfig, _strip_draws
 from kakeya.percolation import (
     lyons_bounds,
     resistance,
     shorted_resistance,
-    survival_enumerate,
     survival_exact,
     survival_mc,
 )
@@ -22,6 +21,7 @@ from oracles import (
     level_counts_by_vertices,
     resistance_by_groups,
     survival_by_groups,
+    survival_enumerate,
 )
 from random_trees import random_leaf_subtree
 
@@ -131,7 +131,7 @@ def test_resistance_equals_kirchhoff_solve():
             for _ in range(rng.integers(1, 9))
         ]
         trees.append(FiniteTree.from_leaves(leaves))
-    ds = direction_set(middle_spec(3, 9), affine_curve(1))
+    ds = direction_set(CantorSpec(3, 9), affine_curve(1))
     sizes = []
     for _ in range(40):
         poss = poss_set(aimed_point(rng, ds), ds)
@@ -178,7 +178,7 @@ def test_survival_equals_child_map_recursion():
     sets += [(2, moment_curve(2), N, 40) for N in range(3, 9)]
     big = 0
     for d, curve, N, points in sets:
-        ds = direction_set(middle_spec(3, N), curve)
+        ds = direction_set(CantorSpec(3, N), curve)
         for _ in range(points):
             poss = poss_set(aimed_point(rng, ds), ds)
             big += len(poss) >= 100
@@ -217,7 +217,7 @@ def _walk_cases():
     for d, curve, ns in ((1, "affine", range(2, 10)), (2, "moment", range(2, 5))):
         for N in ns:
             cfg = ExperimentConfig(M=3, N=N, d=d, curve=curve, seed=5)
-            ds = direction_set(middle_spec(3, N), affine_curve(1) if d == 1 else moment_curve(2))
+            ds = direction_set(CantorSpec(3, N), affine_curve(1) if d == 1 else moment_curve(2))
             drawn = [p for _, p in itertools.islice(_strip_draws(cfg, N, 2), 300) if len(p)][:15]
             poss += drawn + [poss_set(aimed_point(rng, ds), ds) for _ in range(15)]
     for p in poss:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kakeya import kernels
-from kakeya.cantor import affine_curve, direction_set, middle_spec
+from kakeya.cantor import CantorSpec, affine_curve, direction_set
 from kakeya.sticky import (
     SlopeAssignment,
     StickyField,
@@ -16,19 +16,20 @@ from kakeya.sticky import (
     assignment_from_dirset,
     derive_seed,
     enumerate_conditional,
-    enumerate_joint_addresses,
     enumerate_realizations,
     node_id,
     sticky_admissible,
 )
 from kakeya.trees import EdgeBudgetError, height, index_from_leaf, leaf_from_index, yca
+import oracles
+from oracles import enumerate_joint_addresses, field_bit, ray_bits
 
 F = Fraction
 
 
 def _slope_index(a: SlopeAssignment, t) -> int:
     """The direction a leaf's ray addresses, tau(t) read as a binary index."""
-    return index_from_leaf(a.field.ray_bits(t), 2)
+    return index_from_leaf(ray_bits(a.field, t), 2)
 
 
 def _sigma(a: SlopeAssignment, t):
@@ -38,7 +39,7 @@ def _sigma(a: SlopeAssignment, t):
 
 def test_tau_root_is_root():
     f = StickyField(seed=5, base=3)
-    assert f.ray_bits(()) == ()
+    assert ray_bits(f, ()) == ()
 
 
 def test_tau_siblings_share_prefix():
@@ -48,7 +49,7 @@ def test_tau_siblings_share_prefix():
         prefix = tuple(rng.randrange(9) for _ in range(3))
         t1 = prefix + (rng.randrange(9),)
         t2 = prefix + (rng.randrange(9),)
-        assert f.ray_bits(t1)[:3] == f.ray_bits(t2)[:3]
+        assert ray_bits(f, t1)[:3] == ray_bits(f, t2)[:3]
 
 
 def test_tau_stickiness_audit_10k_pairs():
@@ -57,36 +58,28 @@ def test_tau_stickiness_audit_10k_pairs():
     for _ in range(10_000):
         t1 = tuple(rng.randrange(3) for _ in range(8))
         t2 = tuple(rng.randrange(3) for _ in range(8))
-        assert height(yca(f.ray_bits(t1), f.ray_bits(t2))) >= height(yca(t1, t2))
+        assert height(yca(ray_bits(f, t1), ray_bits(f, t2))) >= height(yca(t1, t2))
 
 
 def test_sigma_depth1_composition():
-    a = assignment_from_dirset(direction_set(middle_spec(3, 1), affine_curve(1)), 3)
+    a = assignment_from_dirset(direction_set(CantorSpec(3, 1), affine_curve(1)), 3)
     for j in range(3):
-        bit = a.field.bit((j,))
+        bit = field_bit(a.field, (j,))
         expected = (F(1), F(0)) if bit == 0 else (F(1), F(2, 3))
         assert _sigma(a, (j,)) == expected
 
 
-class _ZeroField(StickyField):
-    def bit(self, digits):
-        return 0
-
-    def ray_bits(self, leaf):
-        return tuple(0 for _ in leaf)
-
-
-def test_all_zero_field_maps_to_leftmost():
-    ds_spec = middle_spec(3, 3)
-    a = assignment_from_dirset(direction_set(ds_spec, affine_curve(1)), 0)
-    zero = SlopeAssignment(field=_ZeroField(seed=0, base=3), dirset=a.dirset)
+def test_all_zero_field_maps_to_leftmost(monkeypatch):
+    monkeypatch.setattr(oracles, "field_bit", lambda field, digits: 0)  # every edge bit 0
+    ds_spec = CantorSpec(3, 3)
+    zero = assignment_from_dirset(direction_set(ds_spec, affine_curve(1)), 0)
     for i in range(27):
         leaf = leaf_from_index(i, 3, 3)
         assert _sigma(zero, leaf) == (F(1), F(0))
 
 
 def test_sigma_lipschitz_audit():
-    a = assignment_from_dirset(direction_set(middle_spec(3, 8), affine_curve(1)), 7)
+    a = assignment_from_dirset(direction_set(CantorSpec(3, 8), affine_curve(1)), 7)
     rng = random.Random(2)
     C = a.dirset.lip_hi
     for _ in range(10_000):
@@ -94,12 +87,12 @@ def test_sigma_lipschitz_audit():
         t2 = tuple(rng.randrange(3) for _ in range(8))
         p1, p2 = (a.dirset.params[_slope_index(a, t)] for t in (t1, t2))
         dv = abs(float(p1) - float(p2))
-        assert dv <= C * 3.0 ** -height(yca(a.field.ray_bits(t1), a.field.ray_bits(t2))) + 1e-12
+        assert dv <= C * 3.0 ** -height(yca(ray_bits(a.field, t1), ray_bits(a.field, t2))) + 1e-12
 
 
 def test_sigma_deterministic():
-    a1 = assignment_from_dirset(direction_set(middle_spec(3, 4), affine_curve(1)), 99)
-    a2 = assignment_from_dirset(direction_set(middle_spec(3, 4), affine_curve(1)), 99)
+    a1 = assignment_from_dirset(direction_set(CantorSpec(3, 4), affine_curve(1)), 99)
+    a2 = assignment_from_dirset(direction_set(CantorSpec(3, 4), affine_curve(1)), 99)
     for i in range(0, 81, 7):
         leaf = leaf_from_index(i, 3, 4)
         assert _sigma(a1, leaf) == _sigma(a2, leaf)
@@ -107,7 +100,7 @@ def test_sigma_deterministic():
 
 
 def test_all_slope_indices_matches_scalar():
-    a = assignment_from_dirset(direction_set(middle_spec(3, 5), affine_curve(1)), 13)
+    a = assignment_from_dirset(direction_set(CantorSpec(3, 5), affine_curve(1)), 13)
     idx = a.all_slope_indices()
     for i in range(0, 243, 11):
         leaf = leaf_from_index(i, 3, 5)
@@ -139,7 +132,7 @@ def test_node_id_unique_across_levels():
 def test_mix64_matches_kernel():
     f = StickyField(seed=77, base=3)
     vs = [leaf_from_index(i, 3, 3) for i in range(27)]
-    scalar = np.array([f.bit(v) for v in vs], dtype=np.uint8)
+    scalar = np.array([field_bit(f, v) for v in vs], dtype=np.uint8)
     vector = kernels.node_bits(f.key, np.array([node_id(v, 3) for v in vs], dtype=np.uint64))
     assert np.array_equal(scalar, vector)
 

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 import kakeya
 from kakeya import trees
-from kakeya.cantor import binary_address, interval_digits, middle_spec, phi_map
+from kakeya.cantor import CantorSpec, binary_address, interval_digits, phi_map
 from kakeya.sticky import sticky_admissible
 from kakeya.trees import (
     FiniteTree,
@@ -93,14 +93,14 @@ def test_cube_from_axis_indices_matches_encode():
 
 
 def test_psi_middle_thirds():
-    spec = middle_spec(3, 2)
+    spec = CantorSpec(3, 2)
     assert binary_address(spec, (0, 2)) == (0, 1)
     assert binary_address(spec, ()) == ()
     assert interval_digits(spec, (0, 1)) == (0, 2)
 
 
 def test_psi_roundtrip_depth10():
-    spec = middle_spec(3, 10)
+    spec = CantorSpec(3, 10)
     seen = set()
     for i in range(1 << 10):
         bits = tuple((i >> (9 - j)) & 1 for j in range(10))
@@ -111,7 +111,7 @@ def test_psi_roundtrip_depth10():
 
 
 def test_psi_is_sticky_both_ways():
-    spec = middle_spec(3, 6)
+    spec = CantorSpec(3, 6)
     rng = random.Random(2)
     cantor_vs = []
     for _ in range(80):
@@ -122,7 +122,7 @@ def test_psi_is_sticky_both_ways():
 
 
 def test_psi_rejects_vertices_off_the_tree():
-    spec = middle_spec(3, 2)
+    spec = CantorSpec(3, 2)
     with pytest.raises(KeyError):
         binary_address(spec, (0, 1))
     with pytest.raises(KeyError):
@@ -135,11 +135,11 @@ def test_non_sticky_map_fails_audit():
 
 
 def test_phi_left_endpoint():
-    assert phi_map(middle_spec(3, 2), (2,)) == F(2, 3)
+    assert phi_map(CantorSpec(3, 2), (2,)) == F(2, 3)
 
 
 def test_phi_consistent_with_representatives():
-    spec = middle_spec(3, 4)
+    spec = CantorSpec(3, 4)
     from kakeya.cantor import build_level
 
     for iv in build_level(spec, spec.N):
@@ -147,7 +147,7 @@ def test_phi_consistent_with_representatives():
 
 
 def test_phi_containment_sweep():
-    spec = middle_spec(3, 8)
+    spec = CantorSpec(3, 8)
     for k in range(0, 9):
         for i in range(1 << k):
             bits = tuple((i >> (k - 1 - j)) & 1 for j in range(k))
@@ -159,13 +159,13 @@ def test_phi_containment_sweep():
 
 def test_phi_rejects_unselected():
     with pytest.raises(KeyError):
-        phi_map(middle_spec(3, 2), (1,))
+        phi_map(CantorSpec(3, 2), (1,))
     with pytest.raises(KeyError):  # below the truncation depth
-        phi_map(middle_spec(3, 2), (0, 0, 0))
+        phi_map(CantorSpec(3, 2), (0, 0, 0))
 
 
 def test_count_level_vertices_parameter_tree():
-    spec = middle_spec(3, 6)
+    spec = CantorSpec(3, 6)
     from kakeya.cantor import build_level
 
     pts = [[iv.left] for iv in build_level(spec, spec.N)]
@@ -178,7 +178,7 @@ def test_count_level_vertices_affine_copies():
     # pullbacks of the direction set stay within C * 2^k cubes per level
     from kakeya.cantor import affine_curve, direction_set
 
-    ds = direction_set(middle_spec(3, 6), affine_curve(1))
+    ds = direction_set(CantorSpec(3, 6), affine_curve(1))
     slopes = [float(s[1]) for s in ds.slopes]
     rng = random.Random(3)
     worst = 0.0

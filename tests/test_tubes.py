@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from kakeya import kernels, tubes
-from kakeya.cantor import affine_curve, builtin_curve, direction_set, middle_spec, moment_curve
+from kakeya.cantor import CantorSpec, affine_curve, builtin_curve, direction_set, moment_curve
 from kakeya.sticky import assignment_from_dirset, sticky_admissible
 from kakeya.trees import FiniteTree, cube_from_axis_indices, decode_cube, height, leaf_from_index, yca
 from kakeya.tubes import (
@@ -24,12 +24,12 @@ from kakeya.tubes import (
     pair_measure,
     pair_sum_over_range,
     poss_set,
-    poss_set_affine,
     poss_sets,
     union_volume,
     unique_far_slope,
 )
 from far_points import aimed_point
+from oracles import poss_set_affine
 
 F = Fraction
 
@@ -239,7 +239,7 @@ def test_grid_offset_pairs_equal_first_axis_sweep(curve, d, N, R):
     the pairs the first-axis sweep keeps, and the sums are ==.  R = 0 is
     the slab nearest the root.  A class paired with itself (b = 0 on every
     axis) admits only offset 0, its own tube, which i < j drops."""
-    dirset = direction_set(middle_spec(3, N), builtin_curve(curve, d))
+    dirset = direction_set(CantorSpec(3, N), builtin_curve(curve, d))
     idx = assignment_from_dirset(dirset, 5).all_slope_indices()
     table = dirset.slope_floats()
     lo, hi = 3.0 ** (R - N), 3.0 ** (R + 1 - N)
@@ -405,7 +405,7 @@ def test_parallel_family_tiles_shrunk_cube():
 
 
 def test_union_refinement_converges():
-    ds = direction_set(middle_spec(3, 5), affine_curve(1))
+    ds = direction_set(CantorSpec(3, 5), affine_curve(1))
     assignment = assignment_from_dirset(ds, seed=21)
     centers, slopes = assignment_arrays(assignment)
     v1 = union_volume(centers, slopes, 0.0, 1.0, 3, 5, samples=4)
@@ -438,7 +438,7 @@ def test_union_volume_d3_two_tubes_exact(offset, exact_over_cube):
 
 
 def test_union_upper_bounded_by_sum():
-    ds = direction_set(middle_spec(3, 4), affine_curve(1))
+    ds = direction_set(CantorSpec(3, 4), affine_curve(1))
     assignment = assignment_from_dirset(ds, seed=5)
     centers, slopes = assignment_arrays(assignment)
     side = float(kappa(1)) * 3.0**-4
@@ -516,7 +516,7 @@ def test_poss_dual_computation_agrees_d2(ds_moment_n4_d2):
 def test_poss_dual_computation_agrees_d3():
     """d=3 moment curve, N=3: every aimed draw meets its one tube, and at
     C0 = 27 no other root's shrunk cube catches a pull-back."""
-    ds = direction_set(middle_spec(3, 3), moment_curve(3))
+    ds = direction_set(CantorSpec(3, 3), moment_curve(3))
     aim = np.random.default_rng(13)
     sizes = _dual_sizes(ds, [aimed_point(aim, ds) for _ in range(12)])
     assert min(sizes) >= 1
@@ -546,7 +546,7 @@ def test_poss_roots_with_more_cubes_than_an_int64_holds(M, N, d, least):
     still sorts the roots digit by digit into the exact floor's tuples in
     tuple order, each with its witnesses, and their LCPs are the tuples'."""
     assert M ** (d * N) > 2**63
-    ds = direction_set(middle_spec(M, N), moment_curve(d))
+    ds = direction_set(CantorSpec(M, N), moment_curve(d))
     aim = np.random.default_rng(14)
     points = [aimed_point(aim, ds) for _ in range(4)]
     for p, poss in zip(points, poss_sets(points, ds), strict=True):
@@ -618,7 +618,7 @@ def test_unique_far_witness_and_prefix_property(ds_affine_n8):
     checked_pairs = 0
     for _ in range(200):
         p = (rng.uniform(2.0, 3.0), rng.uniform(-0.5, 3.5))
-        out = unique_far_slope(p, ds)  # raises on duplicates
+        out = unique_far_slope(poss_set(p, ds), ds)  # raises on duplicates
         assert sticky_admissible([(t, bits) for t, (_, bits) in out.items()])
         roots = sorted(out)
         for i, t1 in enumerate(roots):
@@ -636,7 +636,7 @@ def test_duplicate_witnesses_near_root_hyperplane(ds_affine_n5):
     corner, side = decode_cube(t, 3, 1)
     c = float(corner[0] + side / 2)
     with pytest.raises(WitnessError):
-        unique_far_slope((1e-6, c), ds_affine_n5)
+        unique_far_slope(poss_set((1e-6, c), ds_affine_n5), ds_affine_n5)
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +645,7 @@ def test_duplicate_witnesses_near_root_hyperplane(ds_affine_n5):
 
 
 def test_kakeya_measures_n1_against_direct_union():
-    ds = direction_set(middle_spec(3, 1), affine_curve(1))
+    ds = direction_set(CantorSpec(3, 1), affine_curve(1))
     assignment = assignment_from_dirset(ds, seed=17)
     m = kakeya_measures(assignment, samples=4)
     centers, slopes = assignment_arrays(assignment)
@@ -688,7 +688,7 @@ def test_all_zero_field_measures_exact():
 
 
 def test_dilate_ratio_bound_at_least_one():
-    ds = direction_set(middle_spec(3, 3), affine_curve(1))
+    ds = direction_set(CantorSpec(3, 3), affine_curve(1))
     for seed in range(5):
         m = kakeya_measures(assignment_from_dirset(ds, seed=seed), samples=2)
         assert m["dilate_ratio_bound"] >= 1.0
@@ -701,7 +701,7 @@ def test_dilate_ratio_bound_at_least_one():
 
 def test_separated_drift_on_positive_measure():
     # realized intersections of distinct roots keep x1*|dv| above kappa*M^-N
-    ds = direction_set(middle_spec(3, 4), affine_curve(1))
+    ds = direction_set(CantorSpec(3, 4), affine_curve(1))
     assignment = assignment_from_dirset(ds, seed=3)
     centers, slopes = assignment_arrays(assignment)
     side = float(kappa(1)) * 3.0**-4
@@ -730,7 +730,7 @@ def test_separated_drift_on_positive_measure():
 def test_triple_intersection_root_count_bounded():
     # fixed (t1, v1, v2) and a cube of side M^-N: few roots t2 can make
     # both tubes pass through the cube
-    ds = direction_set(middle_spec(3, 4), affine_curve(1))
+    ds = direction_set(CantorSpec(3, 4), affine_curve(1))
     slopes = ds.slope_floats()[:, 0]
     centers = leaf_centers(3, 4, 1)[:, 0]
     side = float(kappa(1)) * 3.0**-4
