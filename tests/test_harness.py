@@ -1,8 +1,12 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -367,3 +371,12 @@ def test_iid_audit_point_search_is_bounded():
     # N=1 has only M^d = 3 root cubes, so no point has 4 possible roots
     with pytest.raises(ValueError, match="4 or more possible roots"):
         percolation_iid_audit(ExperimentConfig(M=3, N=1, d=1), N=1, fields=10)
+
+
+def test_harness_import_does_not_load_configs():
+    """The experiments read none of the configuration classes, so a fresh
+    ``import kakeya.harness`` leaves ``kakeya.configs`` unloaded."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    code = "import sys, kakeya.harness; print('kakeya.configs' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
