@@ -98,10 +98,15 @@ class BasicInterval:
         return Fraction(num, self.M**self.level)
 
 
+_LEVEL_BUDGET = 2**18  # kept intervals a level may hold, at most: 2^k at stage k
+
+
 def build_level(spec: CantorSpec, k: int) -> list[BasicInterval]:
     """All kept intervals at stage k, in increasing order (2^k of them)."""
     if not 0 <= k <= spec.N:
         raise ValueError(f"level {k} outside 0..{spec.N}")
+    if 2**k > _LEVEL_BUDGET:
+        raise ResourceWarning(f"2^{k} kept intervals exceed the level budget {_LEVEL_BUDGET}")
     frontier: list[Digits] = [()]
     for _ in range(k):
         nxt: list[Digits] = []

@@ -19,6 +19,7 @@ import csv
 import functools
 import itertools
 import json
+import math
 import os
 import random
 import sys
@@ -56,7 +57,7 @@ from .percolation import (
     survival_exact,
     survival_mc,
 )
-from .sticky import assignment_from_dirset
+from .sticky import SlopeAssignment
 from .trees import EdgeBudgetError, FiniteTree, address_bits, leaf_from_index
 from .tubes import assignment_arrays, poss_set, slab_volumes
 
@@ -75,16 +76,22 @@ _M_TYPE = _int_from(3)  # the middle-digit Cantor construction needs M >= 3
 
 
 def _point(text: str) -> tuple[float, ...]:
-    """argparse type of --point: comma-separated floats."""
+    """argparse type of --point: comma-separated finite floats."""
     try:
-        return tuple(float(x) for x in text.split(","))
+        point = tuple(float(x) for x in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not comma-separated numbers") from None
+    if not all(map(math.isfinite, point)):
+        raise argparse.ArgumentTypeError(f"{text!r} has a coordinate that is not finite")
+    return point
 
 
 def _n_range(text: str) -> tuple[int, ...]:
     """argparse type of --N-range: lo:hi inclusive, not empty, lo >= 1."""
-    lo, hi = map(int, text.split(":"))
+    try:
+        lo, hi = map(int, text.split(":"))
+    except ValueError:  # not two integers: refused below
+        lo = hi = 0
     if lo < 1 or lo > hi:
         raise argparse.ArgumentTypeError(f"{text!r} is not a range of depths >= 1")
     return tuple(range(lo, hi + 1))
@@ -275,7 +282,7 @@ def cmd_slopes(args) -> int:
     cfg = _config_from_args(args)
     cfg.guard(cfg.N)
     dirset = build_dirset(cfg, cfg.N)
-    indices = assignment_from_dirset(dirset, cfg.seed).all_slope_indices()
+    indices = SlopeAssignment(dirset, cfg.seed).all_slope_indices()
     rows = (
         {
             "t": list(leaf_from_index(i, cfg.M**cfg.d, cfg.N)),
@@ -293,7 +300,7 @@ def cmd_volume(args) -> int:
     cfg = _config_from_args(args)
     cfg.guard(cfg.N)
     dirset = build_dirset(cfg, cfg.N)
-    centers, slopes = assignment_arrays(assignment_from_dirset(dirset, cfg.seed))
+    centers, slopes = assignment_arrays(SlopeAssignment(dirset, cfg.seed))
     lo, hi = (0.0, 1.0) if args.range == "near" else (float(dirset.c0), float(dirset.c0) + 1.0)
     width = float(cfg.M) ** (-cfg.N)
     rows = []

@@ -34,14 +34,7 @@ import numpy as np
 from . import kernels
 from .cantor import BUILTIN_CURVES, CantorSpec, builtin_curve, direction_set
 from .percolation import lyons_bounds, resistance
-from .sticky import (
-    StickyField,
-    SlopeAssignment,
-    all_fields_exhaustive,
-    assignment_from_dirset,
-    derive_seed,
-    node_id,
-)
+from .sticky import SlopeAssignment, all_fields_exhaustive, derive_seed, field_key, node_id
 from .tubes import PossSet, kakeya_measures, pair_sum_over_range, poss_sets, unique_far_slope
 
 SCHEMA_VERSION = 1
@@ -122,7 +115,7 @@ def sampled_assignments(cfg: ExperimentConfig, N: int) -> Iterator[SlopeAssignme
     is checked here, before any sample is drawn."""
     cfg.guard(N)
     dirset = build_dirset(cfg, N)
-    return (assignment_from_dirset(dirset, derive_seed(cfg.seed, i)) for i in range(cfg.samples))
+    return (SlopeAssignment(dirset, derive_seed(cfg.seed, i)) for i in range(cfg.samples))
 
 
 def sampled_measures(cfg: ExperimentConfig, N: int) -> list[dict]:
@@ -451,8 +444,8 @@ def percolation_iid_audit(cfg: ExperimentConfig, N: int, fields: int) -> dict:
     pair_a = np.arange(pair_cells.shape[0]) * 2
     pair_b = pair_a + 1
     for f in range(fields):
-        fld = StickyField(seed=derive_seed(cfg.seed, 40_000_007 + f), base=base)
-        ye = (kernels.node_bits(fld.key, ids) == edge_beta).astype(np.int8)
+        key = field_key(derive_seed(cfg.seed, 40_000_007 + f), base)
+        ye = (kernels.node_bits(key, ids) == edge_beta).astype(np.int8)
         ones += ye
         cell = 2 * ye[pair_a] + ye[pair_b]
         for c in range(4):

@@ -5,9 +5,10 @@ the bits along a leaf's ray yields a binary address; stickiness (shared
 prefixes share bits) is automatic.  Composing with the binary structure of
 the Cantor tree and the curve turns the address into a direction.
 
-Bits are generated statelessly from (seed, base, vertex) by a 64-bit
-mixing function, so fields need O(1) memory, replay exactly, and can be
-evaluated in bulk by the kernels.
+A field is one integer key, ``field_key(seed, base)``; its bits are
+generated statelessly from (key, vertex) by a 64-bit mixing function, so
+fields need O(1) memory, replay exactly, and can be evaluated in bulk by
+the kernels.
 """
 
 from __future__ import annotations
@@ -56,50 +57,22 @@ def derive_seed(seed: int, stream: int) -> int:
 
 
 @dataclass(frozen=True)
-class StickyField:
-    """Keyed Bernoulli(1/2) bits on the edges of the full base-adic tree,
-    which ``kernels.node_bits`` reads from ``key``."""
+class SlopeAssignment:
+    """sigma = phi o tau, root cube -> direction, for one field realization:
+    the field branches M^d ways, M, N and d being the direction set's, and
+    ``kernels.node_bits`` reads its bits from ``key = field_key(seed, M^d)``."""
 
+    dirset: DirectionSet
     seed: int
-    base: int
 
     @cached_property
     def key(self) -> int:
-        return field_key(self.seed, self.base)
-
-
-@dataclass(frozen=True)
-class SlopeAssignment:
-    """Composite map root cube -> direction for one field realization, whose
-    M, N and d are the direction set's; the field branches M^d ways."""
-
-    field: StickyField
-    dirset: DirectionSet
-
-    def __post_init__(self):
-        if self.field.base != self.M**self.d:
-            raise ValueError("field base must equal M^d")
-
-    @property
-    def N(self) -> int:
-        return self.dirset.spec.N
-
-    @property
-    def M(self) -> int:
-        return self.dirset.spec.M
-
-    @property
-    def d(self) -> int:
-        return self.dirset.d
+        return field_key(self.seed, self.dirset.spec.M**self.dirset.d)
 
     def all_slope_indices(self) -> np.ndarray:
         """Slope index of every leaf, leaves in lexicographic order."""
-        return kernels.leaf_slope_indices(self.field.key, self.field.base, self.N)
-
-
-def assignment_from_dirset(dirset: DirectionSet, seed: int) -> SlopeAssignment:
-    field = StickyField(seed=seed, base=dirset.spec.M**dirset.d)
-    return SlopeAssignment(field=field, dirset=dirset)
+        spec = self.dirset.spec
+        return kernels.leaf_slope_indices(self.key, spec.M**self.dirset.d, spec.N)
 
 
 # ---------------------------------------------------------------------------

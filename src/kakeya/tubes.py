@@ -502,8 +502,9 @@ def unique_far_slope(poss: PossSet, dirset: DirectionSet) -> dict[Vertex, tuple[
 
 def assignment_arrays(assignment: SlopeAssignment) -> tuple[np.ndarray, np.ndarray]:
     """(centers, slopes) float arrays of the realized family, leaf order."""
-    centers = leaf_centers(assignment.M, assignment.N, assignment.d)
-    slopes = assignment.dirset.slope_floats()[assignment.all_slope_indices()]
+    ds = assignment.dirset
+    centers = leaf_centers(ds.spec.M, ds.spec.N, ds.d)
+    slopes = ds.slope_floats()[assignment.all_slope_indices()]
     return centers, slopes
 
 
@@ -518,7 +519,7 @@ def kakeya_measures(assignment: SlopeAssignment, samples: int) -> dict:
     at least max(1, near/(4*far)).
     """
     centers, slopes = assignment_arrays(assignment)
-    M, N = assignment.M, assignment.N
+    M, N = assignment.dirset.spec.M, assignment.dirset.spec.N
     c0 = assignment.dirset.c0
     near = union_volume(centers, slopes, 0.0, 1.0, M, N, samples=samples)
     far = union_volume(

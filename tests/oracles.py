@@ -17,7 +17,7 @@ from kakeya.cantor import DirectionSet
 from kakeya.configs import cond_prob_pair
 from kakeya.harness import ExperimentConfig, _slab_range, build_dirset
 from kakeya.kernels import _GOLDEN
-from kakeya.sticky import MASK64, StickyField, mix64, node_id
+from kakeya.sticky import MASK64, mix64, node_id
 from kakeya.trees import (
     FiniteTree,
     Vertex,
@@ -143,18 +143,19 @@ def poss_set_affine(p: Sequence[float], dirset: DirectionSet) -> PossSet:
     return PossSet(tuple(float(x) for x in p), tree, starts, dirs)
 
 
-def field_bit(field: StickyField, digits: Vertex) -> int:
-    """The field's bit on the edge terminating at ``digits`` (height >= 1),
-    by the scalar splitmix arithmetic on python ints."""
+def field_bit(key: int, base: int, digits: Vertex) -> int:
+    """The bit of the field keyed ``key`` on the edge terminating at
+    ``digits`` (height >= 1) of the full base-adic tree, by the scalar
+    splitmix arithmetic on python ints."""
     if not digits:
         raise ValueError("the root has no incoming edge")
-    return mix64((field.key + node_id(digits, field.base) * _GOLDEN) & MASK64) & 1
+    return mix64((key + node_id(digits, base) * _GOLDEN) & MASK64) & 1
 
 
-def ray_bits(field: StickyField, leaf: Vertex) -> Vertex:
+def ray_bits(key: int, base: int, leaf: Vertex) -> Vertex:
     """The bits along the leaf's ray, one edge at a time: the oracle of
     ``kernels.node_bits`` and ``kernels.leaf_slope_indices``."""
-    return tuple(field_bit(field, leaf[: k + 1]) for k in range(len(leaf)))
+    return tuple(field_bit(key, base, leaf[: k + 1]) for k in range(len(leaf)))
 
 
 def survival_enumerate(tree: FiniteTree) -> Fraction:

@@ -11,9 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from kakeya import harness
+from kakeya import cantor, harness
 from kakeya.cli import build_parser, main
-from kakeya.sticky import assignment_from_dirset
+from kakeya.sticky import SlopeAssignment, field_key
 from kakeya.trees import index_from_leaf, leaf_from_index
 from kakeya.tubes import assignment_arrays, kakeya_measures, union_volume
 from oracles import ray_bits
@@ -97,12 +97,12 @@ def _check_slopes_rows(payload, cfg):
     """Each row's tau is the ray of the field's bits, walked one edge at a
     time, and its sigma the slope that address names."""
     dirset = harness.build_dirset(cfg, cfg.N)
-    field = assignment_from_dirset(dirset, cfg.seed).field
     B = cfg.M**cfg.d
+    key = field_key(cfg.seed, B)
     assert len(payload["rows"]) == B**cfg.N
     for i, row in enumerate(payload["rows"]):
         leaf = leaf_from_index(i, B, cfg.N)
-        tau = ray_bits(field, leaf)
+        tau = ray_bits(key, B, leaf)
         slope = dirset.slopes[index_from_leaf(tau, 2)]
         assert row["t"] == list(leaf)
         assert row["tau"] == list(tau)
@@ -176,9 +176,9 @@ def test_volume_csv_n5_slabs(tmp_path, window, k0):
         rows = list(csv.DictReader(fh))
     assert [int(r["k"]) for r in rows] == list(range(k0, k0 + 3**5))
     dirset = harness.build_dirset(harness.ExperimentConfig(N=5), 5)
-    expected = kakeya_measures(assignment_from_dirset(dirset, 7), samples=4)[window]
+    expected = kakeya_measures(SlopeAssignment(dirset, 7), samples=4)[window]
     assert sum(float(r["volume"]) for r in rows) == pytest.approx(expected, rel=0, abs=1e-12)
-    centers, slopes = assignment_arrays(assignment_from_dirset(dirset, 7))
+    centers, slopes = assignment_arrays(SlopeAssignment(dirset, 7))
     width = 3.0**-5
     for r in rows:
         k = int(r["k"])
@@ -193,7 +193,7 @@ def test_volume_d3_far_window_is_exact(tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "vol.csv")]) == 0
     total = float(capsys.readouterr().err.rsplit(":", 1)[1])
     dirset = harness.build_dirset(harness.ExperimentConfig(N=1, d=3), 1)
-    expected = kakeya_measures(assignment_from_dirset(dirset, 7), samples=4)["far"]
+    expected = kakeya_measures(SlopeAssignment(dirset, 7), samples=4)["far"]
     assert total > 0.0
     assert total == pytest.approx(expected, rel=0, abs=1e-12)
 
@@ -654,7 +654,7 @@ def test_iid_audit_writes_one_row_per_n(capsys):
 def test_volume_reads_config_quadrature(tmp_path, capsys):
     """The nodes per slab come from the config's quadrature, and
     --samples-per-slab overrides it."""
-    assignment = assignment_from_dirset(harness.build_dirset(harness.ExperimentConfig(N=3), 3), 7)
+    assignment = SlopeAssignment(harness.build_dirset(harness.ExperimentConfig(N=3), 3), 7)
     expected = {q: kakeya_measures(assignment, samples=q)["near"] for q in (1, 4)}
     assert expected[1] != expected[4]
     cfg_file = tmp_path / "cfg.json"
@@ -714,6 +714,13 @@ def test_volume_reads_config_quadrature(tmp_path, capsys):
         (["simulate", "--N", "2", "--samples", "1"], {"curve": ["affine"]}, "curve must be one of ['affine', 'moment'], got ['affine']"),
         (["simulate", "--N", "2", "--samples", "1"], {"out_dir": 5}, "out_dir must be a path, got 5"),
         (["slab-moments", "--N", "3", "--samples", "2"], {"slab_offsets": [0, -1]}, "slab_offsets must be at least 1, got [0, -1]"),
+        (["simulate", "--N-range", "3", "--samples", "1"], None, "argument --N-range: '3' is not a range of depths >= 1"),
+        (["simulate", "--N-range", "a:b", "--samples", "1"], None, "argument --N-range: 'a:b' is not a range of depths >= 1"),
+        (["simulate", "--N-range", "1:2:3", "--samples", "1"], None, "argument --N-range: '1:2:3' is not a range of depths >= 1"),
+        (["percolate", "--point", "nan,0.5"], None, "argument --point: 'nan,0.5' has a coordinate that is not finite"),
+        (["percolate", "--point", "inf,0.5"], None, "argument --point: 'inf,0.5' has a coordinate that is not finite"),
+        (["resist", "--point", "nan,0.5"], None, "argument --point: 'nan,0.5' has a coordinate that is not finite"),
+        (["resist", "--point", "2.5,-inf"], None, "argument --point: '2.5,-inf' has a coordinate that is not finite"),
     ],
 )
 def test_count_below_one_rejected(tmp_path, capsys, argv, config, message):
@@ -789,6 +796,19 @@ def test_leaf_budget_guards_every_experiment(monkeypatch, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"kakeya {argv[0]}: M^(N*d) = 27 exceeds the leaf budget 10"]
+
+
+@pytest.mark.parametrize("argv", [["cantor", "--N", "40"], ["resistance-growth", "--N", "40", "--points", "1"]])
+def test_level_budget_refuses_deep_direction_sets(monkeypatch, capsys, argv):
+    """Over the level budget: one line on stderr and exit code 2, before
+    any kept interval is built."""
+    def refuse(spec, digits):
+        raise AssertionError("an interval was built")
+    monkeypatch.setattr(cantor.CantorSpec, "children", refuse)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"kakeya {argv[0]}: 2^40 kept intervals exceed the level budget 262144"]
 
 
 @pytest.mark.parametrize(

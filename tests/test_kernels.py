@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from kakeya import kernels
 from kakeya.cantor import CantorSpec, builtin_curve, direction_set
 from kakeya.harness import ExperimentConfig, canonical_json, volume_sweep
-from kakeya.sticky import MASK64, StickyField, assignment_from_dirset, mix64
+from kakeya.sticky import MASK64, SlopeAssignment, field_key, mix64
 from kakeya.trees import leaf_from_index
 from kakeya.tubes import _slab_sample_points, assignment_arrays, cross_section_side, pair_measure
 from oracles import ray_bits
@@ -136,7 +136,7 @@ def test_union_lengths_split_equals_one_node_calls(monkeypatch, threads):
     one-node calls, which start no thread."""
     monkeypatch.setattr(kernels, "_UNION_THREADS", threads)
     dirset = direction_set(CantorSpec(3, 7), builtin_curve("affine", 1))
-    centers, slopes = assignment_arrays(assignment_from_dirset(dirset, 3))
+    centers, slopes = assignment_arrays(SlopeAssignment(dirset, 3))
     c, v, side = centers[:, 0], slopes[:, 0], cross_section_side(3, 7, 1)
     for lo in (0.0, float(dirset.c0)):
         xs, _ = _slab_sample_points(3, 7, lo, lo + 1.0, 2)
@@ -304,7 +304,7 @@ def test_union_areas_of_realized_family_match_slicing_oracle(d, N):
     """The 729 cubes of a sampled moment-curve family, near the root
     hyperplane and in the far window."""
     dirset = direction_set(CantorSpec(3, N), builtin_curve("moment", d))
-    centers, slopes = assignment_arrays(assignment_from_dirset(dirset, 5))
+    centers, slopes = assignment_arrays(SlopeAssignment(dirset, 5))
     assert centers.shape == (729, d)
     side = cross_section_side(3, N, d)
     c0 = dirset.c0
@@ -344,18 +344,18 @@ def test_union_areas_with_every_cube_active(monkeypatch, cells):
 def test_node_bits_match_python_int_mix64():
     """uint64 arithmetic against python ints, with ids large enough that
     key + id * GOLDEN wraps around 2^64."""
-    key = StickyField(seed=999, base=9).key
+    key = field_key(999, 9)
     ids = np.random.default_rng(3).integers(0, 1 << 50, 10_000).astype(np.uint64)
     expect = [mix64((key + int(i) * kernels._GOLDEN) & MASK64) & 1 for i in ids]
     assert np.array_equal(kernels.node_bits(key, ids), np.array(expect, dtype=np.uint8))
 
 
 def test_leaf_slope_indices_match_field():
-    f = StickyField(seed=31, base=9)
-    idx = kernels.leaf_slope_indices(f.key, 9, 3)
+    key = field_key(31, 9)
+    idx = kernels.leaf_slope_indices(key, 9, 3)
     assert idx.shape == (729,)
     for i in range(0, 729, 37):
         leaf = leaf_from_index(i, 9, 3)
-        bits = ray_bits(f, leaf)
+        bits = ray_bits(key, 9, leaf)
         expect = (bits[0] << 2) | (bits[1] << 1) | bits[2]
         assert idx[i] == expect

@@ -11,12 +11,11 @@ from kakeya import kernels
 from kakeya.cantor import CantorSpec, affine_curve, direction_set
 from kakeya.sticky import (
     SlopeAssignment,
-    StickyField,
     all_fields_exhaustive,
-    assignment_from_dirset,
     derive_seed,
     enumerate_conditional,
     enumerate_realizations,
+    field_key,
     node_id,
     sticky_admissible,
 )
@@ -27,9 +26,15 @@ from oracles import enumerate_joint_addresses, field_bit, ray_bits
 F = Fraction
 
 
+def _tau(a: SlopeAssignment, t):
+    """The leaf's ray bits under the field of ``a``'s seed on M^d branches."""
+    base = a.dirset.spec.M**a.dirset.d
+    return ray_bits(field_key(a.seed, base), base, t)
+
+
 def _slope_index(a: SlopeAssignment, t) -> int:
     """The direction a leaf's ray addresses, tau(t) read as a binary index."""
-    return index_from_leaf(ray_bits(a.field, t), 2)
+    return index_from_leaf(_tau(a, t), 2)
 
 
 def _sigma(a: SlopeAssignment, t):
@@ -38,48 +43,47 @@ def _sigma(a: SlopeAssignment, t):
 
 
 def test_tau_root_is_root():
-    f = StickyField(seed=5, base=3)
-    assert ray_bits(f, ()) == ()
+    assert ray_bits(field_key(5, 3), 3, ()) == ()
 
 
 def test_tau_siblings_share_prefix():
-    f = StickyField(seed=5, base=9)
+    key = field_key(5, 9)
     rng = random.Random(0)
     for _ in range(200):
         prefix = tuple(rng.randrange(9) for _ in range(3))
         t1 = prefix + (rng.randrange(9),)
         t2 = prefix + (rng.randrange(9),)
-        assert ray_bits(f, t1)[:3] == ray_bits(f, t2)[:3]
+        assert ray_bits(key, 9, t1)[:3] == ray_bits(key, 9, t2)[:3]
 
 
 def test_tau_stickiness_audit_10k_pairs():
-    f = StickyField(seed=11, base=3)
+    key = field_key(11, 3)
     rng = random.Random(1)
     for _ in range(10_000):
         t1 = tuple(rng.randrange(3) for _ in range(8))
         t2 = tuple(rng.randrange(3) for _ in range(8))
-        assert height(yca(ray_bits(f, t1), ray_bits(f, t2))) >= height(yca(t1, t2))
+        assert height(yca(ray_bits(key, 3, t1), ray_bits(key, 3, t2))) >= height(yca(t1, t2))
 
 
 def test_sigma_depth1_composition():
-    a = assignment_from_dirset(direction_set(CantorSpec(3, 1), affine_curve(1)), 3)
+    a = SlopeAssignment(direction_set(CantorSpec(3, 1), affine_curve(1)), 3)
     for j in range(3):
-        bit = field_bit(a.field, (j,))
+        bit = field_bit(field_key(3, 3), 3, (j,))
         expected = (F(1), F(0)) if bit == 0 else (F(1), F(2, 3))
         assert _sigma(a, (j,)) == expected
 
 
 def test_all_zero_field_maps_to_leftmost(monkeypatch):
-    monkeypatch.setattr(oracles, "field_bit", lambda field, digits: 0)  # every edge bit 0
+    monkeypatch.setattr(oracles, "field_bit", lambda key, base, digits: 0)  # every edge bit 0
     ds_spec = CantorSpec(3, 3)
-    zero = assignment_from_dirset(direction_set(ds_spec, affine_curve(1)), 0)
+    zero = SlopeAssignment(direction_set(ds_spec, affine_curve(1)), 0)
     for i in range(27):
         leaf = leaf_from_index(i, 3, 3)
         assert _sigma(zero, leaf) == (F(1), F(0))
 
 
 def test_sigma_lipschitz_audit():
-    a = assignment_from_dirset(direction_set(CantorSpec(3, 8), affine_curve(1)), 7)
+    a = SlopeAssignment(direction_set(CantorSpec(3, 8), affine_curve(1)), 7)
     rng = random.Random(2)
     C = a.dirset.lip_hi
     for _ in range(10_000):
@@ -87,12 +91,12 @@ def test_sigma_lipschitz_audit():
         t2 = tuple(rng.randrange(3) for _ in range(8))
         p1, p2 = (a.dirset.params[_slope_index(a, t)] for t in (t1, t2))
         dv = abs(float(p1) - float(p2))
-        assert dv <= C * 3.0 ** -height(yca(ray_bits(a.field, t1), ray_bits(a.field, t2))) + 1e-12
+        assert dv <= C * 3.0 ** -height(yca(_tau(a, t1), _tau(a, t2))) + 1e-12
 
 
 def test_sigma_deterministic():
-    a1 = assignment_from_dirset(direction_set(CantorSpec(3, 4), affine_curve(1)), 99)
-    a2 = assignment_from_dirset(direction_set(CantorSpec(3, 4), affine_curve(1)), 99)
+    a1 = SlopeAssignment(direction_set(CantorSpec(3, 4), affine_curve(1)), 99)
+    a2 = SlopeAssignment(direction_set(CantorSpec(3, 4), affine_curve(1)), 99)
     for i in range(0, 81, 7):
         leaf = leaf_from_index(i, 3, 4)
         assert _sigma(a1, leaf) == _sigma(a2, leaf)
@@ -100,7 +104,7 @@ def test_sigma_deterministic():
 
 
 def test_all_slope_indices_matches_scalar():
-    a = assignment_from_dirset(direction_set(CantorSpec(3, 5), affine_curve(1)), 13)
+    a = SlopeAssignment(direction_set(CantorSpec(3, 5), affine_curve(1)), 13)
     idx = a.all_slope_indices()
     for i in range(0, 243, 11):
         leaf = leaf_from_index(i, 3, 5)
@@ -108,9 +112,8 @@ def test_all_slope_indices_matches_scalar():
 
 
 def test_bit_balance_and_correlation():
-    f = StickyField(seed=123, base=9)
     ids = np.arange(1, 1_000_001, dtype=np.uint64)
-    bits = kernels.node_bits(f.key, ids).astype(np.float64)
+    bits = kernels.node_bits(field_key(123, 9), ids).astype(np.float64)
     assert abs(bits.mean() - 0.5) < 0.002
     corr = np.corrcoef(bits[:-1], bits[1:])[0, 1]
     assert abs(corr) < 0.01
@@ -130,10 +133,10 @@ def test_node_id_unique_across_levels():
 
 
 def test_mix64_matches_kernel():
-    f = StickyField(seed=77, base=3)
+    key = field_key(77, 3)
     vs = [leaf_from_index(i, 3, 3) for i in range(27)]
-    scalar = np.array([field_bit(f, v) for v in vs], dtype=np.uint8)
-    vector = kernels.node_bits(f.key, np.array([node_id(v, 3) for v in vs], dtype=np.uint64))
+    scalar = np.array([field_bit(key, 3, v) for v in vs], dtype=np.uint8)
+    vector = kernels.node_bits(key, np.array([node_id(v, 3) for v in vs], dtype=np.uint64))
     assert np.array_equal(scalar, vector)
 
 

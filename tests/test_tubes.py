@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 from kakeya import kernels, tubes
 from kakeya.cantor import CantorSpec, affine_curve, builtin_curve, direction_set, moment_curve
-from kakeya.sticky import assignment_from_dirset, sticky_admissible
+from kakeya.sticky import SlopeAssignment, sticky_admissible
 from kakeya.trees import FiniteTree, cube_from_axis_indices, decode_cube, height, leaf_from_index, yca
 from kakeya.tubes import (
     WitnessError,
@@ -240,7 +240,7 @@ def test_grid_offset_pairs_equal_first_axis_sweep(curve, d, N, R):
     the slab nearest the root.  A class paired with itself (b = 0 on every
     axis) admits only offset 0, its own tube, which i < j drops."""
     dirset = direction_set(CantorSpec(3, N), builtin_curve(curve, d))
-    idx = assignment_from_dirset(dirset, 5).all_slope_indices()
+    idx = SlopeAssignment(dirset, 5).all_slope_indices()
     table = dirset.slope_floats()
     lo, hi = 3.0 ** (R - N), 3.0 ** (R + 1 - N)
     centers, side = leaf_centers(3, N, d), cross_section_side(3, N, d)
@@ -406,7 +406,7 @@ def test_parallel_family_tiles_shrunk_cube():
 
 def test_union_refinement_converges():
     ds = direction_set(CantorSpec(3, 5), affine_curve(1))
-    assignment = assignment_from_dirset(ds, seed=21)
+    assignment = SlopeAssignment(ds, seed=21)
     centers, slopes = assignment_arrays(assignment)
     v1 = union_volume(centers, slopes, 0.0, 1.0, 3, 5, samples=4)
     v2 = union_volume(centers, slopes, 0.0, 1.0, 3, 5, samples=8)
@@ -439,7 +439,7 @@ def test_union_volume_d3_two_tubes_exact(offset, exact_over_cube):
 
 def test_union_upper_bounded_by_sum():
     ds = direction_set(CantorSpec(3, 4), affine_curve(1))
-    assignment = assignment_from_dirset(ds, seed=5)
+    assignment = SlopeAssignment(ds, seed=5)
     centers, slopes = assignment_arrays(assignment)
     side = float(kappa(1)) * 3.0**-4
     v = union_volume(centers, slopes, 0.0, 1.0, 3, 4, samples=4)
@@ -646,7 +646,7 @@ def test_duplicate_witnesses_near_root_hyperplane(ds_affine_n5):
 
 def test_kakeya_measures_n1_against_direct_union():
     ds = direction_set(CantorSpec(3, 1), affine_curve(1))
-    assignment = assignment_from_dirset(ds, seed=17)
+    assignment = SlopeAssignment(ds, seed=17)
     m = kakeya_measures(assignment, samples=4)
     centers, slopes = assignment_arrays(assignment)
     side = float(kappa(1)) / 3
@@ -690,7 +690,7 @@ def test_all_zero_field_measures_exact():
 def test_dilate_ratio_bound_at_least_one():
     ds = direction_set(CantorSpec(3, 3), affine_curve(1))
     for seed in range(5):
-        m = kakeya_measures(assignment_from_dirset(ds, seed=seed), samples=2)
+        m = kakeya_measures(SlopeAssignment(ds, seed=seed), samples=2)
         assert m["dilate_ratio_bound"] >= 1.0
 
 
@@ -702,7 +702,7 @@ def test_dilate_ratio_bound_at_least_one():
 def test_separated_drift_on_positive_measure():
     # realized intersections of distinct roots keep x1*|dv| above kappa*M^-N
     ds = direction_set(CantorSpec(3, 4), affine_curve(1))
-    assignment = assignment_from_dirset(ds, seed=3)
+    assignment = SlopeAssignment(ds, seed=3)
     centers, slopes = assignment_arrays(assignment)
     side = float(kappa(1)) * 3.0**-4
     rng = random.Random(14)
